@@ -1,14 +1,17 @@
-"""Structure constants and Lie-theoretic identification of blade closures.
+"""Lie-theoretic identification of blade closures, on masks alone.
 
-Every bracket of two basis blades is zero or +-2 times a single basis
-blade, so the whole multiplication table fits in two dense integer
-arrays: a target index per pair and a coefficient per pair.  All the
-invariants read off that table.
+Every bracket of two basis blades is zero or +-2 times the XOR blade,
+so center, derived algebra, Killing form, rank and the two-ideal split
+are all mask combinatorics.  analyze runs only the mask-native core:
+a partner sweep (center and derived dimension), the diagonal Killing
+form K_ii = 4 b_i^2 partners_i, a self-centralizing torus of commuting
+blades (rank), and integer pair checks for the split.  Each function of
+the core states its proof in its docstring.
 
-The Killing form is diagonal in a blade basis: ad b_i composed with
-ad b_j translates every mask by XOR with mask_i ^ mask_j, so its trace
-vanishes unless the two masks agree.  The code still computes every
-requested entry from the table rather than assuming zeros.
+The dense structure table, the mod-p rank probe (rank_trials,
+rank_estimate), the Bareiss Killing test and the Fraction split
+(split_check_fractions) are kept as independent test oracles; no
+verify path calls them.
 """
 
 from __future__ import annotations
@@ -214,40 +217,14 @@ def killing_form(sc: StructureConstants) -> RationalMatrix:
     return RationalMatrix(entries)
 
 
-def killing_negative_definite_check(
-    sc: StructureConstants, *, exact: bool, seed: int = 0, primes=DEFAULT_PRIMES
-) -> tuple[bool, str]:
-    """Definiteness of the Killing form, exact or probabilistic.
+def killing_negative_definite_check(sc: StructureConstants) -> tuple[bool, str]:
+    """Definiteness of the table's Killing form by the exact leading-minor test.
 
-    Exact mode runs the fraction-free leading-minor test.  The
-    probabilistic mode certifies nondegeneracy by full mod-p rank at
-    several primes and spot-checks 20 random 2x2 principal minors
-    exactly; with all diagonal entries negative that is the stated
-    evidence, not a proof.
+    A test oracle for the mask-native Killing certificate: it assembles
+    the full form and runs fraction-free Bareiss elimination.
     """
-    d = sc.d
-    if exact:
-        ok = is_negative_definite(killing_form(sc))
-        return ok, f"exact leading-minor test, d={d}"
-    diag = killing_diagonal(sc)
-    if not np.all(diag < 0):
-        return False, "diagonal entry >= 0"
-    neg_k = np.diag(-diag)
-    for p in primes:
-        if kernel_dimension_mod_p(neg_k, p) != 0:
-            return False, f"-K drops rank mod {p}"
-    rng = random.Random(seed)
-    for _ in range(20):
-        i = rng.randrange(d)
-        j = rng.randrange(d)
-        while j == i:
-            j = rng.randrange(d)
-        kij = killing_entry(sc, i, j)
-        kji = killing_entry(sc, j, i)
-        det = int(diag[i]) * int(diag[j]) - kij * kji
-        if det <= 0:
-            return False, f"2x2 principal minor ({i},{j}) not positive"
-    return True, f"mod-p rank profile over {len(primes)} primes + 20 exact 2x2 minors, d={d}"
+    ok = is_negative_definite(killing_form(sc))
+    return ok, f"exact leading-minor test, d={sc.d}"
 
 
 def center_dim(sc: StructureConstants) -> int:
@@ -365,17 +342,12 @@ class SplitResult:
         }
 
 
-def split_check(
-    basis: ClosureBasis, *, seed: int = 0, pair_limit: int = 256, samples: int = 500
-) -> SplitResult:
-    """Split the closure along the top-blade eigenspaces and verify both ideals.
+def _split_preamble(basis: ClosureBasis) -> SplitResult | list[int]:
+    """Preconditions of the split, or the lower mask of each complement pair.
 
-    Only meaningful when the top blade is central and squares to +1,
-    i.e. n == 1 mod 4.  Eigenvectors come from the mask/complement
-    pairing e_m +- s e_{~m}; the two eigenspaces must have equal
-    dimension, bracket into themselves, and annihilate each other.
-    Pair checks are exhaustive up to pair_limit vectors per side,
-    seeded sampling beyond that.
+    Returns a finished SplitResult when the split does not apply or a
+    precondition fails: the top blade omega must be central with square
+    +1, and the basis must be closed under m -> m ^ full.
     """
     n = basis.n
     if n % 2 == 0:
@@ -391,37 +363,14 @@ def split_check(
                            reason="top blade failed centrality or square check")
 
     mask_set = set(basis.masks)
-    omega = Multivector({full: 1}, n)
-    plus: list[Multivector] = []
-    minus: list[Multivector] = []
     for m in basis.masks:
-        mb = full ^ m
-        if mb not in mask_set:
+        if full ^ m not in mask_set:
             return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
                                reason=f"complement of {m:#x} missing from basis")
-        if m > mb:
-            continue
-        s = blade_product(Blade(m), Blade(full)).sign
-        plus.append(Multivector({m: 1, mb: s}, n))
-        minus.append(Multivector({m: 1, mb: -s}, n))
+    return [m for m in basis.masks if m < full ^ m]
 
-    half = len(plus)
-    exhaustive = half <= pair_limit
-    rng = random.Random(seed)
 
-    def eigen_ok(z: Multivector, val: int) -> bool:
-        return z.is_zero() or mv_product(z, omega) == z.scale(val)
-
-    if exhaustive:
-        cross_pairs = [(i, j) for i in range(half) for j in range(half)]
-        same_pairs = [(i, j) for i in range(half) for j in range(i + 1, half)]
-    else:
-        cross_pairs = [(rng.randrange(half), rng.randrange(half)) for _ in range(samples)]
-        same_pairs = cross_pairs
-    cross = all(bracket(plus[i], minus[j]).is_zero() for i, j in cross_pairs)
-    p_closed = all(eigen_ok(bracket(plus[i], plus[j]), 1) for i, j in same_pairs)
-    m_closed = all(eigen_ok(bracket(minus[i], minus[j]), -1) for i, j in same_pairs)
-
+def _split_result(n: int, half: int, cross: bool, plus: bool, minus: bool) -> SplitResult:
     return SplitResult(
         n=n,
         applicable=True,
@@ -429,10 +378,250 @@ def split_check(
         omega_square=1,
         dims=(half, half),
         cross_vanishes=cross,
-        plus_closed=p_closed,
-        minus_closed=m_closed,
-        exhaustive=exhaustive,
+        plus_closed=plus,
+        minus_closed=minus,
+        exhaustive=True,
     )
+
+
+def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
+    """Split the closure along the top-blade eigenspaces and verify both ideals.
+
+    Proof of the split: when omega = v1...vn is central with omega^2 = 1
+    (n == 1 mod 4), p = (1 + omega)/2 and q = (1 - omega)/2 are central
+    idempotents with p + q = 1 and pq = 0.  The basis is closed under
+    m -> m ^ full, and right multiplication by omega sends e_m to
+    s_m e_{m ^ full}, so x -> xp and x -> xq map the algebra onto the
+    two eigenspaces, and [xp, yq] = [x, y]pq = 0.  Each eigenspace is
+    therefore an ideal, and the pairs e_m +- s_m e_{m ^ full}, one per
+    complement pair, give both of them the same dimension.
+
+    The pair checks still run on every pair, in integer numpy
+    (split_pair_checks), so the result is exhaustive at every n.  seed
+    is accepted for compatibility and ignored: nothing is sampled.
+    """
+    pre = _split_preamble(basis)
+    if isinstance(pre, SplitResult):
+        return pre
+    lo = np.array(pre, dtype=np.int64)
+    cross, plus, minus = split_pair_checks(basis.n, lo, _omega_sign(lo))
+    return _split_result(basis.n, len(lo), cross, plus, minus)
+
+
+def split_check_fractions(basis: ClosureBasis) -> SplitResult:
+    """Test oracle for split_check: every pair bracketed as exact multivectors."""
+    pre = _split_preamble(basis)
+    if isinstance(pre, SplitResult):
+        return pre
+    n = basis.n
+    full = (1 << n) - 1
+    omega = Multivector({full: 1}, n)
+    plus: list[Multivector] = []
+    minus: list[Multivector] = []
+    for m in pre:
+        s = blade_product(Blade(m), Blade(full)).sign
+        plus.append(Multivector({m: 1, full ^ m: s}, n))
+        minus.append(Multivector({m: 1, full ^ m: -s}, n))
+
+    def eigen_ok(z: Multivector, val: int) -> bool:
+        return z.is_zero() or mv_product(z, omega) == z.scale(val)
+
+    half = len(plus)
+    same_pairs = [(i, j) for i in range(half) for j in range(i + 1, half)]
+    cross = all(bracket(p, m).is_zero() for p in plus for m in minus)
+    p_closed = all(eigen_ok(bracket(plus[i], plus[j]), 1) for i, j in same_pairs)
+    m_closed = all(eigen_ok(bracket(minus[i], minus[j]), -1) for i, j in same_pairs)
+    return _split_result(n, half, cross, p_closed, m_closed)
+
+
+# --- the mask-native core: everything analyze runs ------------------------
+
+#: Pairwise work is done in row blocks of about this many entries.
+_BLOCK = 1 << 18
+#: Bits 1, 3, 5, ... of a mask: generators v2, v4, v6, ...
+_ODD_BITS = 0x2AAAAAAAAAAAAAAA
+
+
+def _anticommute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean array: the blades a and b anticommute (|a||b| - |a & b| odd)."""
+    pa = np.bitwise_count(a) & 1
+    pb = np.bitwise_count(b) & 1
+    return ((pa & pb) ^ (np.bitwise_count(a & b) & 1)).astype(bool)
+
+
+def _swap_parity(x: np.ndarray, n: int) -> np.ndarray:
+    """Masks P with e_x e_y = (-1)^|y & P(x)| e_{x ^ y}.
+
+    Bit j of P(x) is the parity of the number of generators of x with
+    index above j: each generator j of y moves left past exactly those.
+    """
+    p = np.zeros_like(x)
+    for j in range(n):
+        p |= (np.bitwise_count(x >> (j + 1)) & 1).astype(np.int64) << j
+    return p
+
+
+def _bracket_coeff(x: np.ndarray, px: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficient of e_{x ^ y} in [e_x, e_y], as int8 in {0, 2, -2}; px = P(x)."""
+    sign = 1 - 2 * (np.bitwise_count(y & px) & 1).astype(np.int8)
+    return np.where(_anticommute(x, y), 2 * sign, 0).astype(np.int8)
+
+
+def _omega_sign(x: np.ndarray) -> np.ndarray:
+    """s_x in e_x omega = s_x e_{x ^ full}, as int8 +-1.
+
+    Moving v1...vn right past e_x costs one swap per pair (i in x, j < i),
+    so s_x = (-1)^(sum of the 0-based indices in x): the parity of the
+    odd-indexed bits of x.
+    """
+    return (1 - 2 * (np.bitwise_count(x & _ODD_BITS) & 1)).astype(np.int8)
+
+
+def partner_sweep(basis: ClosureBasis) -> tuple[np.ndarray, int]:
+    """Anticommuting-partner count of each basis blade, and the derived dimension.
+
+    Center: for a fixed t the map i -> i ^ t is injective, so in
+    [x, b_t] = sum over i anticommuting with t of x_i [b_i, b_t] every
+    term lands on its own blade, and [x, b_t] = 0 forces x_i = 0.  Hence
+    the center is spanned by the blades with no partner.  Derived
+    algebra: it is spanned by the brackets [b_i, b_j] = +-2 b_{i ^ j} of
+    anticommuting pairs, and distinct blades are independent, so its
+    dimension is the number of distinct XOR targets.  Raises ValueError
+    when a target falls outside the basis.
+    """
+    masks = np.array(basis.masks, dtype=np.int64)
+    d = len(masks)
+    in_basis = np.zeros(1 << basis.n, dtype=bool)
+    in_basis[masks] = True
+    hit = np.zeros(1 << basis.n, dtype=bool)
+    partners = np.zeros(d, dtype=np.int64)
+    rows = max(1, _BLOCK // max(d, 1))
+    for i0 in range(0, d, rows):
+        block = masks[i0:i0 + rows, None]
+        anti = _anticommute(block, masks[None, :])
+        partners[i0:i0 + rows] = anti.sum(axis=1)
+        targets = (block ^ masks[None, :])[anti]
+        missing = ~in_basis[targets]
+        if np.any(missing):
+            raise ValueError(f"basis not closed: bracket target {int(targets[missing][0]):#x} missing")
+        hit[targets] = True
+    return partners, int(np.count_nonzero(hit))
+
+
+def mask_killing_diagonal(masks, partners: np.ndarray) -> np.ndarray:
+    """Killing form of a blade basis, which is diagonal: K_ii = 4 b_i^2 partners_i.
+
+    Off the diagonal: for i != j, ad b_i o ad b_j sends each b_k to a
+    multiple of b_{k ^ mask_i ^ mask_j}, a translation of the masks by a
+    nonzero XOR, so no basis blade maps to itself and the trace is 0.  On
+    the diagonal, [b_i, [b_i, b_k]] = 4 b_i^2 b_k when b_k anticommutes
+    with b_i and 0 otherwise.  The square b_i^2 = (-1)^(k(k-1)/2) for a
+    blade of grade k is computed here, not assumed.  So the form is
+    negative definite exactly when every entry is below 0.
+    """
+    grade = np.bitwise_count(np.asarray(masks, dtype=np.int64)).astype(np.int64)
+    square = 1 - 2 * ((grade * (grade - 1) // 2) & 1)
+    return 4 * square * np.asarray(partners, dtype=np.int64)
+
+
+def is_compact_basis(masks) -> bool:
+    """True when every blade has reverse -b, which makes the algebra compact.
+
+    Left multiplication x -> L_x is a faithful representation of the
+    algebra on C(R^n) (L_x 1 = x).  In the orthonormal blade basis the
+    transpose of L_b is L_{reverse(b)}, and a blade of grade k has
+    reverse (-1)^(k(k-1)/2) b, which is -b for k == 2, 3 mod 4.  So every
+    element acts as a skew-symmetric matrix and the algebra embeds in
+    so(2^n).  This holds at n = 3 as well, where the Killing form is
+    degenerate.
+    """
+    grade = np.bitwise_count(np.asarray(masks, dtype=np.int64)) % 4
+    return bool(np.all((grade == 2) | (grade == 3)))
+
+
+def greedy_torus(masks) -> tuple[int, ...]:
+    """Blades taken in the given order, each kept when it commutes with all kept so far."""
+    m = np.asarray(masks, dtype=np.int64)
+    free = np.ones(len(m), dtype=bool)
+    chosen: list[int] = []
+    start = 0
+    while start < len(m):
+        i = start + int(np.argmax(free[start:]))
+        if not free[i]:
+            break
+        chosen.append(int(m[i]))
+        free &= ~_anticommute(m, m[i])
+        start = i + 1
+    return tuple(chosen)
+
+
+def centralizer_masks(masks, torus) -> tuple[int, ...]:
+    """The blades among masks that commute with every blade of torus.
+
+    By the injectivity argument of partner_sweep, the centralizer of
+    span(torus) is spanned by exactly these blades.
+    """
+    m = np.asarray(masks, dtype=np.int64)
+    free = np.ones(len(m), dtype=bool)
+    for t in torus:
+        free &= ~_anticommute(m, np.int64(t))
+    return tuple(int(x) for x in m[free])
+
+
+def torus_is_cartan(masks, torus) -> bool:
+    """Certificate that span(torus) is a Cartan subalgebra, so rank = |torus|.
+
+    If the centralizer of span(torus) is span(torus) itself, the torus is
+    abelian and maximal abelian.  In a compact Lie algebra a maximal
+    abelian subalgebra is a Cartan subalgebra (Knapp, Lie Groups Beyond
+    an Introduction, ch. IV), and is_compact_basis supplies compactness.
+    """
+    return is_compact_basis(masks) and set(centralizer_masks(masks, torus)) == set(torus)
+
+
+def split_pair_checks(n: int, lo: np.ndarray, signs: np.ndarray) -> tuple[bool, bool, bool]:
+    """Cross, plus and minus pair checks for u_a = e_a + eps s_a e_{a ^ full}.
+
+    lo holds one mask a per complement pair and signs the s_a used to
+    build the eigenvectors.  For eps, delta in {+1, -1} and a' = a ^ full,
+    [u_a^eps, u_b^delta] lies in span{e_t, e_t'}, t = a ^ b, t' = t ^ full:
+        C1 = c(a, b) + eps delta s_a s_b c(a', b')   on e_t
+        C2 = delta s_b c(a, b') + eps s_a c(a', b)  on e_t'
+    with c(x, y) the coefficient of [e_x, e_y].  Cross brackets (eps = +,
+    delta = -) must vanish for every pair.  A same-sign bracket z is an
+    eps-eigenvector of right multiplication by omega exactly when
+    C2 = eps s_t C1 and C1 = eps s_t' C2; that is checked for every a < b.
+    """
+    full = (1 << n) - 1
+    half = len(lo)
+    hi = lo ^ full
+    p_lo, p_hi = _swap_parity(lo, n), _swap_parity(hi, n)
+    signs = np.asarray(signs, dtype=np.int8)
+    cross = True
+    closed = {1: True, -1: True}
+    rows = max(1, _BLOCK // max(half, 1))
+    for i0 in range(0, half, rows):
+        sl = slice(i0, i0 + rows)
+        a, a2, pa, pa2 = lo[sl, None], hi[sl, None], p_lo[sl, None], p_hi[sl, None]
+        sa, sb = signs[sl, None], signs[None, :]
+        b, b2 = lo[None, :], hi[None, :]
+        c_ab, c_ab2 = _bracket_coeff(a, pa, b), _bracket_coeff(a, pa, b2)
+        c_a2b, c_a2b2 = _bracket_coeff(a2, pa2, b), _bracket_coeff(a2, pa2, b2)
+
+        def coeffs(eps: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+            return (c_ab + eps * delta * sa * sb * c_a2b2,
+                    delta * sb * c_ab2 + eps * sa * c_a2b)
+
+        c1, c2 = coeffs(1, -1)
+        cross = cross and not (np.any(c1) or np.any(c2))
+        t = a ^ b
+        s_t, s_t2 = _omega_sign(t), _omega_sign(t ^ full)
+        upper = np.arange(i0, i0 + len(a))[:, None] < np.arange(half)[None, :]
+        for eps in closed:
+            c1, c2 = coeffs(eps, eps)
+            eigen = (c2 == eps * s_t * c1) & (c1 == eps * s_t2 * c2)
+            closed[eps] = closed[eps] and bool(np.all(eigen | ~upper))
+    return cross, closed[1], closed[-1]
 
 
 @dataclass
@@ -441,29 +630,41 @@ class AnalysisBundle:
 
     n: int
     basis: ClosureBasis
-    sc: StructureConstants
     center: int
     derived: int
+    killing_diag: np.ndarray
     killing_ok: bool
     killing_detail: str
-    killing_mode: str
-    rank_log: list[RankTrial]
-    rank: int
+    torus: tuple[int, ...]
+    rank_certified: bool
     split: SplitResult
     timings_ms: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def rank(self) -> int:
+        return len(self.torus)
+
+    @property
+    def killing_mode(self) -> str:
+        return "exact"
 
 
 def analyze(
     n: int,
     *,
     seed: int = 0,
-    trials: int = 5,
     allow_large: bool = False,
     exact_killing: bool | None = None,
 ) -> AnalysisBundle:
-    """Run the full invariant battery for one ambient dimension."""
+    """Run the full invariant battery for one ambient dimension, on masks only.
+
+    Every check is a deterministic certificate, so seed is accepted and
+    ignored, and exact_killing may be True or None but not False.
+    """
     if n < 3:
         raise ValueError(f"analysis needs n >= 3, got {n}")
+    if exact_killing is False:
+        raise ValueError("the probabilistic Killing mode is retired; the Killing check is always exact")
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -471,39 +672,41 @@ def analyze(
     timings["closure"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    sc = structure_constants(basis)
+    partners, derived = partner_sweep(basis)
     timings["structure"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    center = center_dim(sc)
-    derived = derived_dim(sc)
+    center = int(np.count_nonzero(partners == 0))
     timings["center"] = (time.perf_counter() - t0) * 1000.0
 
-    exact = (n <= 8) if exact_killing is None else exact_killing
     t0 = time.perf_counter()
-    killing_ok, killing_detail = killing_negative_definite_check(sc, exact=exact, seed=seed)
+    diag = mask_killing_diagonal(basis.masks, partners)
+    bad = int(np.count_nonzero(diag >= 0))
+    if bad:
+        killing_detail = f"diagonal, K_ii >= 0 for {bad} of d={basis.dim} blades"
+    else:
+        killing_detail = f"diagonal, K_ii = -4 x anticommuting partners < 0 for all d={basis.dim}"
     timings["killing"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    log = rank_trials(sc, trials, seed=seed)
-    rank = min(t.minimum for t in log)
+    torus = greedy_torus(basis.masks)
+    rank_certified = torus_is_cartan(basis.masks, torus)
     timings["rank"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    split = split_check(basis, seed=seed)
+    split = split_check(basis)
     timings["split"] = (time.perf_counter() - t0) * 1000.0
 
     return AnalysisBundle(
         n=n,
         basis=basis,
-        sc=sc,
         center=center,
         derived=derived,
-        killing_ok=killing_ok,
+        killing_diag=diag,
+        killing_ok=not bad,
         killing_detail=killing_detail,
-        killing_mode="exact" if exact else "probabilistic",
-        rank_log=log,
-        rank=rank,
+        torus=torus,
+        rank_certified=rank_certified,
         split=split,
         timings_ms=timings,
     )
@@ -560,12 +763,16 @@ def classify_bundle(bundle: AnalysisBundle) -> ClassificationResult:
             failures.append(f"derived dim {bundle.derived} != 3")
         if bundle.rank != 2:
             failures.append(f"rank {bundle.rank} != 2")
+        if not bundle.rank_certified:
+            failures.append("torus is not a certified Cartan subalgebra")
     else:
         matched = max_compact(n)
         if dim != matched.dimension():
             failures.append(f"dim {dim} != {matched.dimension()}")
         if bundle.rank != matched.rank():
             failures.append(f"rank {bundle.rank} != {matched.rank()}")
+        if not bundle.rank_certified:
+            failures.append("torus is not a certified Cartan subalgebra")
         if not bundle.killing_ok:
             failures.append("Killing form not negative definite")
         if bundle.center != 0:
@@ -598,12 +805,9 @@ def classify(
     n: int,
     *,
     seed: int = 0,
-    trials: int = 5,
     allow_large: bool = False,
     exact_killing: bool | None = None,
 ) -> ClassificationResult:
     """Compute invariants for one n and return the matched compact type."""
-    bundle = analyze(
-        n, seed=seed, trials=trials, allow_large=allow_large, exact_killing=exact_killing
-    )
+    bundle = analyze(n, seed=seed, allow_large=allow_large, exact_killing=exact_killing)
     return classify_bundle(bundle)

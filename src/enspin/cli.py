@@ -93,9 +93,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0 if result.verdict else 1
 
 
-def _verify_worker(task: tuple[int, int, bool, bool]) -> "object":
-    n, seed, allow_large, with_timings = task
-    return run_verification(n, seed=seed, allow_large=allow_large, with_timings=with_timings)
+def _verify_worker(task: tuple[int, bool, bool]) -> "object":
+    n, allow_large, with_timings = task
+    return run_verification(n, allow_large=allow_large, with_timings=with_timings)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -104,7 +104,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"verify needs --from >= 3, got {lo}")
     if hi < lo:
         return _usage_error(f"--to {hi} is below --from {lo}")
-    tasks = [(n, args.seed, args.allow_large, not args.no_timings) for n in range(lo, hi + 1)]
+    tasks = [(n, args.allow_large, not args.no_timings) for n in range(lo, hi + 1)]
     try:
         if args.jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="match the closure against its compact type")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; every check is deterministic")
     p.add_argument("--allow-large", action="store_true")
     add_small_format(p)
     p.set_defaults(func=cmd_classify)
@@ -190,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_n", type=int, default=8)
     p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; every check is deterministic")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--no-timings", action="store_true",
                    help="zero out stage timings for byte-stable output")

@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .analysis import AnalysisBundle, analyze, classify_bundle, killing_diagonal
+from .analysis import AnalysisBundle, analyze, classify_bundle
 from .bott import bott_algebra, max_compact
 from .closure import lemma_containment_check
 from .deltas import delta_closed, delta_identities, lower_bound_dim
@@ -76,19 +76,17 @@ def _killing_outcome(bundle: AnalysisBundle) -> CheckOutcome:
         return _outcome(bundle.killing_ok, bundle.killing_detail)
     # n = 3: the form is degenerate by design; the check is that its
     # radical is exactly the top-blade line and the rest is negative.
-    diag = killing_diagonal(bundle.sc)
+    diag = bundle.killing_diag
     full = (1 << bundle.n) - 1
     top = bundle.basis.masks.index(full)
     zeros = {i for i, v in enumerate(diag) if v == 0}
-    ok = zeros == {top} and all(int(diag[i]) < 0 for i in range(bundle.sc.d) if i != top)
+    ok = zeros == {top} and all(int(diag[i]) < 0 for i in range(len(diag)) if i != top)
     return _outcome(ok, "degenerate with radical spanned by the top blade")
 
 
 def run_verification(
     n: int,
     *,
-    seed: int = 0,
-    trials: int = 5,
     allow_large: bool = False,
     with_timings: bool = True,
 ) -> VerificationReport:
@@ -106,7 +104,7 @@ def run_verification(
         detail = "; ".join(rel.failures)
     checks["relations"] = _outcome(rel.all_pass, detail)
 
-    bundle = analyze(n, seed=seed, trials=trials, allow_large=allow_large)
+    bundle = analyze(n, allow_large=allow_large)
     timings.update(bundle.timings_ms)
 
     t0 = time.perf_counter()
@@ -136,11 +134,11 @@ def run_verification(
     checks["killing"] = _killing_outcome(bundle)
 
     expected_rank = 2 if n == 3 else max_compact(n).rank()
-    n_primes = len(next(iter(bundle.rank_log)).kernel_by_prime) if bundle.rank_log else 0
+    r = bundle.rank
+    certified = "is self-centralizing" if bundle.rank_certified else "is not a certified Cartan subalgebra"
     checks["rank"] = _outcome(
-        bundle.rank == expected_rank,
-        f"estimate {bundle.rank} vs expected {expected_rank} "
-        f"({len(bundle.rank_log)} trials x {n_primes} primes)",
+        bundle.rank_certified and r == expected_rank,
+        f"torus of {r} commuting blades {certified}; rank {r} vs expected {expected_rank}",
     )
 
     if bundle.split.applicable:

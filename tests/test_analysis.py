@@ -160,17 +160,19 @@ def test_killing_is_ad_invariant():
 def test_killing_negative_definite_exact_small_n():
     for n in (4, 5, 6, 7, 8):
         sc = structure_constants(spin_closure(n))
-        ok, detail = killing_negative_definite_check(sc, exact=True)
+        ok, detail = killing_negative_definite_check(sc)
         assert ok, (n, detail)
         assert "exact" in detail
 
 
-def test_killing_probabilistic_mode_agrees_with_exact():
-    for n in (6, 9):
-        sc = structure_constants(spin_closure(n))
-        ok, detail = killing_negative_definite_check(sc, exact=False)
-        assert ok, (n, detail)
-        assert "minors" in detail
+def test_killing_mask_certificate_agrees_with_bareiss_oracle():
+    for n in range(4, 9):
+        bundle = analyze(n)
+        sc = structure_constants(bundle.basis)
+        ok, _ = killing_negative_definite_check(sc)
+        assert bundle.killing_ok == ok, n
+        assert np.array_equal(bundle.killing_diag, killing_diagonal(sc)), n
+        assert bundle.killing_mode == "exact"
 
 
 def test_killing_degenerate_at_three():

@@ -19,7 +19,7 @@ from enspin.report import (
 
 
 def test_report_small_rank_passes_everything():
-    rep = run_verification(4, seed=0)
+    rep = run_verification(4)
     assert rep.verdict
     assert rep.closure_dim == 10
     assert rep.expected_dim == 10
@@ -28,7 +28,7 @@ def test_report_small_rank_passes_everything():
 
 
 def test_report_check_keys_follow_declared_order():
-    rep = run_verification(5, seed=0)
+    rep = run_verification(5)
     assert tuple(rep.checks) == CHECK_ORDER
 
 
@@ -49,7 +49,7 @@ def test_report_split_skipped_off_the_residues():
 
 
 def test_report_roots_skipped_past_rank_eight():
-    rep = run_verification(9, seed=0)
+    rep = run_verification(9)
     assert rep.checks["roots"].status == "skipped"
     assert "rank 8" in rep.checks["roots"].detail
     # everything else still runs and passes
