@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from .bott import CompactTypeDescriptor, max_compact
 from .clifford import Blade, Multivector, blade_product, blades_anticommute, bracket, mv_product
-from .closure import ClosureBasis, blade_closure
+from .closure import ClosureBasis, anticommuting_pair_counts, blade_closure
 from .linalg import (
     DEFAULT_PRIMES,
     EchelonBasis,
@@ -436,7 +438,7 @@ def split_check_fractions(basis: ClosureBasis) -> SplitResult:
 
 # --- the mask-native core: everything analyze runs ------------------------
 
-#: Pairwise work is done in row blocks of about this many entries.
+#: split_pair_checks works in row blocks of about this many entries.
 _BLOCK = 1 << 18
 #: Bits 1, 3, 5, ... of a mask: generators v2, v4, v6, ...
 _ODD_BITS = 0x2AAAAAAAAAAAAAAA
@@ -486,26 +488,25 @@ def partner_sweep(basis: ClosureBasis) -> tuple[np.ndarray, int]:
     the center is spanned by the blades with no partner.  Derived
     algebra: it is spanned by the brackets [b_i, b_j] = +-2 b_{i ^ j} of
     anticommuting pairs, and distinct blades are independent, so its
-    dimension is the number of distinct XOR targets.  Raises ValueError
-    when a target falls outside the basis.
+    dimension is the number of masks c with N(c) > 0, N from
+    anticommuting_pair_counts.  Raises ValueError when such a c falls
+    outside the basis.
+
+    Partners: a and y commute up to (-1)^(p_a p_y + |a & y|), which is
+    (-1)^|h_a & y| with h_a = a for even |a| and h_a = a ^ full for odd
+    |a| (then p_y + |a & y| = |y| - |a & y| mod 2).  Summed over the
+    basis S that is S^(h_a), so a has (|S| - S^(h_a)) / 2 partners.
     """
+    n = basis.n
     masks = np.array(basis.masks, dtype=np.int64)
-    d = len(masks)
-    in_basis = np.zeros(1 << basis.n, dtype=bool)
-    in_basis[masks] = True
-    hit = np.zeros(1 << basis.n, dtype=bool)
-    partners = np.zeros(d, dtype=np.int64)
-    rows = max(1, _BLOCK // max(d, 1))
-    for i0 in range(0, d, rows):
-        block = masks[i0:i0 + rows, None]
-        anti = _anticommute(block, masks[None, :])
-        partners[i0:i0 + rows] = anti.sum(axis=1)
-        targets = (block ^ masks[None, :])[anti]
-        missing = ~in_basis[targets]
-        if np.any(missing):
-            raise ValueError(f"basis not closed: bracket target {int(targets[missing][0]):#x} missing")
-        hit[targets] = True
-    return partners, int(np.count_nonzero(hit))
+    in_basis = np.zeros(1 << n, dtype=np.int64)
+    in_basis[masks] = 1
+    counts, s_hat = anticommuting_pair_counts(in_basis)
+    outside = np.flatnonzero((counts > 0) & (in_basis == 0))
+    if outside.size:
+        raise ValueError(f"basis not closed: bracket target {int(outside[0]):#x} missing")
+    h = np.where(np.bitwise_count(masks) & 1, masks ^ ((1 << n) - 1), masks)
+    return (len(masks) - s_hat[h]) // 2, int(np.count_nonzero(counts))
 
 
 def mask_killing_diagonal(masks, partners: np.ndarray) -> np.ndarray:
@@ -624,6 +625,14 @@ def split_pair_checks(n: int, lo: np.ndarray, signs: np.ndarray) -> tuple[bool, 
     return cross, closed[1], closed[-1]
 
 
+@contextmanager
+def stage(timings: dict[str, float], name: str) -> Iterator[None]:
+    """Record the wall time of the with-block in timings[name], in ms."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = (time.perf_counter() - t0) * 1000.0
+
+
 @dataclass
 class AnalysisBundle:
     """Everything the classifier and the verifier share for one n."""
@@ -666,36 +675,24 @@ def analyze(
     if exact_killing is False:
         raise ValueError("the probabilistic Killing mode is retired; the Killing check is always exact")
     timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    basis = blade_closure(n, spin_generators(n).masks, allow_large=allow_large)
-    timings["closure"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    partners, derived = partner_sweep(basis)
-    timings["structure"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    center = int(np.count_nonzero(partners == 0))
-    timings["center"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    diag = mask_killing_diagonal(basis.masks, partners)
-    bad = int(np.count_nonzero(diag >= 0))
-    if bad:
-        killing_detail = f"diagonal, K_ii >= 0 for {bad} of d={basis.dim} blades"
-    else:
-        killing_detail = f"diagonal, K_ii = -4 x anticommuting partners < 0 for all d={basis.dim}"
-    timings["killing"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    torus = greedy_torus(basis.masks)
-    rank_certified = torus_is_cartan(basis.masks, torus)
-    timings["rank"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    split = split_check(basis)
-    timings["split"] = (time.perf_counter() - t0) * 1000.0
+    with stage(timings, "closure"):
+        basis = blade_closure(n, spin_generators(n).masks, allow_large=allow_large)
+    with stage(timings, "structure"):
+        partners, derived = partner_sweep(basis)
+    with stage(timings, "center"):
+        center = int(np.count_nonzero(partners == 0))
+    with stage(timings, "killing"):
+        diag = mask_killing_diagonal(basis.masks, partners)
+        bad = int(np.count_nonzero(diag >= 0))
+        if bad:
+            killing_detail = f"diagonal, K_ii >= 0 for {bad} of d={basis.dim} blades"
+        else:
+            killing_detail = f"diagonal, K_ii = -4 x anticommuting partners < 0 for all d={basis.dim}"
+    with stage(timings, "rank"):
+        torus = greedy_torus(basis.masks)
+        rank_certified = torus_is_cartan(basis.masks, torus)
+    with stage(timings, "split"):
+        split = split_check(basis)
 
     return AnalysisBundle(
         n=n,

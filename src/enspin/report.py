@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass, field
 
-from .analysis import AnalysisBundle, analyze, classify_bundle
+from .analysis import AnalysisBundle, analyze, classify_bundle, stage
 from .bott import bott_algebra, max_compact
 from .closure import lemma_containment_check
 from .deltas import delta_closed, delta_identities, lower_bound_dim
@@ -96,9 +95,8 @@ def run_verification(
     timings: dict[str, float] = {}
     checks: dict[str, CheckOutcome] = {}
 
-    t0 = time.perf_counter()
-    rel = verify_relations(n)
-    timings["relations"] = (time.perf_counter() - t0) * 1000.0
+    with stage(timings, "relations"):
+        rel = verify_relations(n)
     detail = f"{len(rel.pairs)} ordered pairs, squares and half-scaled variant included"
     if rel.failures:
         detail = "; ".join(rel.failures)
@@ -107,9 +105,8 @@ def run_verification(
     bundle = analyze(n, allow_large=allow_large)
     timings.update(bundle.timings_ms)
 
-    t0 = time.perf_counter()
-    lemma = lemma_containment_check(n, bundle.basis)
-    timings["lemma"] = (time.perf_counter() - t0) * 1000.0
+    with stage(timings, "lemma"):
+        lemma = lemma_containment_check(n, bundle.basis)
     detail = (
         f"all expected masks present={lemma.all_expected_present}, "
         f"full mask present={lemma.full_mask_present} (expected {lemma.full_mask_expected}), "
@@ -122,9 +119,8 @@ def run_verification(
         )
     checks["lemma"] = _outcome(lemma.passed, detail)
 
-    t0 = time.perf_counter()
-    ident = delta_identities(n)
-    timings["deltas"] = (time.perf_counter() - t0) * 1000.0
+    with stage(timings, "deltas"):
+        ident = delta_identities(n)
     dvals = tuple(int(delta_closed(k, n)) for k in range(4))
     checks["identities"] = _outcome(
         all(ident.values()),
@@ -151,16 +147,15 @@ def run_verification(
     else:
         checks["split"] = _skipped(bundle.split.reason)
 
-    t0 = time.perf_counter()
-    if n <= 8:
-        rs = positive_roots(n)
-        checks["roots"] = _outcome(
-            rs.count == bundle.basis.dim,
-            f"{rs.count} positive roots vs closure dim {bundle.basis.dim}",
-        )
-    else:
-        checks["roots"] = _skipped("infinite type beyond rank 8")
-    timings["roots"] = (time.perf_counter() - t0) * 1000.0
+    with stage(timings, "roots"):
+        if n <= 8:
+            rs = positive_roots(n)
+            checks["roots"] = _outcome(
+                rs.count == bundle.basis.dim,
+                f"{rs.count} positive roots vs closure dim {bundle.basis.dim}",
+            )
+        else:
+            checks["roots"] = _skipped("infinite type beyond rank 8")
 
     cls = classify_bundle(bundle)
     detail = cls.display

@@ -1,10 +1,15 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from enspin.analysis import partner_sweep
 from enspin.clifford import Multivector, blades_anticommute
 from enspin.closure import (
     ClosureBasis,
+    anticommuting_pair_counts,
     blade_closure,
     general_closure,
     lemma_containment_check,
@@ -13,11 +18,72 @@ from enspin.closure import (
 from enspin.deltas import lower_bound_dim
 from enspin.spinrep import spin_generators
 
-EXPECTED_DIMS = {3: 4, 4: 10, 5: 20, 6: 36, 7: 63, 8: 120, 9: 240, 10: 496, 11: 1023, 12: 2080}
+EXPECTED_DIMS = {
+    3: 4, 4: 10, 5: 20, 6: 36, 7: 63, 8: 120, 9: 240, 10: 496, 11: 1023, 12: 2080,
+    13: 4160, 14: 8256, 15: 16383, 16: 32640,
+}
 
 
 def spin_closure(n):
     return blade_closure(n, spin_generators(n).masks)
+
+
+def oracle_closure(gens):
+    """Set worklist: each new mask is tested against every earlier one, once."""
+    members = sorted(set(gens))
+    seen = set(members)
+    for i, a in enumerate(members):
+        for b in members[:i]:
+            if blades_anticommute(a, b) and a ^ b not in seen:
+                seen.add(a ^ b)
+                members.append(a ^ b)
+    return tuple(sorted(members))
+
+
+@st.composite
+def generator_sets(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    return n, gens
+
+
+@given(generator_sets(10))
+def test_blade_closure_matches_set_worklist_oracle(case):
+    n, gens = case
+    basis = blade_closure(n, gens)
+    assert basis.masks == oracle_closure(gens)
+    assert basis.is_closed()
+
+
+def test_spin_closure_matches_set_worklist_oracle():
+    for n in range(3, 11):
+        assert spin_closure(n).masks == oracle_closure(spin_generators(n).masks), n
+
+
+@given(generator_sets(9))
+def test_partner_sweep_matches_pairwise_count(case):
+    n, gens = case
+    masks = oracle_closure(gens)
+    partners, derived = partner_sweep(ClosureBasis(n=n, masks=masks, provenance=tuple(sorted(set(gens)))))
+    want = [sum(blades_anticommute(a, b) for b in masks) for a in masks]
+    assert partners.tolist() == want
+    assert derived == len({a ^ b for a in masks for b in masks if blades_anticommute(a, b)})
+
+
+@given(n=st.integers(1, 7), data=st.data())
+def test_pair_counts_match_brute_force_on_any_set(n, data):
+    members = data.draw(st.sets(st.integers(0, (1 << n) - 1)))
+    s = np.zeros(1 << n, dtype=np.int64)
+    s[list(members)] = 1
+    counts, s_hat = anticommuting_pair_counts(s)
+    want = [0] * (1 << n)
+    for a in members:
+        for b in members:
+            want[a ^ b] += blades_anticommute(a, b)
+    assert counts.tolist() == want
+    assert s_hat.tolist() == [
+        sum((-1) ** (u & x).bit_count() for x in members) for u in range(1 << n)
+    ]
 
 
 def test_three_generator_case_by_hand():

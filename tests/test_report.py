@@ -4,7 +4,10 @@ import csv
 import io
 import json
 
+import pytest
+
 from enspin.bott import max_compact
+from enspin.deltas import lower_bound_dim
 from enspin.report import (
     CHECK_ORDER,
     algebra_table,
@@ -54,6 +57,14 @@ def test_report_roots_skipped_past_rank_eight():
     assert "rank 8" in rep.checks["roots"].detail
     # everything else still runs and passes
     assert rep.verdict
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_report_verifies_thirteen_through_sixteen(n):
+    rep = run_verification(n, allow_large=True, with_timings=False)
+    assert rep.verdict
+    assert rep.closure_dim == lower_bound_dim(n)
+    assert rep.checks["classify"].detail == str(max_compact(n))
 
 
 def test_report_timings_toggle():
