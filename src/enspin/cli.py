@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .analysis import classify
 from .clifford import Blade
@@ -104,10 +103,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"verify needs --from >= 3, got {lo}")
     if hi < lo:
         return _usage_error(f"--to {hi} is below --from {lo}")
+    if args.jobs < 1:
+        return _usage_error(f"verify needs --jobs >= 1, got {args.jobs}")
     tasks = [(n, args.allow_large, not args.no_timings) for n in range(lo, hi + 1)]
     try:
         if args.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # imported only here: concurrent.futures.process pulls in
+            # multiprocessing, which a serial run never uses
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
                 reports = list(pool.map(_verify_worker, tasks))
         else:
             reports = [_verify_worker(t) for t in tasks]

@@ -1,11 +1,14 @@
 """Positive root enumeration for the finite E-series diagrams.
 
 Roots are integer coordinate vectors in the simple-root basis.  The
-enumeration grows the simple roots by the string rule: beta + alpha_i
-is a root iff p - <beta, alpha_i^vee> > 0 where p is the depth of the
-alpha_i string below beta, iterated to a fixpoint.  E_3 through E_8 are
-the finite cases; anything past 8 has an infinite root system and is
-rejected up front.
+enumeration walks the heights upward from the simple roots: every
+positive root of height h+1 is beta + alpha_i for a positive root beta
+of height h (Humphreys, Introduction to Lie Algebras, 10.2), and by the
+string rule beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0,
+where p is the depth of the alpha_i string below beta.  One pass over
+the heights finds every root in O(R n^2) for R positive roots.  E_3
+through E_8 are the finite cases; anything past 8 has an infinite root
+system and is rejected up front.
 """
 
 from __future__ import annotations
@@ -75,7 +78,18 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def positive_roots(n: int) -> RootSet:
-    """Enumerate the positive system for 3 <= n <= 8."""
+    """Enumerate the positive system for 3 <= n <= 8, one height at a time.
+
+    ``layer`` holds the roots of height h and ``have`` every root of
+    height <= h.  Height h+1 is built as the beta + alpha_i, beta in
+    ``layer``, with p - <beta, alpha_i^vee> > 0.  This is exact: the
+    roots beta - k alpha_i below beta on its alpha_i-string have lower
+    height, so they are all in ``have`` and p is the true string depth;
+    and every root of height h+1 arises this way from some root of
+    height h (Humphreys 10.2), so the layers miss nothing.  C beta is
+    computed once per root and strings in a simply laced system are
+    short, so the cost is O(R n^2) for R positive roots.
+    """
     if n < 3:
         raise ValueError(f"root enumeration needs n >= 3, got {n}")
     if n > 8:
@@ -85,31 +99,26 @@ def positive_roots(n: int) -> RootSet:
         if any(x not in (2, -1, 0) for x in row):
             raise AssertionError("Cartan matrix is not simply laced")
 
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    have: set[tuple[int, ...]] = set(simple)
-
-    def pairing(beta: tuple[int, ...], i: int) -> int:
-        return sum(cartan[i][j] * beta[j] for j in range(n))
-
-    grew = True
-    while grew:
-        grew = False
-        for beta in list(have):
+    layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    have: set[tuple[int, ...]] = set(layer)
+    while layer:
+        above: set[tuple[int, ...]] = set()
+        for beta in layer:
+            c_beta = [sum(c * b for c, b in zip(row, beta)) for row in cartan]
             for i in range(n):
                 p = 0
-                down = beta
+                down = list(beta)
                 while True:
-                    down = tuple(x - (1 if j == i else 0) for j, x in enumerate(down))
-                    if min(down) < 0 or down not in have:
+                    down[i] -= 1
+                    if down[i] < 0 or tuple(down) not in have:
                         break
                     p += 1
-                if p - pairing(beta, i) > 0:
-                    up = tuple(x + (1 if j == i else 0) for j, x in enumerate(beta))
-                    if up not in have:
-                        have.add(up)
-                        grew = True
+                if p - c_beta[i] > 0:
+                    above.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
+        have |= above
         if len(have) > MAX_POSITIVE_ROOTS:
             raise RuntimeError(f"infinite type: exceeded {MAX_POSITIVE_ROOTS} positive roots")
+        layer = above
 
     ordered = tuple(sorted(have, key=lambda r: (sum(r), r)))
     return RootSet(n=n, cartan=cartan, roots=ordered)

@@ -1,14 +1,17 @@
 """Command line behaviour, exit codes, and output stability."""
 
+import concurrent.futures
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import enspin
 from enspin.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -147,6 +150,41 @@ def test_verify_jobs_do_not_change_output(capsys):
     assert serial == parallel
 
 
+def test_verify_pool_is_capped_at_range_length(capsys, monkeypatch):
+    # a stand-in pool that records its size and runs in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    base = ("verify", "--from", "3", "--to", "4", "--no-timings")
+    _, serial, _ = run_cli(capsys, *base, "--jobs", "1")
+    assert sizes == []
+    code, pooled, _ = run_cli(capsys, *base, "--jobs", "64")
+    assert code == 0
+    assert sizes == [2]
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "--from", "3", "--to", "4", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "--jobs" in err
+
+
 # -- roots -------------------------------------------------------------------
 
 def test_roots_six_json(capsys):
@@ -194,6 +232,17 @@ def test_verify_matches_golden(capsys, n):
 
 
 # -- module entry point ------------------------------------------------------
+
+def test_cli_import_leaves_process_pool_unloaded():
+    code = "import sys, enspin.cli; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(enspin.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 
 def test_module_invocation_round_trips():
     proc = subprocess.run(

@@ -5,6 +5,34 @@ from enspin.roots import cartan_matrix, positive_roots, theorem_b_check
 EXPECTED_COUNTS = {3: 4, 4: 10, 5: 20, 6: 36, 7: 63, 8: 120}
 
 
+def fixpoint_roots(n):
+    """Reference enumeration: rescan every known root until nothing grows."""
+    cartan = cartan_matrix(n)
+    have = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+
+    def pairing(beta, i):
+        return sum(cartan[i][j] * beta[j] for j in range(n))
+
+    grew = True
+    while grew:
+        grew = False
+        for beta in list(have):
+            for i in range(n):
+                p = 0
+                down = beta
+                while True:
+                    down = tuple(x - (1 if j == i else 0) for j, x in enumerate(down))
+                    if min(down) < 0 or down not in have:
+                        break
+                    p += 1
+                if p - pairing(beta, i) > 0:
+                    up = tuple(x + (1 if j == i else 0) for j, x in enumerate(beta))
+                    if up not in have:
+                        have.add(up)
+                        grew = True
+    return tuple(sorted(have, key=lambda r: (sum(r), r)))
+
+
 def test_cartan_matrices_are_symmetric_simply_laced():
     for n in range(3, 9):
         c = cartan_matrix(n)
@@ -45,7 +73,7 @@ def test_every_root_has_norm_two():
 
 def test_roots_closed_under_string_rule():
     # beta + alpha_i with positive string balance must already be listed
-    for n in (4, 6):
+    for n in range(3, 9):
         rs = positive_roots(n)
         have = set(rs.roots)
         for beta in rs.roots:
@@ -60,6 +88,11 @@ def test_roots_closed_under_string_rule():
                 if p - rs.pairing(beta, i) > 0:
                     up = tuple(x + (1 if j == i else 0) for j, x in enumerate(beta))
                     assert up in have, (n, beta, i)
+
+
+def test_height_layers_match_fixpoint_oracle():
+    for n in range(3, 9):
+        assert positive_roots(n).roots == fixpoint_roots(n), n
 
 
 def test_highest_root_unique_for_connected_ranks():
