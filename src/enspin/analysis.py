@@ -9,7 +9,7 @@ blades (rank), and integer pair checks for the split.  Each function of
 the core states its proof in its docstring.
 
 The dense structure table, the mod-p rank probe (rank_trials,
-rank_estimate), the Bareiss Killing test and the Fraction split
+rank_estimate), the leading-minor Killing test and the Fraction split
 (split_check_fractions) are kept as independent test oracles; no
 verify path calls them.
 """
@@ -223,7 +223,7 @@ def killing_negative_definite_check(sc: StructureConstants) -> tuple[bool, str]:
     """Definiteness of the table's Killing form by the exact leading-minor test.
 
     A test oracle for the mask-native Killing certificate: it assembles
-    the full form and runs fraction-free Bareiss elimination.
+    the full form and runs the Sylvester leading-minor test over Q.
     """
     ok = is_negative_definite(killing_form(sc))
     return ok, f"exact leading-minor test, d={sc.d}"
@@ -803,8 +803,7 @@ def classify(
     *,
     seed: int = 0,
     allow_large: bool = False,
-    exact_killing: bool | None = None,
 ) -> ClassificationResult:
     """Compute invariants for one n and return the matched compact type."""
-    bundle = analyze(n, seed=seed, allow_large=allow_large, exact_killing=exact_killing)
+    bundle = analyze(n, seed=seed, allow_large=allow_large)
     return classify_bundle(bundle)

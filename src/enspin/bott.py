@@ -1,10 +1,12 @@
 """Cartan-Bott periodicity tables.
 
 The isomorphism type of the real Clifford algebra C(R^n, q) is periodic
-in n mod 8, and so is the type of its maximal semisimple compact Lie
-subalgebra.  This module holds both eight-case tables as data, plus the
-compact-type dimension and rank formulas used to check computed closures
-against the expected types.
+in n mod 8 up to a real matrix factor: C(R^{n+8}) = C(R^n) ⊗ M(16, R).
+This module holds that period as one eight-row table of matrix-ring
+summands.  The maximal semisimple compact Lie subalgebra is read off the
+same row by the compact-form rule M(N,R) -> so(N), M(N,C) -> su(N),
+M(N,H) -> sp(N), one summand per matrix summand.  The compact-type
+dimension and rank formulas check computed closures against it.
 """
 
 from __future__ import annotations
@@ -99,48 +101,42 @@ class CompactTypeDescriptor:
         }
 
 
+#: C(R^{r}) for r = n mod 8, as matrix-ring summands (ring, size).
+PERIOD_TABLE: tuple[tuple[tuple[str, int], ...], ...] = (
+    (("R", 1),),
+    (("R", 1), ("R", 1)),
+    (("R", 2),),
+    (("C", 2),),
+    (("H", 2),),
+    (("H", 2), ("H", 2)),
+    (("H", 4),),
+    (("C", 8),),
+)
+
+#: Compact family of the unitary Lie algebra of M(m, ring), semisimple part.
+COMPACT_FAMILY = {"R": "so", "C": "su", "H": "sp"}
+
+
 def bott_algebra(n: int) -> MatrixAlgebraDescriptor:
-    """Isomorphism type of C(R^n, q) as a matrix algebra, by n mod 8."""
+    """Isomorphism type of C(R^n, q): row r = n mod 8 tensored with M(2^((n-r)/2), R)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     r = n % 8
-    if r == 0:
-        return MatrixAlgebraDescriptor((("R", 1),), 2 ** (n // 2))
-    if r == 1:
-        return MatrixAlgebraDescriptor((("R", 1), ("R", 1)), 2 ** ((n - 1) // 2))
-    if r == 2:
-        return MatrixAlgebraDescriptor((("R", 2),), 2 ** ((n - 2) // 2))
-    if r == 3:
-        return MatrixAlgebraDescriptor((("C", 2),), 2 ** ((n - 3) // 2))
-    if r == 4:
-        return MatrixAlgebraDescriptor((("H", 2),), 2 ** ((n - 4) // 2))
-    if r == 5:
-        return MatrixAlgebraDescriptor((("H", 2), ("H", 2)), 2 ** ((n - 5) // 2))
-    if r == 6:
-        return MatrixAlgebraDescriptor((("H", 4),), 2 ** ((n - 6) // 2))
-    return MatrixAlgebraDescriptor((("C", 8),), 2 ** ((n - 7) // 2))
+    return MatrixAlgebraDescriptor(PERIOD_TABLE[r], 2 ** ((n - r) // 2))
 
 
 def max_compact(n: int) -> CompactTypeDescriptor:
-    """Maximal semisimple compact Lie subalgebra type of C(R^n, q), by n mod 8."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    r = n % 8
-    if r == 0:
-        return CompactTypeDescriptor("so", 2 ** (n // 2))
-    if r == 1:
-        return CompactTypeDescriptor("so", 2 ** ((n - 1) // 2), summands=2)
-    if r == 2:
-        return CompactTypeDescriptor("so", 2 ** (n // 2))
-    if r == 3:
-        return CompactTypeDescriptor("su", 2 ** ((n - 1) // 2))
-    if r == 4:
-        return CompactTypeDescriptor("sp", 2 ** ((n - 2) // 2))
-    if r == 5:
-        return CompactTypeDescriptor("sp", 2 ** ((n - 3) // 2), summands=2)
-    if r == 6:
-        return CompactTypeDescriptor("sp", 2 ** ((n - 2) // 2))
-    return CompactTypeDescriptor("su", 2 ** ((n - 1) // 2))
+    """Maximal semisimple compact Lie subalgebra type of C(R^n, q).
+
+    It is the compact form of bott_algebra(n): each summand M(m, K) ⊗
+    M(t, R) = M(m t, K) contributes the semisimple part of its unitary
+    algebra, so(mt), su(mt) or sp(mt) for K = R, C, H.
+    """
+    alg = bott_algebra(n)
+    ring, size = alg.summands[0]
+    return CompactTypeDescriptor(
+        COMPACT_FAMILY[ring], size * alg.tensor_size, summands=len(alg.summands)
+    )
 
 
 def expected_dim(n: int) -> int:

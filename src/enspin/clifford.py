@@ -20,17 +20,6 @@ Coeff = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
-class AmbientSignature:
-    """Number of Clifford generators; the quadratic form is always x_1^2 + ... + x_n^2."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ambient dimension must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
 class Blade:
     """A signed Clifford monomial: ``sign * v_{i_1} ... v_{i_k}`` with ascending indices."""
 

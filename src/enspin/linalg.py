@@ -1,9 +1,10 @@
 """Exact linear algebra over Q and over prime fields.
 
-Everything here is deterministic and exact: Gaussian elimination over
-``Fraction``, a sparse reduced-echelon basis with incremental sifting,
-Bareiss (fraction-free) leading-minor tests for definiteness, and a fast
-mod-p elimination used as a one-sided rank probe (rank mod p <= rational
+Everything here is deterministic and exact.  Over Q there is one
+elimination, a sparse reduced-echelon basis over ``Fraction`` with
+incremental sifting; kernel dimensions and the leading-minor test for
+definiteness both run on it.  Over prime fields there is a fast mod-p
+elimination used as a one-sided rank probe (rank mod p <= rational
 rank, hence kernel mod p >= rational kernel).
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -55,12 +56,6 @@ class RationalMatrix:
         return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
 
 
-def _as_rows(m: Union[RationalMatrix, MatrixLike]) -> list[list[Fraction]]:
-    if isinstance(m, RationalMatrix):
-        return [row[:] for row in m.entries]
-    return [[Fraction(x) for x in row] for row in m]
-
-
 class EchelonBasis:
     """Reduced echelon basis over Q with sparse vectors.
 
@@ -79,12 +74,6 @@ class EchelonBasis:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def vectors(self) -> list[dict[int, Fraction]]:
-        return [dict(row) for _, row in self._rows]
-
-    def pivots(self) -> list[int]:
-        return [p for p, _ in self._rows]
 
     def _to_sparse(self, v: Union[Mapping[int, Coeff], Sequence[Coeff]]) -> dict[int, Fraction]:
         if isinstance(v, Mapping):
@@ -140,27 +129,15 @@ class EchelonBasis:
 
 
 def kernel_dimension(m: Union[RationalMatrix, MatrixLike]) -> int:
-    """cols - rank, by exact Gaussian elimination over Q."""
-    a = _as_rows(m)
-    if not a:
+    """cols - rank over Q, sifting the rows into an EchelonBasis."""
+    rows = m.entries if isinstance(m, RationalMatrix) else m
+    cols = len(rows[0]) if len(rows) else 0
+    if not cols:
         return 0
-    n_rows, n_cols = len(a), len(a[0])
-    rank = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(rank, n_rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(n_rows):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return n_cols - rank
+    basis = EchelonBasis(cols)
+    for row in rows:
+        basis.sift(row)
+    return cols - basis.rank
 
 
 def is_prime(p: int) -> bool:
@@ -307,39 +284,24 @@ def _rank_mod_p_plain(a: np.ndarray, p: int) -> int:
 
 
 def is_negative_definite(m: Union[RationalMatrix, MatrixLike]) -> bool:
-    """Exact test: (-1)^k times the k-th leading principal minor > 0 for all k.
+    """Exact Sylvester test: D_{k+1} / D_k < 0 for every leading principal minor D_k.
 
-    Bareiss fraction-free elimination; after step k the pivot equals the
-    (k+1)-st leading principal minor, so signs are read off directly and
-    a zero or wrong-signed pivot fails immediately.  Rows are kept sparse
-    so diagonal-heavy matrices cost O(d^2).
+    Row k is reduced against rows 0..k-1 held in an EchelonBasis whose
+    pivots, by induction, sit at columns 0..k-1.  The residual is row k
+    minus a combination of the rows above it, so it is zero left of
+    column k, and replacing row k of the leading (k+1)-block by it keeps
+    the determinant: D_{k+1} = D_k * residual[k].  The form is negative
+    definite iff (-1)^k D_k > 0 for all k (D_0 = 1), that is iff every
+    such pivot is < 0; a zero or positive pivot fails at once, and a
+    negative one makes column k the next pivot of the basis.
     """
     mat = m if isinstance(m, RationalMatrix) else RationalMatrix(m)
     if not mat.is_symmetric():
         raise ValueError("matrix is not symmetric")
-    d = mat.rows
-    rows: list[dict[int, Fraction]] = [
-        {j: x for j, x in enumerate(row) if x} for row in mat.entries
-    ]
-    prev = Fraction(1)
-    for k in range(d):
-        piv = rows[k].get(k, Fraction(0))
-        if (piv < 0) != (k % 2 == 0) or piv == 0:
+    basis = EchelonBasis(max(mat.rows, 1))
+    for k, row in enumerate(mat.entries):
+        residual = basis.reduce(row)
+        if residual.get(k, 0) >= 0:
             return False
-        row_k = rows[k]
-        for i in range(k + 1, d):
-            row_i = rows[i]
-            aik = row_i.get(k)
-            if aik:
-                new_row: dict[int, Fraction] = {}
-                for j in set(row_i) | set(row_k):
-                    if j <= k:
-                        continue
-                    val = (piv * row_i.get(j, Fraction(0)) - aik * row_k.get(j, Fraction(0))) / prev
-                    if val:
-                        new_row[j] = val
-                rows[i] = new_row
-            elif row_i:
-                rows[i] = {j: piv * x / prev for j, x in row_i.items() if j > k}
-        prev = piv
+        basis.sift(residual)
     return True

@@ -20,7 +20,7 @@ def test_period_eight_scales_tensor_factor_by_sixteen():
     for n in range(2, 40):
         small = bott_algebra(n)
         big = bott_algebra(n + 8)
-        assert small.summands == tuple((r, s) for r, s in big.summands) or True
+        assert small.summands == big.summands
         assert [r for r, _ in small.summands] == [r for r, _ in big.summands]
         assert big.tensor_size == 16 * small.tensor_size
 
@@ -33,9 +33,15 @@ def test_algebra_descriptors_spot_values():
     assert str(bott_algebra(8)) == "R ⊗ M(16,R)"
     assert str(bott_algebra(9)) == "(R ⊕ R) ⊗ M(16,R)"
     assert str(bott_algebra(13)) == "(M(2,H) ⊕ M(2,H)) ⊗ M(16,R)"
+    assert str(bott_algebra(14)) == "M(4,H) ⊗ M(16,R)"
+    assert str(bott_algebra(15)) == "M(8,C) ⊗ M(16,R)"
+    assert str(bott_algebra(16)) == "R ⊗ M(256,R)"
+    assert str(bott_algebra(17)) == "(R ⊕ R) ⊗ M(256,R)"
 
 
 def test_max_compact_spot_values():
+    assert str(max_compact(2)) == "so(2)"
+    assert str(max_compact(3)) == "su(2)"
     assert str(max_compact(4)) == "sp(2)"
     assert str(max_compact(5)) == "sp(2) ⊕ sp(2)"
     assert str(max_compact(6)) == "sp(4)"
@@ -45,6 +51,10 @@ def test_max_compact_spot_values():
     assert str(max_compact(10)) == "so(32)"
     assert str(max_compact(11)) == "su(32)"
     assert str(max_compact(12)) == "sp(32)"
+    assert str(max_compact(14)) == "sp(64)"
+    assert str(max_compact(15)) == "su(128)"
+    assert str(max_compact(16)) == "so(256)"
+    assert str(max_compact(17)) == "so(256) ⊕ so(256)"
 
 
 def test_type_dimension_formulas():

@@ -70,6 +70,9 @@ def test_kernel_dimension_known_cases():
     assert kernel_dimension([[0, 0], [0, 0]]) == 2
     assert kernel_dimension([[1, 2, 3]]) == 2
     assert kernel_dimension([[Fraction(1, 2)], [Fraction(1, 3)]]) == 0
+    assert kernel_dimension(RationalMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == 1
+    assert kernel_dimension([]) == 0
+    assert kernel_dimension([[]]) == 0
 
 
 def test_mod_p_kernel_never_below_rational_kernel():
@@ -136,6 +139,9 @@ def test_negative_definite_examples():
     assert not is_negative_definite([[0, 0], [0, 0]])
     # semidefinite but singular: -x^2 - y^2 + 2xy = -(x - y)^2
     assert not is_negative_definite([[-1, 1], [1, -1]])
+    assert is_negative_definite([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+    assert not is_negative_definite([[-1, 2], [2, -1]])
+    assert not is_negative_definite([[-1, 0, 0], [0, -1, 0], [0, 0, 0]])
 
 
 def test_negative_definite_requires_symmetry():
