@@ -5,8 +5,9 @@ so center, derived algebra, Killing form, rank and the two-ideal split
 are all mask combinatorics.  analyze runs only the mask-native core:
 a partner sweep (center and derived dimension), the diagonal Killing
 form K_ii = 4 b_i^2 partners_i, a self-centralizing torus of commuting
-blades (rank), and integer pair checks for the split.  Each function of
-the core states its proof in its docstring.
+blades (rank), and the central idempotents (1 +- omega)/2 for the split,
+certified by O(d) checks on the masks.  Each function of the core
+states its proof in its docstring.
 
 The dense structure table, the mod-p rank probe (rank_trials,
 rank_estimate), the leading-minor Killing test and the Fraction split
@@ -26,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .bott import CompactTypeDescriptor, max_compact
-from .clifford import Blade, Multivector, blade_product, blades_anticommute, bracket, mv_product
+from .clifford import Blade, Multivector, blade_product, bracket, mv_product
 from .closure import ClosureBasis, anticommuting_pair_counts, blade_closure
 from .linalg import (
     DEFAULT_PRIMES,
@@ -302,7 +303,12 @@ def rank_estimate(
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Eigenspace split under right multiplication by the top blade."""
+    """Eigenspace split under right multiplication by the top blade.
+
+    exhaustive is True when every pair of eigenvectors is covered by the
+    proof of split_check (the central idempotents (1 +- omega)/2), so no
+    pair is left unchecked or sampled.
+    """
 
     n: int
     applicable: bool
@@ -344,34 +350,6 @@ class SplitResult:
         }
 
 
-def _split_preamble(basis: ClosureBasis) -> SplitResult | list[int]:
-    """Preconditions of the split, or the lower mask of each complement pair.
-
-    Returns a finished SplitResult when the split does not apply or a
-    precondition fails: the top blade omega must be central with square
-    +1, and the basis must be closed under m -> m ^ full.
-    """
-    n = basis.n
-    if n % 2 == 0:
-        return SplitResult(n=n, applicable=False, reason="top blade is not central for even n")
-    if n % 4 == 3:
-        return SplitResult(n=n, applicable=False, reason="top blade squares to -1 when n == 3 mod 4")
-
-    full = (1 << n) - 1
-    omega_sq = blade_product(Blade(full), Blade(full)).sign
-    central = all(not blades_anticommute(m, full) for m in basis.masks)
-    if omega_sq != 1 or not central:
-        return SplitResult(n=n, applicable=True, omega_central=central, omega_square=omega_sq,
-                           reason="top blade failed centrality or square check")
-
-    mask_set = set(basis.masks)
-    for m in basis.masks:
-        if full ^ m not in mask_set:
-            return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
-                               reason=f"complement of {m:#x} missing from basis")
-    return [m for m in basis.masks if m < full ^ m]
-
-
 def _split_result(n: int, half: int, cross: bool, plus: bool, minus: bool) -> SplitResult:
     return SplitResult(
         n=n,
@@ -386,44 +364,35 @@ def _split_result(n: int, half: int, cross: bool, plus: bool, minus: bool) -> Sp
     )
 
 
-def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
-    """Split the closure along the top-blade eigenspaces and verify both ideals.
-
-    Proof of the split: when omega = v1...vn is central with omega^2 = 1
-    (n == 1 mod 4), p = (1 + omega)/2 and q = (1 - omega)/2 are central
-    idempotents with p + q = 1 and pq = 0.  The basis is closed under
-    m -> m ^ full, and right multiplication by omega sends e_m to
-    s_m e_{m ^ full}, so x -> xp and x -> xq map the algebra onto the
-    two eigenspaces, and [xp, yq] = [x, y]pq = 0.  Each eigenspace is
-    therefore an ideal, and the pairs e_m +- s_m e_{m ^ full}, one per
-    complement pair, give both of them the same dimension.
-
-    The pair checks still run on every pair, in integer numpy
-    (split_pair_checks), so the result is exhaustive at every n.  seed
-    is accepted for compatibility and ignored: nothing is sampled.
-    """
-    pre = _split_preamble(basis)
-    if isinstance(pre, SplitResult):
-        return pre
-    lo = np.array(pre, dtype=np.int64)
-    cross, plus, minus = split_pair_checks(basis.n, lo, _omega_sign(lo))
-    return _split_result(basis.n, len(lo), cross, plus, minus)
-
-
 def split_check_fractions(basis: ClosureBasis) -> SplitResult:
-    """Test oracle for split_check: every pair bracketed as exact multivectors."""
-    pre = _split_preamble(basis)
-    if isinstance(pre, SplitResult):
-        return pre
+    """Test oracle for split_check: omega and every pair bracketed as exact multivectors.
+
+    Off n == 1 mod 4 it returns split_check's answer, which depends on n
+    alone there.
+    """
     n = basis.n
+    if n % 4 != 1:
+        return split_check(basis)
     full = (1 << n) - 1
     omega = Multivector({full: 1}, n)
+    omega_sq = 1 if mv_product(omega, omega) == Multivector.scalar(1, n) else -1
+    central = all(bracket(Multivector({m: 1}, n), omega).is_zero() for m in basis.masks)
+    if omega_sq != 1 or not central:
+        return SplitResult(n=n, applicable=True, omega_central=central, omega_square=omega_sq,
+                           reason="top blade failed centrality or square check")
+    mask_set = set(basis.masks)
+    missing = [m for m in basis.masks if full ^ m not in mask_set]
+    if missing:
+        return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
+                           reason=f"complement of {missing[0]:#x} missing from basis")
+
     plus: list[Multivector] = []
     minus: list[Multivector] = []
-    for m in pre:
-        s = blade_product(Blade(m), Blade(full)).sign
-        plus.append(Multivector({m: 1, full ^ m: s}, n))
-        minus.append(Multivector({m: 1, full ^ m: -s}, n))
+    for m in basis.masks:
+        if m < full ^ m:
+            s = blade_product(Blade(m), Blade(full)).sign
+            plus.append(Multivector({m: 1, full ^ m: s}, n))
+            minus.append(Multivector({m: 1, full ^ m: -s}, n))
 
     def eigen_ok(z: Multivector, val: int) -> bool:
         return z.is_zero() or mv_product(z, omega) == z.scale(val)
@@ -438,45 +407,11 @@ def split_check_fractions(basis: ClosureBasis) -> SplitResult:
 
 # --- the mask-native core: everything analyze runs ------------------------
 
-#: split_pair_checks works in row blocks of about this many entries.
-_BLOCK = 1 << 18
-#: Bits 1, 3, 5, ... of a mask: generators v2, v4, v6, ...
-_ODD_BITS = 0x2AAAAAAAAAAAAAAA
-
-
 def _anticommute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean array: the blades a and b anticommute (|a||b| - |a & b| odd)."""
     pa = np.bitwise_count(a) & 1
     pb = np.bitwise_count(b) & 1
     return ((pa & pb) ^ (np.bitwise_count(a & b) & 1)).astype(bool)
-
-
-def _swap_parity(x: np.ndarray, n: int) -> np.ndarray:
-    """Masks P with e_x e_y = (-1)^|y & P(x)| e_{x ^ y}.
-
-    Bit j of P(x) is the parity of the number of generators of x with
-    index above j: each generator j of y moves left past exactly those.
-    """
-    p = np.zeros_like(x)
-    for j in range(n):
-        p |= (np.bitwise_count(x >> (j + 1)) & 1).astype(np.int64) << j
-    return p
-
-
-def _bracket_coeff(x: np.ndarray, px: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficient of e_{x ^ y} in [e_x, e_y], as int8 in {0, 2, -2}; px = P(x)."""
-    sign = 1 - 2 * (np.bitwise_count(y & px) & 1).astype(np.int8)
-    return np.where(_anticommute(x, y), 2 * sign, 0).astype(np.int8)
-
-
-def _omega_sign(x: np.ndarray) -> np.ndarray:
-    """s_x in e_x omega = s_x e_{x ^ full}, as int8 +-1.
-
-    Moving v1...vn right past e_x costs one swap per pair (i in x, j < i),
-    so s_x = (-1)^(sum of the 0-based indices in x): the parity of the
-    odd-indexed bits of x.
-    """
-    return (1 - 2 * (np.bitwise_count(x & _ODD_BITS) & 1)).astype(np.int8)
 
 
 def partner_sweep(basis: ClosureBasis) -> tuple[np.ndarray, int]:
@@ -580,49 +515,46 @@ def torus_is_cartan(masks, torus) -> bool:
     return is_compact_basis(masks) and set(centralizer_masks(masks, torus)) == set(torus)
 
 
-def split_pair_checks(n: int, lo: np.ndarray, signs: np.ndarray) -> tuple[bool, bool, bool]:
-    """Cross, plus and minus pair checks for u_a = e_a + eps s_a e_{a ^ full}.
+def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
+    """Certify the split of the closure into the two top-blade eigenspaces.
 
-    lo holds one mask a per complement pair and signs the s_a used to
-    build the eigenvectors.  For eps, delta in {+1, -1} and a' = a ^ full,
-    [u_a^eps, u_b^delta] lies in span{e_t, e_t'}, t = a ^ b, t' = t ^ full:
-        C1 = c(a, b) + eps delta s_a s_b c(a', b')   on e_t
-        C2 = delta s_b c(a, b') + eps s_a c(a', b)  on e_t'
-    with c(x, y) the coefficient of [e_x, e_y].  Cross brackets (eps = +,
-    delta = -) must vanish for every pair.  A same-sign bracket z is an
-    eps-eigenvector of right multiplication by omega exactly when
-    C2 = eps s_t C1 and C1 = eps s_t' C2; that is checked for every a < b.
+    Premise: the basis is bracket-closed.  analyze runs partner_sweep
+    first, and partner_sweep raises ValueError on an unclosed basis.
+
+    Proof of the split: when omega = v1...vn is central with omega^2 = 1,
+    p = (1 + omega)/2 and q = (1 - omega)/2 are central idempotents with
+    p + q = 1 and pq = 0.  The basis is closed under m -> m ^ full, and
+    right multiplication by omega sends e_m to s_m e_{m ^ full}, so
+    x -> xp and x -> xq map the algebra onto the two eigenspaces, and
+    [xp, yq] = [x, y]pq = 0.  Each eigenspace is therefore an ideal, and
+    the pairs e_m +- s_m e_{m ^ full}, one per complement pair, give both
+    of them dimension d/2.
+
+    So the certificate is its three preconditions, each an O(d) check:
+    omega^2 by blade_product, centrality as no blade anticommuting with
+    the top blade, and closure under complement as membership of
+    masks ^ full in masks.  When they hold, the proof covers every pair
+    of eigenvectors at once.  seed is accepted for compatibility and
+    ignored: nothing is sampled.
     """
+    n = basis.n
+    if n % 2 == 0:
+        return SplitResult(n=n, applicable=False, reason="top blade is not central for even n")
     full = (1 << n) - 1
-    half = len(lo)
-    hi = lo ^ full
-    p_lo, p_hi = _swap_parity(lo, n), _swap_parity(hi, n)
-    signs = np.asarray(signs, dtype=np.int8)
-    cross = True
-    closed = {1: True, -1: True}
-    rows = max(1, _BLOCK // max(half, 1))
-    for i0 in range(0, half, rows):
-        sl = slice(i0, i0 + rows)
-        a, a2, pa, pa2 = lo[sl, None], hi[sl, None], p_lo[sl, None], p_hi[sl, None]
-        sa, sb = signs[sl, None], signs[None, :]
-        b, b2 = lo[None, :], hi[None, :]
-        c_ab, c_ab2 = _bracket_coeff(a, pa, b), _bracket_coeff(a, pa, b2)
-        c_a2b, c_a2b2 = _bracket_coeff(a2, pa2, b), _bracket_coeff(a2, pa2, b2)
+    omega_sq = blade_product(Blade(full), Blade(full)).sign
+    if omega_sq != 1:
+        return SplitResult(n=n, applicable=False, reason="top blade squares to -1 when n == 3 mod 4")
 
-        def coeffs(eps: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
-            return (c_ab + eps * delta * sa * sb * c_a2b2,
-                    delta * sb * c_ab2 + eps * sa * c_a2b)
-
-        c1, c2 = coeffs(1, -1)
-        cross = cross and not (np.any(c1) or np.any(c2))
-        t = a ^ b
-        s_t, s_t2 = _omega_sign(t), _omega_sign(t ^ full)
-        upper = np.arange(i0, i0 + len(a))[:, None] < np.arange(half)[None, :]
-        for eps in closed:
-            c1, c2 = coeffs(eps, eps)
-            eigen = (c2 == eps * s_t * c1) & (c1 == eps * s_t2 * c2)
-            closed[eps] = closed[eps] and bool(np.all(eigen | ~upper))
-    return cross, closed[1], closed[-1]
+    masks = np.array(basis.masks, dtype=np.int64)
+    if np.any(_anticommute(masks, np.int64(full))):
+        return SplitResult(n=n, applicable=True, omega_central=False, omega_square=omega_sq,
+                           reason="top blade failed centrality or square check")
+    missing = ~np.isin(masks ^ full, masks)
+    if np.any(missing):
+        m = int(masks[np.argmax(missing)])
+        return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
+                           reason=f"complement of {m:#x} missing from basis")
+    return _split_result(n, len(masks) // 2, True, True, True)
 
 
 @contextmanager

@@ -1,4 +1,4 @@
-"""The mask-native analysis core against the dense-table and Fraction oracles."""
+"""The mask-native analysis core against the dense-table, integer pair and Fraction oracles."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enspin.analysis import (
-    _bracket_coeff,
-    _omega_sign,
-    _swap_parity,
+    _anticommute,
     analyze,
     center_dim,
     centralizer_masks,
@@ -21,7 +19,6 @@ from enspin.analysis import (
     rank_estimate,
     split_check,
     split_check_fractions,
-    split_pair_checks,
     structure_constants,
     torus_is_cartan,
 )
@@ -31,6 +28,93 @@ from enspin.closure import ClosureBasis, blade_closure
 from enspin.spinrep import spin_generators
 
 CLOSURES = {n: blade_closure(n, spin_generators(n).masks) for n in range(3, 11)}
+
+# --- integer pair oracle for the split certificate -------------------------
+
+#: split_pair_checks works in row blocks of about this many entries.
+_BLOCK = 1 << 18
+#: Bits 1, 3, 5, ... of a mask: generators v2, v4, v6, ...
+_ODD_BITS = 0x2AAAAAAAAAAAAAAA
+
+
+def _swap_parity(x: np.ndarray, n: int) -> np.ndarray:
+    """Masks P with e_x e_y = (-1)^|y & P(x)| e_{x ^ y}.
+
+    Bit j of P(x) is the parity of the number of generators of x with
+    index above j: each generator j of y moves left past exactly those.
+    """
+    p = np.zeros_like(x)
+    for j in range(n):
+        p |= (np.bitwise_count(x >> (j + 1)) & 1).astype(np.int64) << j
+    return p
+
+
+def _bracket_coeff(x: np.ndarray, px: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficient of e_{x ^ y} in [e_x, e_y], as int8 in {0, 2, -2}; px = P(x)."""
+    sign = 1 - 2 * (np.bitwise_count(y & px) & 1).astype(np.int8)
+    return np.where(_anticommute(x, y), 2 * sign, 0).astype(np.int8)
+
+
+def _omega_sign(x: np.ndarray) -> np.ndarray:
+    """s_x in e_x omega = s_x e_{x ^ full}, as int8 +-1.
+
+    Moving v1...vn right past e_x costs one swap per pair (i in x, j < i),
+    so s_x = (-1)^(sum of the 0-based indices in x): the parity of the
+    odd-indexed bits of x.
+    """
+    return (1 - 2 * (np.bitwise_count(x & _ODD_BITS) & 1)).astype(np.int8)
+
+
+def split_pair_checks(n: int, lo: np.ndarray, signs: np.ndarray) -> tuple[bool, bool, bool]:
+    """Cross, plus and minus pair checks for u_a = e_a + eps s_a e_{a ^ full}.
+
+    lo holds one mask a per complement pair and signs the s_a used to
+    build the eigenvectors.  For eps, delta in {+1, -1} and a' = a ^ full,
+    [u_a^eps, u_b^delta] lies in span{e_t, e_t'}, t = a ^ b, t' = t ^ full:
+        C1 = c(a, b) + eps delta s_a s_b c(a', b')   on e_t
+        C2 = delta s_b c(a, b') + eps s_a c(a', b)  on e_t'
+    with c(x, y) the coefficient of [e_x, e_y].  Cross brackets (eps = +,
+    delta = -) must vanish for every pair.  A same-sign bracket z is an
+    eps-eigenvector of right multiplication by omega exactly when
+    C2 = eps s_t C1 and C1 = eps s_t' C2; that is checked for every a < b.
+    """
+    full = (1 << n) - 1
+    half = len(lo)
+    hi = lo ^ full
+    p_lo, p_hi = _swap_parity(lo, n), _swap_parity(hi, n)
+    signs = np.asarray(signs, dtype=np.int8)
+    cross = True
+    closed = {1: True, -1: True}
+    rows = max(1, _BLOCK // max(half, 1))
+    for i0 in range(0, half, rows):
+        sl = slice(i0, i0 + rows)
+        a, a2, pa, pa2 = lo[sl, None], hi[sl, None], p_lo[sl, None], p_hi[sl, None]
+        sa, sb = signs[sl, None], signs[None, :]
+        b, b2 = lo[None, :], hi[None, :]
+        c_ab, c_ab2 = _bracket_coeff(a, pa, b), _bracket_coeff(a, pa, b2)
+        c_a2b, c_a2b2 = _bracket_coeff(a2, pa2, b), _bracket_coeff(a2, pa2, b2)
+
+        def coeffs(eps: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+            return (c_ab + eps * delta * sa * sb * c_a2b2,
+                    delta * sb * c_ab2 + eps * sa * c_a2b)
+
+        c1, c2 = coeffs(1, -1)
+        cross = cross and not (np.any(c1) or np.any(c2))
+        t = a ^ b
+        s_t, s_t2 = _omega_sign(t), _omega_sign(t ^ full)
+        upper = np.arange(i0, i0 + len(a))[:, None] < np.arange(half)[None, :]
+        for eps in closed:
+            c1, c2 = coeffs(eps, eps)
+            eigen = (c2 == eps * s_t * c1) & (c1 == eps * s_t2 * c2)
+            closed[eps] = closed[eps] and bool(np.all(eigen | ~upper))
+    return cross, closed[1], closed[-1]
+
+
+def complement_pairs(basis: ClosureBasis) -> np.ndarray:
+    """The lower mask of each complement pair {m, m ^ full} of the basis."""
+    full = (1 << basis.n) - 1
+    return np.array([m for m in basis.masks if m < m ^ full], dtype=np.int64)
+
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -65,16 +149,21 @@ def test_integer_split_matches_fraction_oracle(n):
     assert fast.to_json() == split_check_fractions(CLOSURES[n]).to_json()
 
 
-def test_split_is_exhaustive_without_sampling():
+def test_split_certificate_matches_pair_oracles():
     for n in (5, 9, 13):
-        res = split_check(blade_closure(n, spin_generators(n).masks))
-        assert res.passed and res.exhaustive, n
+        basis = CLOSURES.get(n) or blade_closure(n, spin_generators(n).masks)
+        res = split_check(basis)
+        lo = complement_pairs(basis)
+        cross, plus, minus = split_pair_checks(n, lo, _omega_sign(lo))
+        assert res.applicable and res.passed and res.exhaustive, n
+        assert (res.omega_central, res.omega_square) == (True, 1), n
+        assert res.dims == (len(lo), len(lo)) and 2 * len(lo) == basis.dim, n
+        assert (res.cross_vanishes, res.plus_closed, res.minus_closed) == (cross, plus, minus), n
 
 
 @pytest.mark.parametrize("n", [5, 9])
 def test_split_fails_on_one_flipped_eigenvector(n):
-    full = (1 << n) - 1
-    lo = np.array([m for m in CLOSURES[n].masks if m < m ^ full], dtype=np.int64)
+    lo = complement_pairs(CLOSURES[n])
     signs = _omega_sign(lo)
     assert split_pair_checks(n, lo, signs) == (True, True, True)
     for k in (0, len(lo) - 1):

@@ -59,8 +59,8 @@ def test_report_roots_skipped_past_rank_eight():
     assert rep.verdict
 
 
-@pytest.mark.parametrize("n", range(13, 17))
-def test_report_verifies_thirteen_through_sixteen(n):
+@pytest.mark.parametrize("n", range(13, 19))
+def test_report_verifies_thirteen_through_eighteen(n):
     rep = run_verification(n, allow_large=True, with_timings=False)
     assert rep.verdict
     assert rep.closure_dim == lower_bound_dim(n)
