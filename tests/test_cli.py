@@ -244,6 +244,21 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_verify_leaves_numpy_ma_unloaded():
+    # numpy.ma costs about 1.7 MiB of RSS on first import (np.unique pulls it in)
+    code = ("import io, sys, contextlib, enspin.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = enspin.cli.main(['verify', '--from', '3', '--to', '9', '--no-timings'])\n"
+            "print(rc, 'numpy.ma' in sys.modules)")
+    src = str(Path(enspin.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+
+
 def test_module_invocation_round_trips():
     proc = subprocess.run(
         [sys.executable, "-m", "enspin", "closure", "--n", "3", "--format", "text"],

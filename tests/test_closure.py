@@ -9,6 +9,7 @@ from enspin.analysis import partner_sweep
 from enspin.clifford import Multivector, blades_anticommute
 from enspin.closure import (
     ClosureBasis,
+    LemmaContainment,
     anticommuting_pair_counts,
     blade_closure,
     general_closure,
@@ -26,6 +27,35 @@ EXPECTED_DIMS = {
 
 def spin_closure(n):
     return blade_closure(n, spin_generators(n).masks)
+
+
+def fixpoint_closure(n, gens):
+    """Walsh-Hadamard fixpoint: add every c with N(c) > 0 until a round adds nothing."""
+    present = np.zeros(1 << n, dtype=np.int64)
+    present[list(gens)] = 1
+    while True:
+        counts, _ = anticommuting_pair_counts(present)
+        fresh = (counts > 0) & (present == 0)
+        if not fresh.any():
+            return tuple(np.flatnonzero(present).tolist())
+        present[fresh] = 1
+
+
+def lemma_reference(n, basis):
+    """Set-based lemma check: the predicted mask set against the basis as a set."""
+    have = set(basis.masks)
+    want = predicted_masks(n)
+    full = (1 << n) - 1
+    return LemmaContainment(
+        n=n,
+        all_expected_present=not want - have,
+        full_mask_present=full in have,
+        full_mask_expected=full in want,
+        wrong_grade_masks=sum(1 for m in have if m.bit_count() % 4 in (0, 1)),
+        missing_masks=len(want - have),
+        extra_masks=len(have - want),
+        exactly_predicted=have == want,
+    )
 
 
 def oracle_closure(gens):
@@ -53,6 +83,24 @@ def test_blade_closure_matches_set_worklist_oracle(case):
     basis = blade_closure(n, gens)
     assert basis.masks == oracle_closure(gens)
     assert basis.is_closed()
+
+
+@given(generator_sets(12))
+def test_blade_closure_matches_fixpoint_oracle(case):
+    n, gens = case
+    assert blade_closure(n, gens).masks == fixpoint_closure(n, gens)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_spin_closure_matches_fixpoint_oracle(n):
+    gens = spin_generators(n).masks
+    assert blade_closure(n, gens).masks == fixpoint_closure(n, gens)
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_large_spin_closure_dimension(n):
+    basis = blade_closure(n, spin_generators(n).masks, allow_large=True)
+    assert basis.dim == lower_bound_dim(n)
 
 
 def test_spin_closure_matches_set_worklist_oracle():
@@ -158,8 +206,24 @@ def test_lemma_containment_exact_match():
         assert rec.missing_masks == 0 and rec.extra_masks == 0
 
 
+@pytest.mark.parametrize("n", range(3, 17))
+def test_lemma_check_matches_set_reference(n):
+    basis = spin_closure(n)
+    masks = basis.masks
+    full = (1 << n) - 1
+    # as computed, one mask dropped, the full mask toggled, one mask of
+    # grade 4, of grade 0 and of grade 2 beyond n bits added
+    cases = [masks, masks[1:], tuple(m for m in masks if m != full)]
+    cases += [tuple(sorted(set(masks) | {extra})) for extra in (full, 0, (1 << n) | 1)]
+    if n >= 4:
+        cases.append(tuple(sorted(masks + (0b1111,))))
+    for case in cases:
+        probe = ClosureBasis(n=n, masks=case, provenance=basis.provenance)
+        assert lemma_containment_check(n, probe) == lemma_reference(n, probe), (n, len(case))
+
+
 def test_predicted_masks_cardinality():
-    for n in range(3, 13):
+    for n in range(3, 17):
         assert len(predicted_masks(n)) == lower_bound_dim(n)
 
 
