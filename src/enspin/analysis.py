@@ -4,10 +4,11 @@ Every bracket of two basis blades is zero or +-2 times the XOR blade,
 so center, derived algebra, Killing form, rank and the two-ideal split
 are all mask combinatorics.  analyze runs only the mask-native core:
 a partner sweep (center and derived dimension), the diagonal Killing
-form K_ii = 4 b_i^2 partners_i, a self-centralizing torus of commuting
-blades (rank), and the central idempotents (1 +- omega)/2 for the split,
-certified by O(d) checks on the masks.  Each function of the core
-states its proof in its docstring.
+form K_ii = 4 b_i^2 partners_i, a greedy torus of commuting blades that
+is its own centralizer by construction (rank), and the central
+idempotents (1 +- omega)/2 for the split, certified by O(d) checks on
+the masks.  Each function of the core states its proof in its
+docstring.
 
 The dense structure table, the mod-p rank probe (rank_trials,
 rank_estimate), the leading-minor Killing test and the Fraction split
@@ -52,8 +53,6 @@ class StructureConstants:
     d: int
     targets: np.ndarray
     coeffs: np.ndarray
-    masks: tuple[int, ...] | None = None
-    n: int | None = None
     xor_structured: bool = False
 
     @classmethod
@@ -110,9 +109,7 @@ def structure_constants(basis: ClosureBasis) -> StructureConstants:
             raise ValueError(f"basis not closed: bracket target {bad:#x} missing")
         targets[i, anti] = tgt
         coeffs[i, anti] = sign
-    return StructureConstants(
-        d=d, targets=targets, coeffs=coeffs, masks=basis.masks, n=n, xor_structured=True
-    )
+    return StructureConstants(d=d, targets=targets, coeffs=coeffs, xor_structured=True)
 
 
 def bracket_coords(sc: StructureConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -476,43 +473,37 @@ def is_compact_basis(masks) -> bool:
 
 
 def greedy_torus(masks) -> tuple[int, ...]:
-    """Blades taken in the given order, each kept when it commutes with all kept so far."""
-    m = np.asarray(masks, dtype=np.int64)
-    free = np.ones(len(m), dtype=bool)
-    chosen: list[int] = []
-    start = 0
-    while start < len(m):
-        i = start + int(np.argmax(free[start:]))
-        if not free[i]:
-            break
-        chosen.append(int(m[i]))
-        free &= ~_anticommute(m, m[i])
-        start = i + 1
-    return tuple(chosen)
+    """A maximal abelian set of blades, kept greedily in the given order.
 
+    One pass over a shrinking candidate array: keep the first candidate
+    t, then keep as candidates only the remaining masks that commute
+    with t.  The output T is a torus by construction, for any list of
+    distinct masks:
 
-def centralizer_masks(masks, torus) -> tuple[int, ...]:
-    """The blades among masks that commute with every blade of torus.
+    (a) T is abelian: each kept blade survived the filter of every blade
+        kept before it, so it commutes with all of them.
+    (b) Every mask not in T was removed by a kept blade it anticommutes
+        with.  If x = sum x_i b_i commutes with span(T), then for each t
+        in T the terms of [x, b_t] = sum x_i [b_i, b_t] over the b_i
+        anticommuting with t land on distinct blades b_{i ^ t} (the
+        injectivity argument of partner_sweep), so all those x_i are 0.
+        Hence the centralizer of span(T) is span(T) itself, and T is
+        maximal abelian.
+    (c) When is_compact_basis holds as well, a maximal abelian
+        subalgebra of the compact algebra is a Cartan subalgebra
+        (Knapp, Lie Groups Beyond an Introduction, ch. IV), so the rank
+        is |T|.
 
-    By the injectivity argument of partner_sweep, the centralizer of
-    span(torus) is spanned by exactly these blades.
+    The filter runs over rest[1:]: t commutes with itself, so a filter
+    over all of rest would keep t as a candidate forever.
     """
-    m = np.asarray(masks, dtype=np.int64)
-    free = np.ones(len(m), dtype=bool)
-    for t in torus:
-        free &= ~_anticommute(m, np.int64(t))
-    return tuple(int(x) for x in m[free])
-
-
-def torus_is_cartan(masks, torus) -> bool:
-    """Certificate that span(torus) is a Cartan subalgebra, so rank = |torus|.
-
-    If the centralizer of span(torus) is span(torus) itself, the torus is
-    abelian and maximal abelian.  In a compact Lie algebra a maximal
-    abelian subalgebra is a Cartan subalgebra (Knapp, Lie Groups Beyond
-    an Introduction, ch. IV), and is_compact_basis supplies compactness.
-    """
-    return is_compact_basis(masks) and set(centralizer_masks(masks, torus)) == set(torus)
+    rest = np.asarray(masks, dtype=np.int64)
+    torus: list[int] = []
+    while rest.size:
+        t = rest[0]
+        torus.append(int(t))
+        rest = rest[1:][~_anticommute(rest[1:], t)]
+    return tuple(torus)
 
 
 def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
@@ -622,7 +613,7 @@ def analyze(
             killing_detail = f"diagonal, K_ii = -4 x anticommuting partners < 0 for all d={basis.dim}"
     with stage(timings, "rank"):
         torus = greedy_torus(basis.masks)
-        rank_certified = torus_is_cartan(basis.masks, torus)
+        rank_certified = is_compact_basis(basis.masks)
     with stage(timings, "split"):
         split = split_check(basis)
 

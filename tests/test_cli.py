@@ -233,12 +233,16 @@ def test_verify_matches_golden(capsys, n):
 
 # -- module entry point ------------------------------------------------------
 
+def child_env() -> dict[str, str]:
+    """The environment of a fresh child that imports enspin from this checkout's src."""
+    src = str(Path(enspin.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     code = "import sys, enspin.cli; print('concurrent.futures.process' in sys.modules)"
-    src = str(Path(enspin.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -250,10 +254,7 @@ def test_verify_leaves_numpy_ma_unloaded():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = enspin.cli.main(['verify', '--from', '3', '--to', '9', '--no-timings'])\n"
             "print(rc, 'numpy.ma' in sys.modules)")
-    src = str(Path(enspin.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
@@ -266,3 +267,16 @@ def test_module_invocation_round_trips():
     )
     assert proc.returncode == 0
     assert "dim 4" in proc.stdout
+
+
+# -- demos -------------------------------------------------------------------
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enspin.analysis import partner_sweep
+from enspin.analysis import greedy_torus, partner_sweep
+from enspin.bott import max_compact
 from enspin.clifford import Multivector, blades_anticommute
 from enspin.closure import (
     ClosureBasis,
@@ -101,6 +102,7 @@ def test_spin_closure_matches_fixpoint_oracle(n):
 def test_large_spin_closure_dimension(n):
     basis = blade_closure(n, spin_generators(n).masks, allow_large=True)
     assert basis.dim == lower_bound_dim(n)
+    assert len(greedy_torus(basis.masks)) == max_compact(n).rank()
 
 
 def test_spin_closure_matches_set_worklist_oracle():

@@ -9,7 +9,6 @@ from enspin.analysis import (
     _anticommute,
     analyze,
     center_dim,
-    centralizer_masks,
     derived_dim,
     greedy_torus,
     is_compact_basis,
@@ -20,7 +19,6 @@ from enspin.analysis import (
     split_check,
     split_check_fractions,
     structure_constants,
-    torus_is_cartan,
 )
 from enspin.bott import max_compact
 from enspin.clifford import Blade, blade_product, blades_anticommute
@@ -28,6 +26,49 @@ from enspin.closure import ClosureBasis, blade_closure
 from enspin.spinrep import spin_generators
 
 CLOSURES = {n: blade_closure(n, spin_generators(n).masks) for n in range(3, 11)}
+
+# --- centralizer oracles for the greedy torus ------------------------------
+
+
+def greedy_torus_reference(masks) -> tuple[int, ...]:
+    """Blades taken in the given order, each kept when it commutes with all kept so far."""
+    m = np.asarray(masks, dtype=np.int64)
+    free = np.ones(len(m), dtype=bool)
+    chosen: list[int] = []
+    start = 0
+    while start < len(m):
+        i = start + int(np.argmax(free[start:]))
+        if not free[i]:
+            break
+        chosen.append(int(m[i]))
+        free &= ~_anticommute(m, m[i])
+        start = i + 1
+    return tuple(chosen)
+
+
+def centralizer_masks(masks, torus) -> tuple[int, ...]:
+    """The blades among masks that commute with every blade of torus.
+
+    By the injectivity argument of partner_sweep, the centralizer of
+    span(torus) is spanned by exactly these blades.
+    """
+    m = np.asarray(masks, dtype=np.int64)
+    free = np.ones(len(m), dtype=bool)
+    for t in torus:
+        free &= ~_anticommute(m, np.int64(t))
+    return tuple(int(x) for x in m[free])
+
+
+def torus_is_cartan(masks, torus) -> bool:
+    """Certificate that span(torus) is a Cartan subalgebra, so rank = |torus|.
+
+    If the centralizer of span(torus) is span(torus) itself, the torus is
+    abelian and maximal abelian.  In a compact Lie algebra a maximal
+    abelian subalgebra is a Cartan subalgebra (Knapp, Lie Groups Beyond
+    an Introduction, ch. IV), and is_compact_basis supplies compactness.
+    """
+    return is_compact_basis(masks) and set(centralizer_masks(masks, torus)) == set(torus)
+
 
 # --- integer pair oracle for the split certificate -------------------------
 
@@ -180,15 +221,30 @@ def test_split_fails_without_one_complement_mask():
     assert "complement" in res.reason
 
 
-@settings(max_examples=40)
-@given(n=st.integers(3, 9), rnd=st.randoms(use_true_random=False))
-def test_torus_is_maximal_in_any_order(n, rnd):
-    masks = list(blade_closure(n, spin_generators(n).masks).masks)
-    rnd.shuffle(masks)
+@pytest.mark.parametrize("n", range(3, 17))
+def test_greedy_torus_matches_reference(n):
+    masks = blade_closure(n, spin_generators(n).masks).masks
+    assert greedy_torus(masks) == greedy_torus_reference(masks)
+
+
+def assert_torus_is_maximal(masks) -> tuple[int, ...]:
     torus = greedy_torus(masks)
-    assert len(torus) == (2 if n == 3 else max_compact(n).rank())
+    assert torus == greedy_torus_reference(masks)
     assert not any(blades_anticommute(a, b) for a in torus for b in torus)
-    assert set(centralizer_masks(masks, torus)) == set(torus)
+    assert centralizer_masks(masks, torus) == torus
+    return torus
+
+
+@settings(max_examples=40)
+@given(n=st.integers(3, 10), data=st.data(), rnd=st.randoms(use_true_random=False))
+def test_torus_is_maximal_in_any_order(n, data, rnd):
+    masks = list(CLOSURES[n].masks)
+    rnd.shuffle(masks)
+    torus = assert_torus_is_maximal(masks)
+    assert len(torus) == (2 if n == 3 else max_compact(n).rank())
+    arbitrary = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=256))
+    rnd.shuffle(arbitrary)
+    assert_torus_is_maximal(arbitrary)
 
 
 def test_certificates_reject_what_they_must():
@@ -208,3 +264,12 @@ def test_analyze_is_exact_at_every_n():
         bundle = analyze(n, exact_killing=None)
         assert bundle.killing_mode == "exact" and bundle.killing_ok
         assert bundle.rank_certified
+
+
+def test_analyze_does_not_certify_a_noncompact_torus(monkeypatch):
+    # v1, v2 and v1v2 span sl(2, R): v1 squares to +1, so the algebra is not compact
+    noncompact = blade_closure(3, (0b001, 0b010))
+    monkeypatch.setattr("enspin.analysis.blade_closure", lambda n, gens, **kwargs: noncompact)
+    bundle = analyze(3)
+    assert bundle.torus == (0b001,)
+    assert not bundle.rank_certified
