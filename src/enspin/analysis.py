@@ -2,13 +2,15 @@
 
 Every bracket of two basis blades is zero or +-2 times the XOR blade,
 so center, derived algebra, Killing form, rank and the two-ideal split
-are all mask combinatorics.  analyze runs only the mask-native core:
-a partner sweep (center and derived dimension), the diagonal Killing
-form K_ii = 4 b_i^2 partners_i, a greedy torus of commuting blades that
-is its own centralizer by construction (rank), and the central
-idempotents (1 +- omega)/2 for the split, certified by O(d) checks on
-the masks.  Each function of the core states its proof in its
-docstring.
+are all mask combinatorics.  analyze runs only the mask-native core on
+the closure that blade_closure proves bracket-closed: a partner sweep,
+one Walsh-Hadamard transform, whose blades without a partner span the
+center and whose other blades span the derived algebra; the diagonal
+Killing form K_ii = 4 b_i^2 partners_i; a greedy torus of commuting
+blades that is its own centralizer by construction (rank); and the
+central idempotents (1 +- omega)/2 for the split, certified by O(d)
+checks on the masks.  Each function of the core states its proof in
+its docstring.
 
 The dense structure table, the mod-p rank probe (rank_trials,
 rank_estimate), the leading-minor Killing test and the Fraction split
@@ -29,7 +31,7 @@ import numpy as np
 
 from .bott import CompactTypeDescriptor, max_compact
 from .clifford import Blade, Multivector, blade_product, bracket, mv_product
-from .closure import ClosureBasis, anticommuting_pair_counts, blade_closure
+from .closure import ClosureBasis, blade_closure
 from .linalg import (
     DEFAULT_PRIMES,
     EchelonBasis,
@@ -411,34 +413,57 @@ def _anticommute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((pa & pb) ^ (np.bitwise_count(a & b) & 1)).astype(bool)
 
 
-def partner_sweep(basis: ClosureBasis) -> tuple[np.ndarray, int]:
-    """Anticommuting-partner count of each basis blade, and the derived dimension.
+def _walsh_hadamard(a) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of a length-2^n array, as a new int64 array.
+
+    Entry u of the result is sum over x of a(x) (-1)^|u & x|.  Applying
+    it twice multiplies by 2^n.  One butterfly pass per bit, so O(n 2^n)
+    additions.
+    """
+    out = np.array(a, dtype=np.int64)
+    size = out.size
+    h = 1
+    while h < size:
+        v = out.reshape(size // (2 * h), 2, h)
+        low = v[:, 0, :].copy()
+        v[:, 0, :] += v[:, 1, :]
+        np.subtract(low, v[:, 1, :], out=v[:, 1, :])
+        h *= 2
+    return out
+
+
+def partner_sweep(basis: ClosureBasis) -> np.ndarray:
+    """Anticommuting-partner count of each blade of a bracket-closed basis.
+
+    Partners: a and y commute up to (-1)^q(a, y) with
+    q(a, y) = p_a p_y + |a & y| mod 2 and p the grade parity, which is
+    (-1)^|h_a & y| with h_a = a for even |a| and h_a = a ^ full for odd
+    |a| (then p_y + |a & y| = |y| - |a & y| mod 2).  Summed over the
+    basis S that is S^(h_a), the transform of its membership array, so
+    a has (|S| - S^(h_a)) / 2 partners.
 
     Center: for a fixed t the map i -> i ^ t is injective, so in
     [x, b_t] = sum over i anticommuting with t of x_i [b_i, b_t] every
     term lands on its own blade, and [x, b_t] = 0 forces x_i = 0.  Hence
-    the center is spanned by the blades with no partner.  Derived
-    algebra: it is spanned by the brackets [b_i, b_j] = +-2 b_{i ^ j} of
-    anticommuting pairs, and distinct blades are independent, so its
-    dimension is the number of masks c with N(c) > 0, N from
-    anticommuting_pair_counts.  Raises ValueError when such a c falls
-    outside the basis.
+    the center is spanned by the blades with no partner.
 
-    Partners: a and y commute up to (-1)^(p_a p_y + |a & y|), which is
-    (-1)^|h_a & y| with h_a = a for even |a| and h_a = a ^ full for odd
-    |a| (then p_y + |a & y| = |y| - |a & y| mod 2).  Summed over the
-    basis S that is S^(h_a), so a has (|S| - S^(h_a)) / 2 partners.
+    Derived algebra: it is spanned by the brackets [b_x, b_y] = +-2 b_(x ^ y)
+    of anticommuting pairs, and distinct blades are independent, so it
+    is spanned by the blades c = x ^ y.  These are exactly the blades of
+    S with a partner, because q is bilinear over F_2 with q(a, a) = 0:
+    - if c in S has a partner x, then y = x ^ c is in S by closure, and
+      q(x, y) = q(x, x) + q(x, c) = 1, so c = x ^ y is a bracket;
+    - if c = x ^ y with q(x, y) = 1, then c is in S by closure, and
+      q(x, c) = q(x, x) + q(x, y) = 1, so x is a partner of c.
+    So the derived dimension is d minus the center dimension.
     """
     n = basis.n
     masks = np.array(basis.masks, dtype=np.int64)
-    in_basis = np.zeros(1 << n, dtype=np.int64)
-    in_basis[masks] = 1
-    counts, s_hat = anticommuting_pair_counts(in_basis)
-    outside = np.flatnonzero((counts > 0) & (in_basis == 0))
-    if outside.size:
-        raise ValueError(f"basis not closed: bracket target {int(outside[0]):#x} missing")
+    present = np.zeros(1 << n, dtype=bool)
+    present[masks] = True
+    s_hat = _walsh_hadamard(present)
     h = np.where(np.bitwise_count(masks) & 1, masks ^ ((1 << n) - 1), masks)
-    return (len(masks) - s_hat[h]) // 2, int(np.count_nonzero(counts))
+    return (len(masks) - s_hat[h]) // 2
 
 
 def mask_killing_diagonal(masks, partners: np.ndarray) -> np.ndarray:
@@ -509,8 +534,8 @@ def greedy_torus(masks) -> tuple[int, ...]:
 def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     """Certify the split of the closure into the two top-blade eigenspaces.
 
-    Premise: the basis is bracket-closed.  analyze runs partner_sweep
-    first, and partner_sweep raises ValueError on an unclosed basis.
+    Premise: the basis is bracket-closed.  analyze passes the output of
+    blade_closure, whose breadth-first-walk proof makes it so.
 
     Proof of the split: when omega = v1...vn is central with omega^2 = 1,
     p = (1 + omega)/2 and q = (1 - omega)/2 are central idempotents with
@@ -563,7 +588,6 @@ class AnalysisBundle:
     n: int
     basis: ClosureBasis
     center: int
-    derived: int
     killing_diag: np.ndarray
     killing_ok: bool
     killing_detail: str
@@ -571,6 +595,10 @@ class AnalysisBundle:
     rank_certified: bool
     split: SplitResult
     timings_ms: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def derived(self) -> int:
+        return self.basis.dim - self.center
 
     @property
     def rank(self) -> int:
@@ -590,8 +618,11 @@ def analyze(
 ) -> AnalysisBundle:
     """Run the full invariant battery for one ambient dimension, on masks only.
 
-    Every check is a deterministic certificate, so seed is accepted and
-    ignored, and exact_killing may be True or None but not False.
+    The closure is bracket-closed by the proof of blade_closure, which
+    every later stage takes as its premise; the derived dimension is
+    d minus the center (partner_sweep).  Every check is a deterministic
+    certificate, so seed is accepted and ignored, and exact_killing may
+    be True or None but not False.
     """
     if n < 3:
         raise ValueError(f"analysis needs n >= 3, got {n}")
@@ -601,7 +632,7 @@ def analyze(
     with stage(timings, "closure"):
         basis = blade_closure(n, spin_generators(n).masks, allow_large=allow_large)
     with stage(timings, "structure"):
-        partners, derived = partner_sweep(basis)
+        partners = partner_sweep(basis)
     with stage(timings, "center"):
         center = int(np.count_nonzero(partners == 0))
     with stage(timings, "killing"):
@@ -621,7 +652,6 @@ def analyze(
         n=n,
         basis=basis,
         center=center,
-        derived=derived,
         killing_diag=diag,
         killing_ok=not bad,
         killing_detail=killing_detail,

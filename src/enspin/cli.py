@@ -14,7 +14,7 @@ import sys
 
 from .analysis import classify
 from .clifford import Blade
-from .closure import blade_closure
+from .closure import blade_closure, check_ambient
 from .deltas import delta_closed, delta_identities, delta_sum
 from .report import (
     algebra_table,
@@ -107,6 +107,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"verify needs --jobs >= 1, got {args.jobs}")
     tasks = [(n, args.allow_large, not args.no_timings) for n in range(lo, hi + 1)]
     try:
+        check_ambient(hi, args.allow_large)
         if args.jobs > 1 and len(tasks) > 1:
             # imported only here: concurrent.futures.process pulls in
             # multiprocessing, which a serial run never uses

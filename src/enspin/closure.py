@@ -8,11 +8,10 @@ blade_closure reaches that set by a breadth-first walk from the
 generators, one generator step at a time, because the algebra is
 spanned by right-normed brackets; it does O(n d) mask operations for a
 closure of dimension d and holds a bool and an int32 array of length 2^n.
-anticommuting_pair_counts counts the anticommuting pairs of a mask set
-for every XOR at once with Walsh-Hadamard transforms, in O(n 2^n)
-integer work; the partner sweep of the analysis reads it.  The general
-route brackets arbitrary multivectors and sifts the results into an
-exact echelon basis; it exists to cross-validate the fast route.
+Its proof is the certificate that the result is bracket-closed, which
+the analysis rests on.  The general route brackets arbitrary
+multivectors and sifts the results into an exact echelon basis; it
+exists to cross-validate the fast route.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from .linalg import EchelonBasis
 
 #: Closures above this ambient dimension need an explicit opt-in.
 DEFAULT_AMBIENT_CAP = 16
-#: Hard ceiling: the closure holds a bool and an int32 array of length 2^n,
-#: and the partner sweep's anticommuting_pair_counts is exact in int64 up
-#: to 2^(2n).
+#: Hard ceiling on memory: the closure holds a bool and an int32 array of
+#: length 2^n and the partner sweep an int64 one (128 MiB at n = 24), and
+#: the peak of a run roughly doubles with each step of n.
 MAX_AMBIENT = 24
 
 
@@ -69,57 +68,22 @@ class ClosureBasis:
         }
 
 
-def _walsh_hadamard(a) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform along the last axis, as a new int64 array.
+def check_ambient(n: int, allow_large: bool = False) -> None:
+    """Raise ValueError unless a closure in ambient dimension n may be built.
 
-    The last axis has length 2^n, and entry u of the result is
-    sum over x of a(x) (-1)^|u & x|.  Applying it twice multiplies by 2^n.
-    One butterfly pass per bit, so O(n 2^n) additions.
+    n must be at least 1 and at most MAX_AMBIENT, and above
+    DEFAULT_AMBIENT_CAP only with allow_large.  Nothing is allocated, so
+    a caller can check the top of a range before any work starts.
     """
-    out = np.array(a, dtype=np.int64)
-    lead, size = out.shape[:-1], out.shape[-1]
-    h = 1
-    while h < size:
-        v = out.reshape(*lead, size // (2 * h), 2, h)
-        low = v[..., 0, :].copy()
-        v[..., 0, :] += v[..., 1, :]
-        np.subtract(low, v[..., 1, :], out=v[..., 1, :])
-        h *= 2
-    return out
-
-
-def anticommuting_pair_counts(s) -> tuple[np.ndarray, np.ndarray]:
-    """N(c) for every mask c, and the transform of s, for a 0/1 membership array s.
-
-    s has length 2^n and marks a blade set S.  N(c) is the number of
-    ordered pairs (x, y) in S x S with x ^ y = c whose blades
-    anticommute; the second result is hat(s) = _walsh_hadamard(s).
-
-    Sign identity: let eps(x) = (-1)^ceil(|x|/2).  Blades x and y commute
-    up to the sign (-1)^(p_x p_y + |x & y|), with p the grade parity, and
-    that sign is eps(x) eps(y) eps(c) for c = x ^ y.  Proof: with
-    ceil(k/2) = (k + p_k)/2, |c| = |x| + |y| - 2|x & y| and
-    p_c = p_x + p_y - 2 p_x p_y, the exponent sum is
-    |x| + p_x + |y| + p_y - |x & y| - p_x p_y, which is |x & y| + p_x p_y
-    mod 2.  So with F = eps s and * the XOR convolution, the pairs with
-    XOR c number (S * S)(c) and their signs sum to eps(c) (F * F)(c), and
-        N(c) = ((S * S)(c) - eps(c) (F * F)(c)) / 2.
-    Each convolution is a transform of a squared transform:
-    _walsh_hadamard(hat(s)^2) = 2^n (S * S), and likewise for F.
-
-    Exactness: every value is an int64 and nothing is rounded or reduced.
-    Forward partial sums are at most |S| <= 2^n.  By Parseval the entries
-    of hat(s)^2 sum to 2^n |S|, and so do those of hat(F)^2 because
-    F^2 = s, so every partial sum of the second pass is at most
-    2^n |S| <= 2^(2n), which is 2^48 at MAX_AMBIENT = 24.
-    """
-    s = np.asarray(s, dtype=np.int64)
-    size = s.shape[-1]
-    grade = np.bitwise_count(np.arange(size, dtype=np.int64)).astype(np.int64)
-    eps = 1 - 2 * (((grade + 1) // 2) & 1)
-    hat = _walsh_hadamard(np.stack((s, eps * s)))
-    conv = _walsh_hadamard(hat * hat)
-    return (conv[0] - eps * conv[1]) // (2 * size), hat[0]
+    if n < 1:
+        raise ValueError(f"ambient dimension must be >= 1, got {n}")
+    if n > MAX_AMBIENT:
+        raise ValueError(f"ambient dimension {n} exceeds hard ceiling {MAX_AMBIENT}")
+    if n > DEFAULT_AMBIENT_CAP and not allow_large:
+        raise ValueError(
+            f"ambient dimension {n} exceeds default cap {DEFAULT_AMBIENT_CAP}; "
+            "pass allow_large=True to override"
+        )
 
 
 def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = False) -> ClosureBasis:
@@ -156,15 +120,7 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
     does O(|G| d) mask operations for a closure of dimension d, which
     is O(n d) for the n spin generators.
     """
-    if n < 1:
-        raise ValueError(f"ambient dimension must be >= 1, got {n}")
-    if n > MAX_AMBIENT:
-        raise ValueError(f"ambient dimension {n} exceeds hard ceiling {MAX_AMBIENT}")
-    if n > DEFAULT_AMBIENT_CAP and not allow_large:
-        raise ValueError(
-            f"ambient dimension {n} exceeds default cap {DEFAULT_AMBIENT_CAP}; "
-            "pass allow_large=True to override"
-        )
+    check_ambient(n, allow_large)
     gens = sorted({int(g) for g in generators})
     if not gens:
         raise ValueError("generator list is empty")

@@ -238,11 +238,12 @@ class TableRow:
 
 def algebra_table(to_n: int, *, allow_large: bool = False) -> list[TableRow]:
     """Clifford and compact-type descriptors next to computed closure dims."""
-    from .closure import blade_closure
+    from .closure import blade_closure, check_ambient
     from .spinrep import spin_generators
 
     if to_n < 2:
         raise ValueError(f"table needs to_n >= 2, got {to_n}")
+    check_ambient(to_n, allow_large)
     rows: list[TableRow] = []
     for n in range(2, to_n + 1):
         alg = bott_algebra(n)

@@ -42,6 +42,22 @@ def test_verify_rejects_bad_range(capsys):
     assert run_cli(capsys, "verify", "--from", "5", "--to", "4")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--from", "3", "--to", "17"),
+    ("verify", "--from", "3", "--to", "25", "--allow-large"),
+    ("report", "--to", "17"),
+    ("report", "--to", "25", "--allow-large"),
+])
+def test_over_cap_range_fails_before_any_work(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr("enspin.cli.run_verification", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("enspin.closure.blade_closure", lambda *a, **k: calls.append(a))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and out == ""
+    assert calls == []
+
+
 def test_roots_rejects_affine_and_beyond(capsys):
     code, _, err = run_cli(capsys, "roots", "--n", "9")
     assert code == 2

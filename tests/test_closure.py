@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enspin.analysis import greedy_torus, partner_sweep
+from enspin.analysis import _walsh_hadamard, greedy_torus, mask_killing_diagonal, partner_sweep
 from enspin.bott import max_compact
 from enspin.clifford import Multivector, blades_anticommute
 from enspin.closure import (
     ClosureBasis,
     LemmaContainment,
-    anticommuting_pair_counts,
     blade_closure,
     general_closure,
     lemma_containment_check,
@@ -28,6 +27,40 @@ EXPECTED_DIMS = {
 
 def spin_closure(n):
     return blade_closure(n, spin_generators(n).masks)
+
+
+def anticommuting_pair_counts(s):
+    """N(c) for every mask c, and the transform of s, for a 0/1 membership array s.
+
+    s has length 2^n and marks a blade set S.  N(c) is the number of
+    ordered pairs (x, y) in S x S with x ^ y = c whose blades
+    anticommute; the second result is hat(s) = _walsh_hadamard(s).
+
+    Sign identity: let eps(x) = (-1)^ceil(|x|/2).  Blades x and y commute
+    up to the sign (-1)^(p_x p_y + |x & y|), with p the grade parity, and
+    that sign is eps(x) eps(y) eps(c) for c = x ^ y.  Proof: with
+    ceil(k/2) = (k + p_k)/2, |c| = |x| + |y| - 2|x & y| and
+    p_c = p_x + p_y - 2 p_x p_y, the exponent sum is
+    |x| + p_x + |y| + p_y - |x & y| - p_x p_y, which is |x & y| + p_x p_y
+    mod 2.  So with F = eps s and * the XOR convolution, the pairs with
+    XOR c number (S * S)(c) and their signs sum to eps(c) (F * F)(c), and
+        N(c) = ((S * S)(c) - eps(c) (F * F)(c)) / 2.
+    Each convolution is a transform of a squared transform:
+    _walsh_hadamard(hat(s)^2) = 2^n (S * S), and likewise for F.
+
+    Exactness: every value is an int64 and nothing is rounded or reduced.
+    Forward partial sums are at most |S| <= 2^n.  By Parseval the entries
+    of hat(s)^2 sum to 2^n |S|, and so do those of hat(F)^2 because
+    F^2 = s, so every partial sum of the second pass is at most
+    2^n |S| <= 2^(2n).
+    """
+    s = np.asarray(s, dtype=np.int64)
+    size = s.size
+    grade = np.bitwise_count(np.arange(size, dtype=np.int64)).astype(np.int64)
+    eps = 1 - 2 * (((grade + 1) // 2) & 1)
+    hat, hat_f = _walsh_hadamard(s), _walsh_hadamard(eps * s)
+    conv, conv_f = _walsh_hadamard(hat * hat), _walsh_hadamard(hat_f * hat_f)
+    return (conv - eps * conv_f) // (2 * size), hat
 
 
 def fixpoint_closure(n, gens):
@@ -103,6 +136,10 @@ def test_large_spin_closure_dimension(n):
     basis = blade_closure(n, spin_generators(n).masks, allow_large=True)
     assert basis.dim == lower_bound_dim(n)
     assert len(greedy_torus(basis.masks)) == max_compact(n).rank()
+    # no center, so the derived algebra is all of it, and the Killing form is negative definite
+    partners = partner_sweep(basis)
+    assert np.all(partners > 0)
+    assert np.all(mask_killing_diagonal(basis.masks, partners) < 0)
 
 
 def test_spin_closure_matches_set_worklist_oracle():
@@ -114,10 +151,12 @@ def test_spin_closure_matches_set_worklist_oracle():
 def test_partner_sweep_matches_pairwise_count(case):
     n, gens = case
     masks = oracle_closure(gens)
-    partners, derived = partner_sweep(ClosureBasis(n=n, masks=masks, provenance=tuple(sorted(set(gens)))))
+    partners = partner_sweep(ClosureBasis(n=n, masks=masks, provenance=tuple(sorted(set(gens)))))
     want = [sum(blades_anticommute(a, b) for b in masks) for a in masks]
     assert partners.tolist() == want
-    assert derived == len({a ^ b for a in masks for b in masks if blades_anticommute(a, b)})
+    # the derived-algebra lemma: the blades with a partner are exactly the brackets
+    with_partner = {m for m, k in zip(masks, partners.tolist()) if k > 0}
+    assert with_partner == {a ^ b for a in masks for b in masks if blades_anticommute(a, b)}
 
 
 @given(n=st.integers(1, 7), data=st.data())

@@ -24,6 +24,7 @@ from enspin.bott import max_compact
 from enspin.clifford import Blade, blade_product, blades_anticommute
 from enspin.closure import ClosureBasis, blade_closure
 from enspin.spinrep import spin_generators
+from test_closure import anticommuting_pair_counts
 
 CLOSURES = {n: blade_closure(n, spin_generators(n).masks) for n in range(3, 11)}
 
@@ -162,10 +163,11 @@ def complement_pairs(basis: ClosureBasis) -> np.ndarray:
 def test_mask_core_matches_table_oracles(n):
     basis = CLOSURES[n]
     sc = structure_constants(basis)
-    partners, derived = partner_sweep(basis)
+    partners = partner_sweep(basis)
+    center = int(np.count_nonzero(partners == 0))
     assert np.array_equal(mask_killing_diagonal(basis.masks, partners), killing_diagonal(sc))
-    assert int(np.count_nonzero(partners == 0)) == center_dim(sc)
-    assert derived == derived_dim(sc)
+    assert center == center_dim(sc)
+    assert basis.dim - center == derived_dim(sc)
     torus = greedy_torus(basis.masks)
     assert torus_is_cartan(basis.masks, torus)
     assert len(torus) == rank_estimate(sc, trials=5, seed=0)
@@ -253,8 +255,11 @@ def test_certificates_reject_what_they_must():
     assert not torus_is_cartan(basis.masks, torus[:-1])
     assert is_compact_basis(basis.masks)
     assert not is_compact_basis(basis.masks + (0b1,))
-    with pytest.raises(ValueError):
-        partner_sweep(ClosureBasis(n=3, masks=(0b011, 0b110), provenance=(0b011, 0b110)))
+    # v1v2 and v2v3 anticommute, so their bracket v1v3 is a target outside the set
+    unclosed = np.zeros(8, dtype=np.int64)
+    unclosed[[0b011, 0b110]] = 1
+    counts, _ = anticommuting_pair_counts(unclosed)
+    assert counts[0b101] > 0 and unclosed[0b101] == 0
 
 
 def test_analyze_is_exact_at_every_n():
