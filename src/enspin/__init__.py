@@ -6,123 +6,61 @@ and trivector spin generators, and machine-checks every finite claim
 about it: closure bases, mod-4 binomial dimension counts, the period-8
 matrix-algebra tables, defining relations, Killing definiteness, rank
 certificates, the top-blade eigenspace split, and positive-root counts.
+
+``import enspin`` loads no submodule and so no numpy: each public name
+below is imported from its submodule on first use (PEP 562) and then
+cached on the package.
 """
 
-from .analysis import (
-    ClassificationResult,
-    SplitResult,
-    StructureConstants,
-    analyze,
-    center_dim,
-    classify,
-    derived_dim,
-    killing_form,
-    rank_estimate,
-    split_check,
-    structure_constants,
-)
-from .bott import (
-    CompactTypeDescriptor,
-    MatrixAlgebraDescriptor,
-    bott_algebra,
-    expected_dim,
-    expected_rank,
-    max_compact,
-)
-from .clifford import (
-    Blade,
-    Multivector,
-    blade_product,
-    blades_anticommute,
-    bracket,
-    format_multivector,
-    grade_parts,
-    mv_product,
-    parse_blade,
-    parse_multivector,
-)
-from .closure import (
-    ClosureBasis,
-    GeneralClosureBasis,
-    blade_closure,
-    general_closure,
-    lemma_containment_check,
-    predicted_masks,
-)
-from .deltas import delta_closed, delta_identities, delta_sum, lower_bound_dim
-from .linalg import (
-    DEFAULT_PRIMES,
-    EchelonBasis,
-    RationalMatrix,
-    is_negative_definite,
-    kernel_dimension,
-    kernel_dimension_mod_p,
-)
-from .report import VerificationReport, algebra_table, run_verification
-from .roots import RootSet, positive_roots, theorem_b_check
-from .spinrep import (
-    EnDiagram,
-    SpinGenerators,
-    en_adjacency,
-    spin_generators,
-    verify_relations,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Blade",
-    "ClassificationResult",
-    "ClosureBasis",
-    "CompactTypeDescriptor",
-    "DEFAULT_PRIMES",
-    "EchelonBasis",
-    "EnDiagram",
-    "GeneralClosureBasis",
-    "MatrixAlgebraDescriptor",
-    "Multivector",
-    "RationalMatrix",
-    "RootSet",
-    "SpinGenerators",
-    "SplitResult",
-    "StructureConstants",
-    "VerificationReport",
-    "algebra_table",
-    "analyze",
-    "blade_closure",
-    "blade_product",
-    "blades_anticommute",
-    "bott_algebra",
-    "bracket",
-    "center_dim",
-    "classify",
-    "delta_closed",
-    "delta_identities",
-    "delta_sum",
-    "derived_dim",
-    "en_adjacency",
-    "expected_dim",
-    "expected_rank",
-    "format_multivector",
-    "general_closure",
-    "grade_parts",
-    "is_negative_definite",
-    "kernel_dimension",
-    "kernel_dimension_mod_p",
-    "killing_form",
-    "lemma_containment_check",
-    "lower_bound_dim",
-    "max_compact",
-    "mv_product",
-    "parse_blade",
-    "parse_multivector",
-    "positive_roots",
-    "predicted_masks",
-    "rank_estimate",
-    "run_verification",
-    "spin_generators",
-    "split_check",
-    "structure_constants",
-    "theorem_b_check",
-    "verify_relations",
-]
+_EXPORTS = {
+    "analysis": (
+        "ClassificationResult", "SplitResult", "StructureConstants", "analyze",
+        "center_dim", "classify", "derived_dim", "killing_form", "rank_estimate",
+        "split_check", "structure_constants",
+    ),
+    "bott": (
+        "CompactTypeDescriptor", "MatrixAlgebraDescriptor", "bott_algebra",
+        "expected_dim", "expected_rank", "max_compact",
+    ),
+    "clifford": (
+        "Blade", "Multivector", "blade_product", "blades_anticommute", "bracket",
+        "format_multivector", "grade_parts", "mv_product", "parse_blade",
+        "parse_multivector",
+    ),
+    "closure": (
+        "ClosureBasis", "GeneralClosureBasis", "blade_closure", "general_closure",
+        "lemma_containment_check", "predicted_masks",
+    ),
+    "deltas": ("delta_closed", "delta_identities", "delta_sum", "lower_bound_dim"),
+    "linalg": (
+        "DEFAULT_PRIMES", "EchelonBasis", "RationalMatrix", "is_negative_definite",
+        "kernel_dimension", "kernel_dimension_mod_p",
+    ),
+    "report": ("VerificationReport", "algebra_table", "run_verification"),
+    "roots": ("RootSet", "positive_roots", "theorem_b_check"),
+    "spinrep": (
+        "EnDiagram", "SpinGenerators", "en_adjacency", "spin_generators",
+        "verify_relations",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

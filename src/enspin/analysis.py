@@ -79,7 +79,7 @@ def structure_constants(basis: ClosureBasis) -> StructureConstants:
     bit-by-bit over a, the anticommutation test is the parity of
     |a||b| - |a & b|, and a bracket target outside the basis raises.
     """
-    masks = np.array(basis.masks, dtype=np.int64)
+    masks = basis.mask_array
     d = len(masks)
     n = basis.n
     pos = np.full(1 << n, -1, dtype=np.int32)
@@ -458,7 +458,7 @@ def partner_sweep(basis: ClosureBasis) -> np.ndarray:
     So the derived dimension is d minus the center dimension.
     """
     n = basis.n
-    masks = np.array(basis.masks, dtype=np.int64)
+    masks = basis.mask_array
     present = np.zeros(1 << n, dtype=bool)
     present[masks] = True
     s_hat = _walsh_hadamard(present)
@@ -561,7 +561,7 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     if omega_sq != 1:
         return SplitResult(n=n, applicable=False, reason="top blade squares to -1 when n == 3 mod 4")
 
-    masks = np.array(basis.masks, dtype=np.int64)
+    masks = basis.mask_array
     if np.any(_anticommute(masks, np.int64(full))):
         return SplitResult(n=n, applicable=True, omega_central=False, omega_square=omega_sq,
                            reason="top blade failed centrality or square check")
@@ -636,15 +636,15 @@ def analyze(
     with stage(timings, "center"):
         center = int(np.count_nonzero(partners == 0))
     with stage(timings, "killing"):
-        diag = mask_killing_diagonal(basis.masks, partners)
+        diag = mask_killing_diagonal(basis.mask_array, partners)
         bad = int(np.count_nonzero(diag >= 0))
         if bad:
             killing_detail = f"diagonal, K_ii >= 0 for {bad} of d={basis.dim} blades"
         else:
             killing_detail = f"diagonal, K_ii = -4 x anticommuting partners < 0 for all d={basis.dim}"
     with stage(timings, "rank"):
-        torus = greedy_torus(basis.masks)
-        rank_certified = is_compact_basis(basis.masks)
+        torus = greedy_torus(basis.mask_array)
+        rank_certified = is_compact_basis(basis.mask_array)
     with stage(timings, "split"):
         split = split_check(basis)
 

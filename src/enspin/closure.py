@@ -17,6 +17,7 @@ exists to cross-validate the fast route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,13 @@ class ClosureBasis:
     @property
     def dim(self) -> int:
         return len(self.masks)
+
+    @cached_property
+    def mask_array(self) -> np.ndarray:
+        """The masks as a read-only int64 array, built once and shared by every stage."""
+        masks = np.array(self.masks, dtype=np.int64)
+        masks.flags.writeable = False
+        return masks
 
     def index(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.masks)}
@@ -205,7 +213,7 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
         raise ValueError(f"n must be >= 3, got {n}")
     full = (1 << n) - 1
     drop_full = n % 4 == 3 and n > 3
-    have = np.array(basis.masks, dtype=np.int64)
+    have = basis.mask_array
     grade = np.bitwise_count(have) % 4
     predicted = (grade >= 2) & (have <= full)
     if drop_full:

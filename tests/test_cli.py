@@ -256,12 +256,17 @@ def child_env() -> dict[str, str]:
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    code = "import sys, enspin.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+def run_python(code: str, env: dict[str, str]) -> str:
+    """Run code in a fresh interpreter and return its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    code = "import sys, enspin.cli; print('concurrent.futures.process' in sys.modules)"
+    assert run_python(code, child_env()) == "False"
 
 
 def test_verify_leaves_numpy_ma_unloaded():
@@ -279,10 +284,80 @@ def test_verify_leaves_numpy_ma_unloaded():
 def test_module_invocation_round_trips():
     proc = subprocess.run(
         [sys.executable, "-m", "enspin", "closure", "--n", "3", "--format", "text"],
-        capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
     assert "dim 4" in proc.stdout
+
+
+# -- start-up ----------------------------------------------------------------
+
+def test_package_import_loads_no_numpy():
+    assert run_python("import sys, enspin; print('numpy' in sys.modules)", child_env()) == "False"
+
+
+def test_lazy_names_resolve_to_their_submodules():
+    code = ("import importlib, enspin\n"
+            "for name in enspin.__all__:\n"
+            "    module = importlib.import_module('enspin.' + enspin._MODULE_OF[name])\n"
+            "    assert getattr(enspin, name) is getattr(module, name), name\n"
+            "assert set(enspin.__all__) <= set(dir(enspin))\n"
+            "try:\n"
+            "    enspin.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('ok')\n")
+    assert run_python(code, child_env()) == "ok"
+
+
+def test_importing_main_does_not_run_the_cli():
+    assert run_python("import enspin.__main__; print('imported')", child_env()) == "imported"
+
+
+START_AS_MODULE = """
+import contextlib, io, json, os, runpy, sys
+sys.argv = ["enspin", "closure", "--n", "3"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("enspin", run_name="__main__", alter_sys=True)
+    except SystemExit as e:
+        code = e.code
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([code, "numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"], threads]))
+"""
+
+
+def test_module_entry_starts_with_one_blas_thread():
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code, numpy_loaded, blas_threads, threads = json.loads(run_python(START_AS_MODULE, env))
+    assert (code, numpy_loaded, blas_threads) == (0, True, "1")
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == 1
+
+
+def test_module_entry_keeps_an_explicit_blas_thread_count():
+    env = {**child_env(), "OPENBLAS_NUM_THREADS": "2"}
+    code, _, blas_threads, _ = json.loads(run_python(START_AS_MODULE, env))
+    assert (code, blas_threads) == (0, "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--n", "6"),
+    ("delta", "--n", "7"),
+    ("classify", "--n", "5"),
+    ("verify", "--from", "3", "--to", "9"),
+    ("roots", "--n", "8"),
+    ("report", "--to", "9"),
+])
+def test_cli_never_reaches_the_float_gemm(capsys, monkeypatch, argv):
+    # The entry caps OpenBLAS at one thread because no command calls BLAS;
+    # the mod-p oracle's blocked elimination is the one float matrix product.
+    def gemm(*args, **kwargs):
+        raise AssertionError("a CLI path reached the float GEMM")
+
+    monkeypatch.setattr("enspin.linalg._rank_mod_p_blocked", gemm)
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 # -- demos -------------------------------------------------------------------

@@ -216,6 +216,15 @@ def test_masks_are_sorted_and_unique():
         assert list(masks) == sorted(set(masks))
 
 
+def test_mask_array_is_built_once_and_read_only():
+    basis = spin_closure(8)
+    arr = basis.mask_array
+    assert arr.dtype == np.int64 and arr.tolist() == list(basis.masks)
+    assert basis.mask_array is arr
+    with pytest.raises(ValueError):
+        arr[0] = 0
+
+
 def test_scalar_never_appears():
     for n in range(3, 13):
         assert 0 not in spin_closure(n).masks
