@@ -3,14 +3,14 @@
 Every bracket of two basis blades is zero or +-2 times the XOR blade,
 so center, derived algebra, Killing form, rank and the two-ideal split
 are all mask combinatorics.  analyze runs only the mask-native core on
-the closure that blade_closure proves bracket-closed: a partner sweep,
-one Walsh-Hadamard transform, whose blades without a partner span the
-center and whose other blades span the derived algebra; the diagonal
-Killing form K_ii = 4 b_i^2 partners_i; a greedy torus of commuting
-blades that is its own centralizer by construction (rank); and the
-central idempotents (1 +- omega)/2 for the split, certified by O(d)
-checks on the masks.  Each function of the core states its proof in
-its docstring.
+the closure that blade_closure proves bracket-closed: the central
+blades, which are the blades commuting with every generator
+(central_blades) and whose complement spans the derived algebra; the
+diagonal Killing form, negative exactly on the non-central blades of
+grade 2 or 3 mod 4; a greedy torus of commuting blades that is its own
+centralizer by construction (rank); and the central idempotents
+(1 +- omega)/2 for the split, certified by O(d) checks on the masks.
+Each function of the core states its proof in its docstring.
 
 The dense structure table, the mod-p rank probe (rank_trials,
 rank_estimate), the leading-minor Killing test and the Fraction split
@@ -407,79 +407,69 @@ def split_check_fractions(basis: ClosureBasis) -> SplitResult:
 # --- the mask-native core: everything analyze runs ------------------------
 
 def _anticommute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean array: the blades a and b anticommute (|a||b| - |a & b| odd)."""
-    pa = np.bitwise_count(a) & 1
-    pb = np.bitwise_count(b) & 1
-    return ((pa & pb) ^ (np.bitwise_count(a & b) & 1)).astype(bool)
+    """Boolean array: the blades a and b anticommute (|a||b| - |a & b| odd).
 
-
-def _walsh_hadamard(a) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of a length-2^n array, as a new int64 array.
-
-    Entry u of the result is sum over x of a(x) (-1)^|u & x|.  Applying
-    it twice multiplies by 2^n.  One butterfly pass per bit, so O(n 2^n)
-    additions.
+    For even |b| that is |a & b| odd; for odd |b| it is |a| - |a & b| =
+    |a & ~b| odd.  So one popcount of a & h_b decides, with h_b = b or ~b.
     """
-    out = np.array(a, dtype=np.int64)
-    size = out.size
-    h = 1
-    while h < size:
-        v = out.reshape(size // (2 * h), 2, h)
-        low = v[:, 0, :].copy()
-        v[:, 0, :] += v[:, 1, :]
-        np.subtract(low, v[:, 1, :], out=v[:, 1, :])
-        h *= 2
-    return out
+    h = np.where(np.bitwise_count(b) & 1, ~b, b)
+    return (np.bitwise_count(a & h) & 1).astype(bool)
 
 
-def partner_sweep(basis: ClosureBasis) -> np.ndarray:
-    """Anticommuting-partner count of each blade of a bracket-closed basis.
+def _square_is_minus_one(masks) -> np.ndarray:
+    """Boolean array: the blade squares to -1, which is grade 2 or 3 mod 4.
 
-    Partners: a and y commute up to (-1)^q(a, y) with
-    q(a, y) = p_a p_y + |a & y| mod 2 and p the grade parity, which is
-    (-1)^|h_a & y| with h_a = a for even |a| and h_a = a ^ full for odd
-    |a| (then p_y + |a & y| = |y| - |a & y| mod 2).  Summed over the
-    basis S that is S^(h_a), the transform of its membership array, so
-    a has (|S| - S^(h_a)) / 2 partners.
+    Reversing the k factors of a grade-k blade takes k(k-1)/2 swaps, and
+    b reverse(b) = 1 because each v_i squares to 1, so
+    b^2 = (-1)^(k(k-1)/2), which is -1 exactly for k == 2, 3 mod 4.
+    """
+    grade = np.bitwise_count(np.asarray(masks, dtype=np.int64)) % 4
+    return (grade == 2) | (grade == 3)
 
-    Center: for a fixed t the map i -> i ^ t is injective, so in
-    [x, b_t] = sum over i anticommuting with t of x_i [b_i, b_t] every
-    term lands on its own blade, and [x, b_t] = 0 forces x_i = 0.  Hence
-    the center is spanned by the blades with no partner.
+
+def central_blades(basis: ClosureBasis) -> np.ndarray:
+    """One bool per blade of the closure of basis.provenance: True when it is central.
+
+    The rule: a blade of the closure L is central iff it commutes with
+    every generator.  One _anticommute call per generator, so O(n d)
+    for the n spin generators, with nothing of length 2^n.
+
+    Center.  Say a blade x of the basis S is a partner of a when the
+    two anticommute.  For a fixed t the map i -> i ^ t is injective, so
+    in [x, b_t] = sum over i anticommuting with t of x_i [b_i, b_t]
+    every term lands on its own blade, and [x, b_t] = 0 forces x_i = 0.
+    Hence the center is spanned by the blades with no partner.  Those
+    commute with every generator, because the generators lie in S.
+    Conversely ad(a) is a derivation, so if it kills every generator
+    it kills every bracket of generators, which span L; then a has no
+    partner, since a partner x gives [a, b_x] = +-2 b_(a ^ x) != 0.
 
     Derived algebra: it is spanned by the brackets [b_x, b_y] = +-2 b_(x ^ y)
     of anticommuting pairs, and distinct blades are independent, so it
-    is spanned by the blades c = x ^ y.  These are exactly the blades of
-    S with a partner, because q is bilinear over F_2 with q(a, a) = 0:
+    is spanned by the blades c = x ^ y.  a and y commute up to
+    (-1)^q(a, y) with q(a, y) = p_a p_y + |a & y| mod 2 and p the grade
+    parity; q is bilinear over F_2 with q(a, a) = 0, so these are
+    exactly the blades of S with a partner:
     - if c in S has a partner x, then y = x ^ c is in S by closure, and
       q(x, y) = q(x, x) + q(x, c) = 1, so c = x ^ y is a bracket;
     - if c = x ^ y with q(x, y) = 1, then c is in S by closure, and
       q(x, c) = q(x, x) + q(x, y) = 1, so x is a partner of c.
-    So the derived dimension is d minus the center dimension.
+    So the derived dimension is d minus the number of central blades.
+
+    Killing form: it is diagonal, K_ii = 4 b_i^2 partners_i.  For i != j,
+    ad b_i o ad b_j sends each b_k to a multiple of b_(k ^ mask_i ^ mask_j),
+    a translation of the masks by a nonzero XOR, so no basis blade maps
+    to itself and the trace is 0.  On the diagonal,
+    [b_i, [b_i, b_k]] = 4 b_i^2 b_k when b_k anticommutes with b_i and
+    0 otherwise.  So K_ii < 0 iff b_i^2 = -1 (_square_is_minus_one) and
+    b_i is not central, and the form is negative definite exactly when
+    that holds for every blade.
     """
-    n = basis.n
     masks = basis.mask_array
-    present = np.zeros(1 << n, dtype=bool)
-    present[masks] = True
-    s_hat = _walsh_hadamard(present)
-    h = np.where(np.bitwise_count(masks) & 1, masks ^ ((1 << n) - 1), masks)
-    return (len(masks) - s_hat[h]) // 2
-
-
-def mask_killing_diagonal(masks, partners: np.ndarray) -> np.ndarray:
-    """Killing form of a blade basis, which is diagonal: K_ii = 4 b_i^2 partners_i.
-
-    Off the diagonal: for i != j, ad b_i o ad b_j sends each b_k to a
-    multiple of b_{k ^ mask_i ^ mask_j}, a translation of the masks by a
-    nonzero XOR, so no basis blade maps to itself and the trace is 0.  On
-    the diagonal, [b_i, [b_i, b_k]] = 4 b_i^2 b_k when b_k anticommutes
-    with b_i and 0 otherwise.  The square b_i^2 = (-1)^(k(k-1)/2) for a
-    blade of grade k is computed here, not assumed.  So the form is
-    negative definite exactly when every entry is below 0.
-    """
-    grade = np.bitwise_count(np.asarray(masks, dtype=np.int64)).astype(np.int64)
-    square = 1 - 2 * ((grade * (grade - 1) // 2) & 1)
-    return 4 * square * np.asarray(partners, dtype=np.int64)
+    anti = np.zeros(masks.size, dtype=bool)
+    for g in basis.provenance:
+        anti |= _anticommute(masks, np.int64(g))
+    return ~anti
 
 
 def is_compact_basis(masks) -> bool:
@@ -493,8 +483,7 @@ def is_compact_basis(masks) -> bool:
     so(2^n).  This holds at n = 3 as well, where the Killing form is
     degenerate.
     """
-    grade = np.bitwise_count(np.asarray(masks, dtype=np.int64)) % 4
-    return bool(np.all((grade == 2) | (grade == 3)))
+    return bool(np.all(_square_is_minus_one(masks)))
 
 
 def greedy_torus(masks) -> tuple[int, ...]:
@@ -511,7 +500,7 @@ def greedy_torus(masks) -> tuple[int, ...]:
         with.  If x = sum x_i b_i commutes with span(T), then for each t
         in T the terms of [x, b_t] = sum x_i [b_i, b_t] over the b_i
         anticommuting with t land on distinct blades b_{i ^ t} (the
-        injectivity argument of partner_sweep), so all those x_i are 0.
+        injectivity argument of central_blades), so all those x_i are 0.
         Hence the centralizer of span(T) is span(T) itself, and T is
         maximal abelian.
     (c) When is_compact_basis holds as well, a maximal abelian
@@ -534,7 +523,8 @@ def greedy_torus(masks) -> tuple[int, ...]:
 def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     """Certify the split of the closure into the two top-blade eigenspaces.
 
-    Premise: the basis is bracket-closed.  analyze passes the output of
+    Premise: the basis is the bracket closure of basis.provenance, with
+    its masks in ascending order.  analyze passes the output of
     blade_closure, whose breadth-first-walk proof makes it so.
 
     Proof of the split: when omega = v1...vn is central with omega^2 = 1,
@@ -546,10 +536,15 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     the pairs e_m +- s_m e_{m ^ full}, one per complement pair, give both
     of them dimension d/2.
 
-    So the certificate is its three preconditions, each an O(d) check:
-    omega^2 by blade_product, centrality as no blade anticommuting with
-    the top blade, and closure under complement as membership of
-    masks ^ full in masks.  When they hold, the proof covers every pair
+    So the certificate is its three preconditions: omega^2 by
+    blade_product; centrality as no generator anticommuting with the
+    top blade, O(n), since ad(omega) is a derivation that then kills
+    every bracket of generators (the rule of central_blades); and
+    closure under complement, O(d): masks ^ full = full - masks reverses
+    the ascending order, so it holds iff masks ^ full equals the masks
+    reversed.  At the first difference the larger of the two entries is
+    missing from the other array, which names a mask whose complement
+    is missing.  When they hold, the proof covers every pair
     of eigenvectors at once.  seed is accepted for compatibility and
     ignored: nothing is sampled.
     """
@@ -561,13 +556,14 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     if omega_sq != 1:
         return SplitResult(n=n, applicable=False, reason="top blade squares to -1 when n == 3 mod 4")
 
-    masks = basis.mask_array
-    if np.any(_anticommute(masks, np.int64(full))):
+    if np.any(_anticommute(np.array(basis.provenance, dtype=np.int64), np.int64(full))):
         return SplitResult(n=n, applicable=True, omega_central=False, omega_square=omega_sq,
                            reason="top blade failed centrality or square check")
-    missing = ~np.isin(masks ^ full, masks)
-    if np.any(missing):
-        m = int(masks[np.argmax(missing)])
+    masks = basis.mask_array
+    comp, back = masks ^ full, masks[::-1]
+    if not np.array_equal(comp, back):
+        i = int(np.argmax(comp != back))
+        m = int(masks[i] if comp[i] > back[i] else back[i])
         return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
                            reason=f"complement of {m:#x} missing from basis")
     return _split_result(n, len(masks) // 2, True, True, True)
@@ -588,7 +584,7 @@ class AnalysisBundle:
     n: int
     basis: ClosureBasis
     center: int
-    killing_diag: np.ndarray
+    central: np.ndarray
     killing_ok: bool
     killing_detail: str
     torus: tuple[int, ...]
@@ -620,7 +616,7 @@ def analyze(
 
     The closure is bracket-closed by the proof of blade_closure, which
     every later stage takes as its premise; the derived dimension is
-    d minus the center (partner_sweep).  Every check is a deterministic
+    d minus the center (central_blades).  Every check is a deterministic
     certificate, so seed is accepted and ignored, and exact_killing may
     be True or None but not False.
     """
@@ -632,12 +628,11 @@ def analyze(
     with stage(timings, "closure"):
         basis = blade_closure(n, spin_generators(n).masks, allow_large=allow_large)
     with stage(timings, "structure"):
-        partners = partner_sweep(basis)
+        central = central_blades(basis)
     with stage(timings, "center"):
-        center = int(np.count_nonzero(partners == 0))
+        center = int(np.count_nonzero(central))
     with stage(timings, "killing"):
-        diag = mask_killing_diagonal(basis.mask_array, partners)
-        bad = int(np.count_nonzero(diag >= 0))
+        bad = int(np.count_nonzero(central | ~_square_is_minus_one(basis.mask_array)))
         if bad:
             killing_detail = f"diagonal, K_ii >= 0 for {bad} of d={basis.dim} blades"
         else:
@@ -652,7 +647,7 @@ def analyze(
         n=n,
         basis=basis,
         center=center,
-        killing_diag=diag,
+        central=central,
         killing_ok=not bad,
         killing_detail=killing_detail,
         torus=torus,

@@ -29,14 +29,14 @@ from .linalg import EchelonBasis
 #: Closures above this ambient dimension need an explicit opt-in.
 DEFAULT_AMBIENT_CAP = 16
 #: Hard ceiling on memory: the closure holds a bool and an int32 array of
-#: length 2^n and the partner sweep an int64 one (128 MiB at n = 24), and
-#: the peak of a run roughly doubles with each step of n.
+#: length 2^n, the masks take 8 bytes per blade after it, and the peak of
+#: a run roughly doubles with each step of n.
 MAX_AMBIENT = 24
 
 
 @dataclass(frozen=True)
 class ClosureBasis:
-    """Canonical blade-mask spanning set of a bracket-closed subalgebra."""
+    """Canonical blade-mask spanning set of a bracket-closed subalgebra, masks ascending."""
 
     n: int
     masks: tuple[int, ...]
@@ -52,9 +52,6 @@ class ClosureBasis:
         masks = np.array(self.masks, dtype=np.int64)
         masks.flags.writeable = False
         return masks
-
-    def index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.masks)}
 
     def is_closed(self) -> bool:
         """Re-check the defining closure property (quadratic, for tests)."""

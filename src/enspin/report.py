@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .analysis import AnalysisBundle, analyze, classify_bundle, stage
+from .analysis import AnalysisBundle, analyze, classify_bundle, is_compact_basis, stage
 from .bott import bott_algebra, max_compact
 from .closure import lemma_containment_check
 from .deltas import delta_closed, delta_identities, lower_bound_dim
@@ -74,12 +74,12 @@ def _killing_outcome(bundle: AnalysisBundle) -> CheckOutcome:
     if bundle.n >= 4:
         return _outcome(bundle.killing_ok, bundle.killing_detail)
     # n = 3: the form is degenerate by design; the check is that its
-    # radical is exactly the top-blade line and the rest is negative.
-    diag = bundle.killing_diag
-    full = (1 << bundle.n) - 1
-    top = bundle.basis.masks.index(full)
-    zeros = {i for i, v in enumerate(diag) if v == 0}
-    ok = zeros == {top} and all(int(diag[i]) < 0 for i in range(len(diag)) if i != top)
+    # radical is exactly the top-blade line and the rest is negative,
+    # that is, the top blade is the only central blade and every other
+    # blade squares to -1 (central_blades).
+    masks = bundle.basis.mask_array
+    top = masks == (1 << bundle.n) - 1
+    ok = bool((bundle.central == top).all()) and is_compact_basis(masks[~top])
     return _outcome(ok, "degenerate with radical spanned by the top blade")
 
 

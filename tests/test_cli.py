@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -358,6 +359,19 @@ def test_cli_never_reaches_the_float_gemm(capsys, monkeypatch, argv):
 
     monkeypatch.setattr("enspin.linalg._rank_mod_p_blocked", gemm)
     assert run_cli(capsys, *argv)[0] == 0
+
+
+# -- benchmark tracer --------------------------------------------------------
+
+def test_tracer_bindings_resolve():
+    """Every function the benchmark tracer rebinds still exists where it looks."""
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(module, attr) for module, attr, _ in tracer.BINDINGS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert not missing
 
 
 # -- demos -------------------------------------------------------------------

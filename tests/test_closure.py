@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enspin.analysis import _walsh_hadamard, greedy_torus, mask_killing_diagonal, partner_sweep
+from enspin.analysis import central_blades, greedy_torus
 from enspin.bott import max_compact
 from enspin.clifford import Multivector, blades_anticommute
 from enspin.closure import (
@@ -27,6 +27,58 @@ EXPECTED_DIMS = {
 
 def spin_closure(n):
     return blade_closure(n, spin_generators(n).masks)
+
+
+def _walsh_hadamard(a) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of a length-2^n array, as a new int64 array.
+
+    Entry u of the result is sum over x of a(x) (-1)^|u & x|.  Applying
+    it twice multiplies by 2^n.  One butterfly pass per bit, so O(n 2^n)
+    additions.
+    """
+    out = np.array(a, dtype=np.int64)
+    size = out.size
+    h = 1
+    while h < size:
+        v = out.reshape(size // (2 * h), 2, h)
+        low = v[:, 0, :].copy()
+        v[:, 0, :] += v[:, 1, :]
+        np.subtract(low, v[:, 1, :], out=v[:, 1, :])
+        h *= 2
+    return out
+
+
+def partner_sweep(basis):
+    """Oracle for central_blades: the anticommuting-partner count of each blade.
+
+    a and y commute up to (-1)^q(a, y) with q(a, y) = p_a p_y + |a & y|
+    mod 2 and p the grade parity, which is (-1)^|h_a & y| with h_a = a
+    for even |a| and h_a = a ^ full for odd |a| (then
+    p_y + |a & y| = |y| - |a & y| mod 2).  Summed over the basis S that
+    is S^(h_a), the transform of its membership array, so a has
+    (|S| - S^(h_a)) / 2 partners.  The central blades are those with
+    none, and the derived algebra is spanned by the rest (the lemmas of
+    central_blades).
+    """
+    n = basis.n
+    masks = basis.mask_array
+    present = np.zeros(1 << n, dtype=bool)
+    present[masks] = True
+    s_hat = _walsh_hadamard(present)
+    h = np.where(np.bitwise_count(masks) & 1, masks ^ ((1 << n) - 1), masks)
+    return (len(masks) - s_hat[h]) // 2
+
+
+def mask_killing_diagonal(masks, partners):
+    """Oracle for the Killing sign rule: K_ii = 4 b_i^2 partners_i, as int64.
+
+    The square b_i^2 = (-1)^(k(k-1)/2) for a blade of grade k is computed
+    here from the grade.  The form is diagonal (central_blades), so it
+    is negative definite exactly when every entry is below 0.
+    """
+    grade = np.bitwise_count(np.asarray(masks, dtype=np.int64)).astype(np.int64)
+    square = 1 - 2 * ((grade * (grade - 1) // 2) & 1)
+    return 4 * square * np.asarray(partners, dtype=np.int64)
 
 
 def anticommuting_pair_counts(s):
@@ -139,6 +191,7 @@ def test_large_spin_closure_dimension(n):
     # no center, so the derived algebra is all of it, and the Killing form is negative definite
     partners = partner_sweep(basis)
     assert np.all(partners > 0)
+    assert not np.any(central_blades(basis))
     assert np.all(mask_killing_diagonal(basis.masks, partners) < 0)
 
 
@@ -151,9 +204,12 @@ def test_spin_closure_matches_set_worklist_oracle():
 def test_partner_sweep_matches_pairwise_count(case):
     n, gens = case
     masks = oracle_closure(gens)
-    partners = partner_sweep(ClosureBasis(n=n, masks=masks, provenance=tuple(sorted(set(gens)))))
+    basis = ClosureBasis(n=n, masks=masks, provenance=tuple(sorted(set(gens))))
+    partners = partner_sweep(basis)
     want = [sum(blades_anticommute(a, b) for b in masks) for a in masks]
     assert partners.tolist() == want
+    # the center rule: central exactly when commuting with every generator
+    assert np.array_equal(central_blades(basis), partners == 0)
     # the derived-algebra lemma: the blades with a partner are exactly the brackets
     with_partner = {m for m, k in zip(masks, partners.tolist()) if k > 0}
     assert with_partner == {a ^ b for a in masks for b in masks if blades_anticommute(a, b)}

@@ -9,12 +9,11 @@ from enspin.analysis import (
     _anticommute,
     analyze,
     center_dim,
+    central_blades,
     derived_dim,
     greedy_torus,
     is_compact_basis,
     killing_diagonal,
-    mask_killing_diagonal,
-    partner_sweep,
     rank_estimate,
     split_check,
     split_check_fractions,
@@ -24,7 +23,7 @@ from enspin.bott import max_compact
 from enspin.clifford import Blade, blade_product, blades_anticommute
 from enspin.closure import ClosureBasis, blade_closure
 from enspin.spinrep import spin_generators
-from test_closure import anticommuting_pair_counts
+from test_closure import anticommuting_pair_counts, mask_killing_diagonal, partner_sweep
 
 CLOSURES = {n: blade_closure(n, spin_generators(n).masks) for n in range(3, 11)}
 
@@ -50,7 +49,7 @@ def greedy_torus_reference(masks) -> tuple[int, ...]:
 def centralizer_masks(masks, torus) -> tuple[int, ...]:
     """The blades among masks that commute with every blade of torus.
 
-    By the injectivity argument of partner_sweep, the centralizer of
+    By the injectivity argument of central_blades, the centralizer of
     span(torus) is spanned by exactly these blades.
     """
     m = np.asarray(masks, dtype=np.int64)
@@ -168,6 +167,9 @@ def test_mask_core_matches_table_oracles(n):
     assert np.array_equal(mask_killing_diagonal(basis.masks, partners), killing_diagonal(sc))
     assert center == center_dim(sc)
     assert basis.dim - center == derived_dim(sc)
+    central = central_blades(basis)
+    assert int(np.count_nonzero(central)) == center_dim(sc)
+    assert np.array_equal(central, killing_diagonal(sc) == 0)
     torus = greedy_torus(basis.masks)
     assert torus_is_cartan(basis.masks, torus)
     assert len(torus) == rank_estimate(sc, trials=5, seed=0)
@@ -221,6 +223,11 @@ def test_split_fails_without_one_complement_mask():
     res = split_check(dropped)
     assert not res.passed
     assert "complement" in res.reason
+    # the named mask is in the basis and its complement is not, wherever the hole is
+    for k in (0, 1, basis.dim // 2, basis.dim - 1):
+        probe = ClosureBasis(n=9, masks=basis.masks[:k] + basis.masks[k + 1:], provenance=basis.provenance)
+        named = int(split_check(probe).reason.split()[2], 16)
+        assert named in probe.masks and named ^ 0x1FF not in probe.masks, k
 
 
 @pytest.mark.parametrize("n", range(3, 17))
