@@ -31,7 +31,7 @@ import numpy as np
 
 from .bott import CompactTypeDescriptor, max_compact
 from .clifford import Blade, Multivector, blade_product, bracket, mv_product
-from .closure import ClosureBasis, blade_closure
+from .closure import ClosureBasis, blade_closure, check_ambient
 from .linalg import (
     DEFAULT_PRIMES,
     EchelonBasis,
@@ -622,6 +622,7 @@ def analyze(
     """
     if n < 3:
         raise ValueError(f"analysis needs n >= 3, got {n}")
+    check_ambient(n, allow_large)
     if exact_killing is False:
         raise ValueError("the probabilistic Killing mode is retired; the Killing check is always exact")
     timings: dict[str, float] = {}

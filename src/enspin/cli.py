@@ -39,6 +39,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
     if args.n < 3:
         return _usage_error(f"closure needs --n >= 3, got {args.n}")
     try:
+        check_ambient(args.n, args.allow_large)
         basis = blade_closure(args.n, spin_generators(args.n).masks, allow_large=args.allow_large)
     except ValueError as e:
         return _usage_error(str(e))

@@ -6,12 +6,11 @@ generated by blades is spanned by blades, and the closure is the least
 mask set that holds the XOR of every anticommuting pair it contains.
 blade_closure reaches that set by a breadth-first walk from the
 generators, one generator step at a time, because the algebra is
-spanned by right-normed brackets; it does O(n d) mask operations for a
-closure of dimension d and holds a bool and an int32 array of length 2^n.
-Its proof is the certificate that the result is bracket-closed, which
-the analysis rests on.  The general route brackets arbitrary
-multivectors and sifts the results into an exact echelon basis; it
-exists to cross-validate the fast route.
+spanned by right-normed brackets: O(n d) mask operations for a closure
+of dimension d on a bool and an int32 array of length 2^n, and after it
+one int64 array, 8 bytes per blade and no Python int per blade.  Its
+proof certifies that the result is bracket-closed.  The general route,
+which cross-validates it, sifts brackets into an exact echelon basis.
 """
 
 from __future__ import annotations
@@ -28,30 +27,30 @@ from .linalg import EchelonBasis
 
 #: Closures above this ambient dimension need an explicit opt-in.
 DEFAULT_AMBIENT_CAP = 16
-#: Hard ceiling on memory: the closure holds a bool and an int32 array of
-#: length 2^n, the masks take 8 bytes per blade after it, and the peak of
-#: a run roughly doubles with each step of n.
+#: Hard ceiling on memory: the walk holds a bool and an int32 array of
+#: length 2^n, after it a run holds 8 bytes per blade and no Python int
+#: per blade, and the peak of a run roughly doubles with each step of n.
 MAX_AMBIENT = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureBasis:
-    """Canonical blade-mask spanning set of a bracket-closed subalgebra, masks ascending."""
+    """Blade masks of a bracket-closed subalgebra.
+
+    mask_array is ascending, read-only int64 and what every stage reads
+    (split_check relies on the order); masks, its tuple, is built on read."""
 
     n: int
-    masks: tuple[int, ...]
+    mask_array: np.ndarray
     provenance: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.masks)
+        return self.mask_array.size
 
     @cached_property
-    def mask_array(self) -> np.ndarray:
-        """The masks as a read-only int64 array, built once and shared by every stage."""
-        masks = np.array(self.masks, dtype=np.int64)
-        masks.flags.writeable = False
-        return masks
+    def masks(self) -> tuple[int, ...]:
+        return tuple(self.mask_array.tolist())
 
     def is_closed(self) -> bool:
         """Re-check the defining closure property (quadratic, for tests)."""
@@ -148,7 +147,9 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
         slot[fresh] = at
         frontier = fresh[slot[fresh] == at]
         present[frontier] = True
-    return ClosureBasis(n=n, masks=tuple(np.flatnonzero(present).tolist()), provenance=tuple(gens))
+    masks = np.flatnonzero(present)
+    masks.flags.writeable = False
+    return ClosureBasis(n=n, mask_array=masks, provenance=tuple(gens))
 
 
 def predicted_masks(n: int) -> frozenset[int]:

@@ -129,8 +129,8 @@ def run_verification(
 
     checks["killing"] = _killing_outcome(bundle)
 
-    expected_rank = 2 if n == 3 else max_compact(n).rank()
-    r = bundle.rank
+    cls = classify_bundle(bundle)
+    r, expected_rank = bundle.rank, cls.matched_type.rank()
     certified = "is self-centralizing" if bundle.rank_certified else "is not a certified Cartan subalgebra"
     checks["rank"] = _outcome(
         bundle.rank_certified and r == expected_rank,
@@ -157,16 +157,12 @@ def run_verification(
         else:
             checks["roots"] = _skipped("infinite type beyond rank 8")
 
-    cls = classify_bundle(bundle)
     detail = cls.display
     if cls.failures:
         detail += ": " + "; ".join(cls.failures)
     checks["classify"] = _outcome(cls.verdict, detail)
 
-    if not with_timings:
-        timings = {k: 0.0 for k in timings}
-    else:
-        timings = {k: round(v, 3) for k, v in timings.items()}
+    timings = {k: round(v, 3) if with_timings else 0.0 for k, v in timings.items()}
 
     return VerificationReport(
         n=n,

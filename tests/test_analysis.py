@@ -66,7 +66,8 @@ def test_structure_constants_coefficients_are_plus_minus_two():
 
 
 def test_structure_constants_reject_unclosed_basis():
-    broken = ClosureBasis(n=3, masks=(0b011, 0b110), provenance=(0b011, 0b110))
+    broken = ClosureBasis(n=3, mask_array=np.array((0b011, 0b110), dtype=np.int64),
+                          provenance=(0b011, 0b110))
     with pytest.raises(ValueError):
         structure_constants(broken)
 

@@ -48,11 +48,18 @@ def test_verify_rejects_bad_range(capsys):
     ("verify", "--from", "3", "--to", "25", "--allow-large"),
     ("report", "--to", "17"),
     ("report", "--to", "25", "--allow-large"),
+    ("closure", "--n", "17"),
+    ("closure", "--n", "25", "--allow-large"),
+    ("classify", "--n", "17"),
+    ("classify", "--n", "25", "--allow-large"),
 ])
 def test_over_cap_range_fails_before_any_work(capsys, monkeypatch, argv):
     calls = []
     monkeypatch.setattr("enspin.cli.run_verification", lambda *a, **k: calls.append(a))
     monkeypatch.setattr("enspin.closure.blade_closure", lambda *a, **k: calls.append(a))
+    # the spin generators alone are O(n^2) bits, so the refusal must come first
+    monkeypatch.setattr("enspin.cli.spin_generators", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("enspin.analysis.spin_generators", lambda *a, **k: calls.append(a))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err and out == ""

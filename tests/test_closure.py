@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enspin.analysis import central_blades, greedy_torus
+from enspin.analysis import central_blades, classify, greedy_torus
 from enspin.bott import max_compact
 from enspin.clifford import Multivector, blades_anticommute
 from enspin.closure import (
@@ -17,6 +17,7 @@ from enspin.closure import (
     predicted_masks,
 )
 from enspin.deltas import lower_bound_dim
+from enspin.report import algebra_table, run_verification
 from enspin.spinrep import spin_generators
 
 EXPECTED_DIMS = {
@@ -204,7 +205,8 @@ def test_spin_closure_matches_set_worklist_oracle():
 def test_partner_sweep_matches_pairwise_count(case):
     n, gens = case
     masks = oracle_closure(gens)
-    basis = ClosureBasis(n=n, masks=masks, provenance=tuple(sorted(set(gens))))
+    basis = ClosureBasis(n=n, mask_array=np.array(masks, dtype=np.int64),
+                         provenance=tuple(sorted(set(gens))))
     partners = partner_sweep(basis)
     want = [sum(blades_anticommute(a, b) for b in masks) for a in masks]
     assert partners.tolist() == want
@@ -275,10 +277,24 @@ def test_masks_are_sorted_and_unique():
 def test_mask_array_is_built_once_and_read_only():
     basis = spin_closure(8)
     arr = basis.mask_array
-    assert arr.dtype == np.int64 and arr.tolist() == list(basis.masks)
-    assert basis.mask_array is arr
+    assert arr.dtype == np.int64 and np.all(arr[1:] > arr[:-1])
     with pytest.raises(ValueError):
         arr[0] = 0
+    masks = basis.masks
+    assert basis.masks is masks
+    assert masks == tuple(arr.tolist())
+
+
+def test_computing_paths_never_build_the_mask_tuple(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a computing path read ClosureBasis.masks")
+
+    monkeypatch.setattr(ClosureBasis, "masks", property(refuse))
+    # n=3 is the Killing special case; the split is applicable at n=5 and 9
+    for n in range(3, 10):
+        assert run_verification(n).verdict, n
+    assert classify(6).verdict
+    assert algebra_table(12)[-1].closure_dim == lower_bound_dim(12)
 
 
 def test_scalar_never_appears():
@@ -324,7 +340,7 @@ def test_lemma_check_matches_set_reference(n):
     if n >= 4:
         cases.append(tuple(sorted(masks + (0b1111,))))
     for case in cases:
-        probe = ClosureBasis(n=n, masks=case, provenance=basis.provenance)
+        probe = ClosureBasis(n=n, mask_array=np.array(case, dtype=np.int64), provenance=basis.provenance)
         assert lemma_containment_check(n, probe) == lemma_reference(n, probe), (n, len(case))
 
 
@@ -403,6 +419,7 @@ def test_general_closure_rejects_bad_input():
 
 def test_is_closed_detects_a_hole():
     # v1v2 and v2v3 anticommute; dropping their bracket target breaks closure
-    broken = ClosureBasis(n=3, masks=(0b011, 0b110), provenance=(0b011, 0b110))
+    broken = ClosureBasis(n=3, mask_array=np.array((0b011, 0b110), dtype=np.int64),
+                          provenance=(0b011, 0b110))
     assert blades_anticommute(0b011, 0b110)
     assert not broken.is_closed()

@@ -219,13 +219,15 @@ def test_split_fails_on_one_flipped_eigenvector(n):
 
 def test_split_fails_without_one_complement_mask():
     basis = CLOSURES[9]
-    dropped = ClosureBasis(n=9, masks=basis.masks[1:], provenance=basis.provenance)
+    dropped = ClosureBasis(n=9, mask_array=np.array(basis.masks[1:], dtype=np.int64),
+                           provenance=basis.provenance)
     res = split_check(dropped)
     assert not res.passed
     assert "complement" in res.reason
     # the named mask is in the basis and its complement is not, wherever the hole is
     for k in (0, 1, basis.dim // 2, basis.dim - 1):
-        probe = ClosureBasis(n=9, masks=basis.masks[:k] + basis.masks[k + 1:], provenance=basis.provenance)
+        probe = ClosureBasis(n=9, mask_array=np.array(basis.masks[:k] + basis.masks[k + 1:], dtype=np.int64),
+                             provenance=basis.provenance)
         named = int(split_check(probe).reason.split()[2], 16)
         assert named in probe.masks and named ^ 0x1FF not in probe.masks, k
 
