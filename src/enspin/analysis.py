@@ -605,13 +605,7 @@ class AnalysisBundle:
         return "exact"
 
 
-def analyze(
-    n: int,
-    *,
-    seed: int = 0,
-    allow_large: bool = False,
-    exact_killing: bool | None = None,
-) -> AnalysisBundle:
+def analyze(n: int, *, seed: int = 0, exact_killing: bool | None = None) -> AnalysisBundle:
     """Run the full invariant battery for one ambient dimension, on masks only.
 
     The closure is bracket-closed by the proof of blade_closure, which
@@ -622,12 +616,12 @@ def analyze(
     """
     if n < 3:
         raise ValueError(f"analysis needs n >= 3, got {n}")
-    check_ambient(n, allow_large)
+    check_ambient(n)
     if exact_killing is False:
         raise ValueError("the probabilistic Killing mode is retired; the Killing check is always exact")
     timings: dict[str, float] = {}
     with stage(timings, "closure"):
-        basis = blade_closure(n, spin_generators(n).masks, allow_large=allow_large)
+        basis = blade_closure(n, spin_generators(n).masks)
     with stage(timings, "structure"):
         central = central_blades(basis)
     with stage(timings, "center"):
@@ -747,12 +741,7 @@ def classify_bundle(bundle: AnalysisBundle) -> ClassificationResult:
     )
 
 
-def classify(
-    n: int,
-    *,
-    seed: int = 0,
-    allow_large: bool = False,
-) -> ClassificationResult:
+def classify(n: int, *, seed: int = 0) -> ClassificationResult:
     """Compute invariants for one n and return the matched compact type."""
-    bundle = analyze(n, seed=seed, allow_large=allow_large)
+    bundle = analyze(n, seed=seed)
     return classify_bundle(bundle)

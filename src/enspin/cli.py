@@ -14,7 +14,7 @@ import sys
 
 from .analysis import classify
 from .clifford import Blade
-from .closure import blade_closure, check_ambient
+from .closure import MAX_AMBIENT, blade_closure, check_ambient
 from .deltas import delta_closed, delta_identities, delta_sum
 from .report import (
     algebra_table,
@@ -39,8 +39,8 @@ def cmd_closure(args: argparse.Namespace) -> int:
     if args.n < 3:
         return _usage_error(f"closure needs --n >= 3, got {args.n}")
     try:
-        check_ambient(args.n, args.allow_large)
-        basis = blade_closure(args.n, spin_generators(args.n).masks, allow_large=args.allow_large)
+        check_ambient(args.n)
+        basis = blade_closure(args.n, spin_generators(args.n).masks)
     except ValueError as e:
         return _usage_error(str(e))
     if args.format == "json":
@@ -79,7 +79,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.n < 3:
         return _usage_error(f"classify needs --n >= 3, got {args.n}")
     try:
-        result = classify(args.n, seed=args.seed, allow_large=args.allow_large)
+        result = classify(args.n, seed=args.seed)
     except ValueError as e:
         return _usage_error(str(e))
     if args.format == "json":
@@ -93,9 +93,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0 if result.verdict else 1
 
 
-def _verify_worker(task: tuple[int, bool, bool]) -> "object":
-    n, allow_large, with_timings = task
-    return run_verification(n, allow_large=allow_large, with_timings=with_timings)
+def _verify_worker(task: tuple[int, bool]) -> "object":
+    n, with_timings = task
+    return run_verification(n, with_timings=with_timings)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -106,9 +106,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"--to {hi} is below --from {lo}")
     if args.jobs < 1:
         return _usage_error(f"verify needs --jobs >= 1, got {args.jobs}")
-    tasks = [(n, args.allow_large, not args.no_timings) for n in range(lo, hi + 1)]
+    tasks = [(n, not args.no_timings) for n in range(lo, hi + 1)]
     try:
-        check_ambient(hi, args.allow_large)
+        check_ambient(hi)
         if args.jobs > 1 and len(tasks) > 1:
             # imported only here: concurrent.futures.process pulls in
             # multiprocessing, which a serial run never uses
@@ -151,7 +151,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.to_n < 2:
         return _usage_error(f"report needs --to >= 2, got {args.to_n}")
     try:
-        rows = algebra_table(args.to_n, allow_large=args.allow_large)
+        rows = algebra_table(args.to_n)
     except ValueError as e:
         return _usage_error(str(e))
     if args.format == "json":
@@ -174,9 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_small_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="json")
 
+    def add_ignored_large(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--allow-large", action="store_true",
+                       help=f"accepted for compatibility and ignored; every n up to {MAX_AMBIENT} runs")
+
     p = sub.add_parser("closure", help="basis of the Lie closure of the spin generators")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
+    add_ignored_large(p)
     add_small_format(p)
     p.set_defaults(func=cmd_closure)
 
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; every check is deterministic")
-    p.add_argument("--allow-large", action="store_true")
+    add_ignored_large(p)
     add_small_format(p)
     p.set_defaults(func=cmd_classify)
 
@@ -200,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; every check is deterministic")
-    p.add_argument("--allow-large", action="store_true")
+    add_ignored_large(p)
     p.add_argument("--no-timings", action="store_true",
                    help="zero out stage timings for byte-stable output")
     p.set_defaults(func=cmd_verify)
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="algebra tables side by side with computed dimensions")
     p.add_argument("--to", dest="to_n", type=int, default=12)
     p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
-    p.add_argument("--allow-large", action="store_true")
+    add_ignored_large(p)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -9,7 +9,9 @@ generators, one generator step at a time, because the algebra is
 spanned by right-normed brackets: O(n d) mask operations for a closure
 of dimension d on a bool and an int32 array of length 2^n, and after it
 one int64 array, 8 bytes per blade and no Python int per blade.  Its
-proof certifies that the result is bracket-closed.  The general route,
+proof certifies that the result is bracket-closed.  One ceiling,
+MAX_AMBIENT, bounds n for every caller, and check_ambient tests it
+before anything is built.  The general route,
 which cross-validates it, sifts brackets into an exact echelon basis.
 """
 
@@ -25,11 +27,10 @@ from .clifford import Multivector, bracket
 from .deltas import lower_bound_dim
 from .linalg import EchelonBasis
 
-#: Closures above this ambient dimension need an explicit opt-in.
-DEFAULT_AMBIENT_CAP = 16
-#: Hard ceiling on memory: the walk holds a bool and an int32 array of
-#: length 2^n, after it a run holds 8 bytes per blade and no Python int
-#: per blade, and the peak of a run roughly doubles with each step of n.
+#: The one ceiling on the ambient dimension, set by memory: the walk
+#: holds a bool and an int32 array of length 2^n, after it a run holds
+#: 8 bytes per blade and no Python int per blade, and the peak of a run
+#: roughly doubles with each step of n (about 215 MiB at n = 24).
 MAX_AMBIENT = 24
 
 
@@ -72,22 +73,16 @@ class ClosureBasis:
         }
 
 
-def check_ambient(n: int, allow_large: bool = False) -> None:
+def check_ambient(n: int) -> None:
     """Raise ValueError unless a closure in ambient dimension n may be built.
 
-    n must be at least 1 and at most MAX_AMBIENT, and above
-    DEFAULT_AMBIENT_CAP only with allow_large.  Nothing is allocated, so
-    a caller can check the top of a range before any work starts.
+    n must be at least 1 and at most MAX_AMBIENT.  Nothing is allocated,
+    so a caller can check the top of a range before any work starts.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
     if n > MAX_AMBIENT:
         raise ValueError(f"ambient dimension {n} exceeds hard ceiling {MAX_AMBIENT}")
-    if n > DEFAULT_AMBIENT_CAP and not allow_large:
-        raise ValueError(
-            f"ambient dimension {n} exceeds default cap {DEFAULT_AMBIENT_CAP}; "
-            "pass allow_large=True to override"
-        )
 
 
 def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = False) -> ClosureBasis:
@@ -122,9 +117,10 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
     0.3 MiB of code, and positions fit in int32 (2^31 candidates would
     take 16 GiB).  Every mask enters the frontier once, so the walk
     does O(|G| d) mask operations for a closure of dimension d, which
-    is O(n d) for the n spin generators.
+    is O(n d) for the n spin generators.  allow_large is accepted for
+    compatibility and ignored: MAX_AMBIENT is the only ceiling.
     """
-    check_ambient(n, allow_large)
+    check_ambient(n)
     gens = sorted({int(g) for g in generators})
     if not gens:
         raise ValueError("generator list is empty")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .analysis import AnalysisBundle, analyze, classify_bundle, is_compact_basis, stage
 from .bott import bott_algebra, max_compact
-from .closure import lemma_containment_check
+from .closure import check_ambient, lemma_containment_check
 from .deltas import delta_closed, delta_identities, lower_bound_dim
 from .roots import positive_roots
 from .spinrep import verify_relations
@@ -83,15 +83,14 @@ def _killing_outcome(bundle: AnalysisBundle) -> CheckOutcome:
     return _outcome(ok, "degenerate with radical spanned by the top blade")
 
 
-def run_verification(
-    n: int,
-    *,
-    allow_large: bool = False,
-    with_timings: bool = True,
-) -> VerificationReport:
-    """All checks for one n, assembled into a single report record."""
+def run_verification(n: int, *, with_timings: bool = True) -> VerificationReport:
+    """All checks for one n, assembled into a single report record.
+
+    The ambient ceiling is checked before any work, the O(n^2)
+    generator relations included."""
     if n < 3:
         raise ValueError(f"verification needs n >= 3, got {n}")
+    check_ambient(n)
     timings: dict[str, float] = {}
     checks: dict[str, CheckOutcome] = {}
 
@@ -102,7 +101,7 @@ def run_verification(
         detail = "; ".join(rel.failures)
     checks["relations"] = _outcome(rel.all_pass, detail)
 
-    bundle = analyze(n, allow_large=allow_large)
+    bundle = analyze(n)
     timings.update(bundle.timings_ms)
 
     with stage(timings, "lemma"):
@@ -232,14 +231,14 @@ class TableRow:
         }
 
 
-def algebra_table(to_n: int, *, allow_large: bool = False) -> list[TableRow]:
+def algebra_table(to_n: int) -> list[TableRow]:
     """Clifford and compact-type descriptors next to computed closure dims."""
-    from .closure import blade_closure, check_ambient
+    from .closure import blade_closure
     from .spinrep import spin_generators
 
     if to_n < 2:
         raise ValueError(f"table needs to_n >= 2, got {to_n}")
-    check_ambient(to_n, allow_large)
+    check_ambient(to_n)
     rows: list[TableRow] = []
     for n in range(2, to_n + 1):
         alg = bott_algebra(n)
@@ -248,7 +247,7 @@ def algebra_table(to_n: int, *, allow_large: bool = False) -> list[TableRow]:
         match: bool | None = None
         note = ""
         if n >= 3:
-            closure_dim = blade_closure(n, spin_generators(n).masks, allow_large=allow_large).dim
+            closure_dim = blade_closure(n, spin_generators(n).masks).dim
         if n == 3:
             note = "image is u(2), one dimension above the listed type"
         elif n >= 4:

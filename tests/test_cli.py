@@ -32,25 +32,19 @@ def test_closure_rejects_small_n(capsys):
     assert "error:" in err
 
 
-def test_closure_rejects_large_n_without_flag(capsys):
-    code, _, err = run_cli(capsys, "closure", "--n", "17")
-    assert code == 2
-    assert "allow_large" in err or "allow-large" in err
-
-
 def test_verify_rejects_bad_range(capsys):
     assert run_cli(capsys, "verify", "--from", "1", "--to", "2")[0] == 2
     assert run_cli(capsys, "verify", "--from", "5", "--to", "4")[0] == 2
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "--from", "3", "--to", "17"),
+    ("verify", "--from", "3", "--to", "25"),
     ("verify", "--from", "3", "--to", "25", "--allow-large"),
-    ("report", "--to", "17"),
+    ("report", "--to", "25"),
     ("report", "--to", "25", "--allow-large"),
-    ("closure", "--n", "17"),
+    ("closure", "--n", "25"),
     ("closure", "--n", "25", "--allow-large"),
-    ("classify", "--n", "17"),
+    ("classify", "--n", "25"),
     ("classify", "--n", "25", "--allow-large"),
 ])
 def test_over_cap_range_fails_before_any_work(capsys, monkeypatch, argv):
@@ -64,6 +58,26 @@ def test_over_cap_range_fails_before_any_work(capsys, monkeypatch, argv):
     assert code == 2
     assert "error:" in err and out == ""
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--n", "17"),
+    ("classify", "--n", "17"),
+    ("report", "--to", "17"),
+    ("verify", "--from", "17", "--to", "17", "--no-timings"),
+])
+def test_past_sixteen_needs_no_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out and err == ""
+
+
+def test_allow_large_is_ignored(capsys):
+    base = ("verify", "--from", "17", "--to", "18", "--no-timings")
+    plain = run_cli(capsys, *base)
+    flagged = run_cli(capsys, *base, "--allow-large")
+    assert plain[0] == 0
+    assert plain == flagged
 
 
 def test_roots_rejects_affine_and_beyond(capsys):

@@ -186,7 +186,7 @@ def test_spin_closure_matches_fixpoint_oracle(n):
 
 @pytest.mark.parametrize("n", range(17, 21))
 def test_large_spin_closure_dimension(n):
-    basis = blade_closure(n, spin_generators(n).masks, allow_large=True)
+    basis = blade_closure(n, spin_generators(n).masks)
     assert basis.dim == lower_bound_dim(n)
     assert len(greedy_torus(basis.masks)) == max_compact(n).rank()
     # no center, so the derived algebra is all of it, and the Killing form is negative definite
@@ -359,9 +359,7 @@ def test_closure_validates_input():
     with pytest.raises(ValueError):
         blade_closure(3, [1 << 3])
     with pytest.raises(ValueError):
-        blade_closure(17, [3])  # needs allow_large
-    with pytest.raises(ValueError):
-        blade_closure(25, [3], allow_large=True)  # beyond the hard ceiling
+        blade_closure(25, [3])  # beyond the ceiling
 
 
 def test_closure_of_commuting_blades_is_just_the_generators():

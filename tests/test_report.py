@@ -61,10 +61,20 @@ def test_report_roots_skipped_past_rank_eight():
 
 @pytest.mark.parametrize("n", range(13, 19))
 def test_report_verifies_thirteen_through_eighteen(n):
-    rep = run_verification(n, allow_large=True, with_timings=False)
+    rep = run_verification(n, with_timings=False)
     assert rep.verdict
     assert rep.closure_dim == lower_bound_dim(n)
     assert rep.checks["classify"].detail == str(max_compact(n))
+
+
+@pytest.mark.parametrize("n", [25, 300])
+def test_report_refuses_past_ceiling_before_relations(monkeypatch, n):
+    def fail(n):
+        raise AssertionError("relations computed before the ceiling check")
+
+    monkeypatch.setattr("enspin.report.verify_relations", fail)
+    with pytest.raises(ValueError, match="ceiling"):
+        run_verification(n)
 
 
 def test_report_timings_toggle():
