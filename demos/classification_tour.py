@@ -9,12 +9,12 @@ algebra, Killing definiteness, and rank, then compares.
 """
 
 from enspin.analysis import analyze, classify
-from enspin.bott import bott_algebra, max_compact
+from enspin.bott import bott_algebra, closure_type
 
 print("n    clifford algebra       predicted      computed   verdict")
 for n in range(3, 9):
     res = classify(n, seed=0)
-    predicted = "u(2)" if n == 3 else str(max_compact(n))
+    predicted = str(closure_type(n))
     print(f"{n:<5}{str(bott_algebra(n)):<23}{predicted:<15}{res.display:<11}"
           + ("pass" if res.verdict else "FAIL"))
 
@@ -22,7 +22,7 @@ for n in range(3, 9):
 bundle = analyze(6, seed=0)
 print(f"\nn=6: dim {bundle.basis.dim}, center {bundle.center}, "
       f"derived {bundle.derived}, rank {bundle.rank}")
-print(f"killing: {bundle.killing_detail}")
+print(f"compact: {bundle.compact}, Killing form negative definite: {bundle.killing_ok}")
 
 # at n = 5 and n = 9 the top blade is central with square +1, so the
 # algebra splits into two ideals of equal dimension

@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "bott": (
         "CompactTypeDescriptor", "MatrixAlgebraDescriptor", "bott_algebra",
-        "expected_dim", "expected_rank", "max_compact",
+        "closure_type", "expected_dim", "expected_rank", "max_compact",
     ),
     "clifford": (
         "Blade", "Multivector", "blade_product", "blades_anticommute", "bracket",

@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bott import CompactTypeDescriptor, max_compact
+from .bott import CompactTypeDescriptor, closure_type
 from .clifford import Blade, Multivector, blade_product, bracket, mv_product
 from .closure import ClosureBasis, blade_closure, check_ambient
 from .linalg import (
@@ -416,17 +416,6 @@ def _anticommute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(a & h) & 1).astype(bool)
 
 
-def _square_is_minus_one(masks) -> np.ndarray:
-    """Boolean array: the blade squares to -1, which is grade 2 or 3 mod 4.
-
-    Reversing the k factors of a grade-k blade takes k(k-1)/2 swaps, and
-    b reverse(b) = 1 because each v_i squares to 1, so
-    b^2 = (-1)^(k(k-1)/2), which is -1 exactly for k == 2, 3 mod 4.
-    """
-    grade = np.bitwise_count(np.asarray(masks, dtype=np.int64)) % 4
-    return (grade == 2) | (grade == 3)
-
-
 def central_blades(basis: ClosureBasis) -> np.ndarray:
     """One bool per blade of the closure of basis.provenance: True when it is central.
 
@@ -461,7 +450,7 @@ def central_blades(basis: ClosureBasis) -> np.ndarray:
     a translation of the masks by a nonzero XOR, so no basis blade maps
     to itself and the trace is 0.  On the diagonal,
     [b_i, [b_i, b_k]] = 4 b_i^2 b_k when b_k anticommutes with b_i and
-    0 otherwise.  So K_ii < 0 iff b_i^2 = -1 (_square_is_minus_one) and
+    0 otherwise.  So K_ii < 0 iff b_i^2 = -1 (is_compact_basis) and
     b_i is not central, and the form is negative definite exactly when
     that holds for every blade.
     """
@@ -473,17 +462,20 @@ def central_blades(basis: ClosureBasis) -> np.ndarray:
 
 
 def is_compact_basis(masks) -> bool:
-    """True when every blade has reverse -b, which makes the algebra compact.
+    """True when every blade squares to -1, which makes the algebra compact.
 
-    Left multiplication x -> L_x is a faithful representation of the
-    algebra on C(R^n) (L_x 1 = x).  In the orthonormal blade basis the
-    transpose of L_b is L_{reverse(b)}, and a blade of grade k has
-    reverse (-1)^(k(k-1)/2) b, which is -b for k == 2, 3 mod 4.  So every
-    element acts as a skew-symmetric matrix and the algebra embeds in
-    so(2^n).  This holds at n = 3 as well, where the Killing form is
+    Reversing the k factors of a grade-k blade b takes k(k-1)/2 swaps,
+    and b reverse(b) = 1 because each v_i squares to 1, so
+    b^2 = (-1)^(k(k-1)/2) and reverse(b) = b^2 b, which is -b exactly
+    for k == 2, 3 mod 4.  Left multiplication x -> L_x is a faithful
+    representation of the algebra on C(R^n) (L_x 1 = x), and in the
+    orthonormal blade basis the transpose of L_b is L_{reverse(b)}.  So
+    every element acts as a skew-symmetric matrix and the algebra embeds
+    in so(2^n).  This holds at n = 3 as well, where the Killing form is
     degenerate.
     """
-    return bool(np.all(_square_is_minus_one(masks)))
+    grade = np.bitwise_count(np.asarray(masks, dtype=np.int64)) % 4
+    return bool(np.all(grade >= 2))
 
 
 def greedy_torus(masks) -> tuple[int, ...]:
@@ -585,16 +577,19 @@ class AnalysisBundle:
     basis: ClosureBasis
     center: int
     central: np.ndarray
-    killing_ok: bool
-    killing_detail: str
+    compact: bool
     torus: tuple[int, ...]
-    rank_certified: bool
     split: SplitResult
     timings_ms: dict[str, float] = field(default_factory=dict)
 
     @property
     def derived(self) -> int:
         return self.basis.dim - self.center
+
+    @property
+    def killing_ok(self) -> bool:
+        """Negative definite: every blade squares to -1 and none is central (central_blades)."""
+        return self.compact and self.center == 0
 
     @property
     def rank(self) -> int:
@@ -627,14 +622,9 @@ def analyze(n: int, *, seed: int = 0, exact_killing: bool | None = None) -> Anal
     with stage(timings, "center"):
         center = int(np.count_nonzero(central))
     with stage(timings, "killing"):
-        bad = int(np.count_nonzero(central | ~_square_is_minus_one(basis.mask_array)))
-        if bad:
-            killing_detail = f"diagonal, K_ii >= 0 for {bad} of d={basis.dim} blades"
-        else:
-            killing_detail = f"diagonal, K_ii = -4 x anticommuting partners < 0 for all d={basis.dim}"
+        compact = is_compact_basis(basis.mask_array)
     with stage(timings, "rank"):
         torus = greedy_torus(basis.mask_array)
-        rank_certified = is_compact_basis(basis.mask_array)
     with stage(timings, "split"):
         split = split_check(basis)
 
@@ -643,10 +633,8 @@ def analyze(n: int, *, seed: int = 0, exact_killing: bool | None = None) -> Anal
         basis=basis,
         center=center,
         central=central,
-        killing_ok=not bad,
-        killing_detail=killing_detail,
+        compact=compact,
         torus=torus,
-        rank_certified=rank_certified,
         split=split,
         timings_ms=timings,
     )
@@ -688,43 +676,30 @@ class ClassificationResult:
 
 
 def classify_bundle(bundle: AnalysisBundle) -> ClassificationResult:
-    """Match computed invariants against the expected compact type."""
+    """Match dimension, rank, compactness, center and split against closure_type(n).
+
+    The derived dimension (d minus the center) and the Killing sign
+    (compact with no center) follow from these, so neither is checked."""
     n = bundle.n
     dim = bundle.basis.dim
     failures: list[str] = []
-
-    if n == 3:
-        matched = CompactTypeDescriptor(family="u", param=2, summands=1)
-        if dim != 4:
-            failures.append(f"dim {dim} != 4")
-        if bundle.center != 1:
-            failures.append(f"center {bundle.center} != 1")
-        if bundle.derived != 3:
-            failures.append(f"derived dim {bundle.derived} != 3")
-        if bundle.rank != 2:
-            failures.append(f"rank {bundle.rank} != 2")
-        if not bundle.rank_certified:
-            failures.append("torus is not a certified Cartan subalgebra")
-    else:
-        matched = max_compact(n)
-        if dim != matched.dimension():
-            failures.append(f"dim {dim} != {matched.dimension()}")
-        if bundle.rank != matched.rank():
-            failures.append(f"rank {bundle.rank} != {matched.rank()}")
-        if not bundle.rank_certified:
-            failures.append("torus is not a certified Cartan subalgebra")
-        if not bundle.killing_ok:
-            failures.append("Killing form not negative definite")
-        if bundle.center != 0:
-            failures.append(f"center {bundle.center} != 0")
-        want_split = matched.summands == 2
-        if bundle.split.applicable != want_split:
-            failures.append("split applicability does not match summand count")
-        if want_split:
-            if not bundle.split.passed:
-                failures.append(f"split check failed: {bundle.split.reason or 'ideal checks'}")
-            elif bundle.split.dims is not None and sum(bundle.split.dims) != dim:
-                failures.append("split dims do not sum to dim")
+    matched = closure_type(n)
+    if dim != matched.dimension():
+        failures.append(f"dim {dim} != {matched.dimension()}")
+    if bundle.rank != matched.rank():
+        failures.append(f"rank {bundle.rank} != {matched.rank()}")
+    if not bundle.compact:
+        failures.append("torus is not a certified Cartan subalgebra")
+    if bundle.center != matched.center_dim():
+        failures.append(f"center {bundle.center} != {matched.center_dim()}")
+    want_split = matched.summands == 2
+    if bundle.split.applicable != want_split:
+        failures.append("split applicability does not match summand count")
+    if want_split:
+        if not bundle.split.passed:
+            failures.append(f"split check failed: {bundle.split.reason or 'ideal checks'}")
+        elif bundle.split.dims is not None and sum(bundle.split.dims) != dim:
+            failures.append("split dims do not sum to dim")
 
     return ClassificationResult(
         n=n,

@@ -86,6 +86,10 @@ class CompactTypeDescriptor:
         per = {"so": N // 2, "su": N - 1, "sp": N, "u": N}[self.family]
         return per * self.summands
 
+    def center_dim(self) -> int:
+        """One central dimension per u summand, none for the semisimple families."""
+        return self.summands if self.family == "u" else 0
+
     def __str__(self) -> str:
         one = f"{self.family}({self.param})"
         return " ⊕ ".join([one] * self.summands)
@@ -137,6 +141,14 @@ def max_compact(n: int) -> CompactTypeDescriptor:
     return CompactTypeDescriptor(
         COMPACT_FAMILY[ring], size * alg.tensor_size, summands=len(alg.summands)
     )
+
+
+def closure_type(n: int) -> CompactTypeDescriptor:
+    """Type of the spin image: max_compact(n), except u(2) at n = 3, where the
+    top blade v1v2v3 is a generator and spans a center."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    return CompactTypeDescriptor("u", 2) if n == 3 else max_compact(n)
 
 
 def expected_dim(n: int) -> int:

@@ -120,7 +120,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports = [_verify_worker(t) for t in tasks]
     except ValueError as e:
         return _usage_error(str(e))
-    reports.sort(key=lambda r: r.n)
     if args.format == "json":
         sys.stdout.write(reports_to_json(reports))
     elif args.format == "markdown":

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .clifford import Multivector, bracket
-from .deltas import lower_bound_dim
+from .deltas import drops_top_blade, lower_bound_dim
 from .linalg import EchelonBasis
 
 #: The one ceiling on the ambient dimension, set by memory: the walk
@@ -151,15 +151,14 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
 def predicted_masks(n: int) -> frozenset[int]:
     """The mask set the closure of the spin generators is expected to span.
 
-    All masks of grade 2 or 3 mod 4; the full mask is excluded when
-    n == 3 (mod 4) and n > 3 (it is unreachable there), and kept at
-    n = 3 where it is itself a generator.
+    All masks of grade 2 or 3 mod 4, without the full mask where it is
+    unreachable (drops_top_blade).
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     full = (1 << n) - 1
     out = {m for m in range(1, 1 << n) if m.bit_count() % 4 in (2, 3)}
-    if n % 4 == 3 and n > 3:
+    if drops_top_blade(n):
         out.discard(full)
     return frozenset(out)
 
@@ -206,7 +205,7 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     full = (1 << n) - 1
-    drop_full = n % 4 == 3 and n > 3
+    drop_full = drops_top_blade(n)
     have = basis.mask_array
     grade = np.bitwise_count(have) % 4
     predicted = (grade >= 2) & (have <= full)

@@ -91,16 +91,17 @@ def delta_identities(n: int) -> dict[str, bool]:
     return out
 
 
-def lower_bound_dim(n: int) -> int:
-    """Dimension of the span of all grade-(2,3 mod 4) blades actually reached.
+def drops_top_blade(n: int) -> bool:
+    """The spin closure misses the top blade: n == 3 (mod 4) past n = 3, where it is a generator."""
+    return n % 4 == 3 and n > 3
 
-    That is delta(2,n) + delta(3,n), minus one for n == 3 (mod 4) with
-    n > 3, where the single top-grade blade is missed; at n = 3 the top
-    blade is a generator itself, so nothing is subtracted.
+
+def lower_bound_dim(n: int) -> int:
+    """Dimension of the span of the grade-(2,3 mod 4) blades the closure reaches.
+
+    That is delta(2,n) + delta(3,n), minus one where the top blade is
+    missed (drops_top_blade).
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    total = delta_sum(2, n) + delta_sum(3, n)
-    if n % 4 == 3 and n > 3:
-        return total - 1
-    return total
+    return delta_sum(2, n) + delta_sum(3, n) - drops_top_blade(n)

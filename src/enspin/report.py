@@ -14,8 +14,8 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .analysis import AnalysisBundle, analyze, classify_bundle, is_compact_basis, stage
-from .bott import bott_algebra, max_compact
+from .analysis import AnalysisBundle, analyze, classify_bundle, stage
+from .bott import bott_algebra, closure_type, max_compact
 from .closure import check_ambient, lemma_containment_check
 from .deltas import delta_closed, delta_identities, lower_bound_dim
 from .roots import positive_roots
@@ -71,16 +71,26 @@ class VerificationReport:
 
 
 def _killing_outcome(bundle: AnalysisBundle) -> CheckOutcome:
-    if bundle.n >= 4:
-        return _outcome(bundle.killing_ok, bundle.killing_detail)
-    # n = 3: the form is degenerate by design; the check is that its
-    # radical is exactly the top-blade line and the rest is negative,
-    # that is, the top blade is the only central blade and every other
-    # blade squares to -1 (central_blades).
-    masks = bundle.basis.mask_array
-    top = masks == (1 << bundle.n) - 1
-    ok = bool((bundle.central == top).all()) and is_compact_basis(masks[~top])
-    return _outcome(ok, "degenerate with radical spanned by the top blade")
+    """One rule for every n, from K_ii = 4 b_i^2 partners_i (central_blades).
+
+    The radical of the form is spanned by the central blades, and the
+    form is negative on the rest exactly when every blade squares to -1
+    (bundle.compact).  The check passes when the algebra is compact and
+    its central blades are the expected radical: the top blade where the
+    image type has a center (closure_type), and none elsewhere.
+    """
+    d = bundle.basis.dim
+    top = bundle.basis.mask_array == (1 << bundle.n) - 1
+    radical = top & (closure_type(bundle.n).center_dim() > 0)
+    if not bundle.compact:
+        return _outcome(False, "a blade squares to +1, so the algebra is not compact")
+    if (bundle.central != radical).any():
+        want = "the top blade" if radical.any() else "none"
+        detail = f"diagonal, K_ii >= 0 for {int(bundle.central.sum())} of d={d} blades"
+        return _outcome(False, f"{detail}; expected radical: {want}")
+    if radical.any():
+        return _outcome(True, "degenerate with radical spanned by the top blade")
+    return _outcome(True, f"diagonal, K_ii = -4 x anticommuting partners < 0 for all d={d}")
 
 
 def run_verification(n: int, *, with_timings: bool = True) -> VerificationReport:
@@ -130,9 +140,9 @@ def run_verification(n: int, *, with_timings: bool = True) -> VerificationReport
 
     cls = classify_bundle(bundle)
     r, expected_rank = bundle.rank, cls.matched_type.rank()
-    certified = "is self-centralizing" if bundle.rank_certified else "is not a certified Cartan subalgebra"
+    certified = "is self-centralizing" if bundle.compact else "is not a certified Cartan subalgebra"
     checks["rank"] = _outcome(
-        bundle.rank_certified and r == expected_rank,
+        bundle.compact and r == expected_rank,
         f"torus of {r} commuting blades {certified}; rank {r} vs expected {expected_rank}",
     )
 
@@ -248,10 +258,11 @@ def algebra_table(to_n: int) -> list[TableRow]:
         note = ""
         if n >= 3:
             closure_dim = blade_closure(n, spin_generators(n).masks).dim
-        if n == 3:
-            note = "image is u(2), one dimension above the listed type"
-        elif n >= 4:
-            match = closure_dim == typ.dimension()
+            image = closure_type(n)
+            if image == typ:
+                match = closure_dim == typ.dimension()
+            else:
+                note = f"image is {image}, one dimension above the listed type"
         rows.append(
             TableRow(
                 n=n,

@@ -3,6 +3,7 @@ import pytest
 from enspin.bott import (
     CompactTypeDescriptor,
     bott_algebra,
+    closure_type,
     dims_agree,
     expected_dim,
     expected_rank,
@@ -76,6 +77,27 @@ def test_expected_dim_equals_binomial_lower_bound():
 
 def test_expected_rank_values():
     assert [expected_rank(n) for n in range(4, 13)] == [2, 4, 4, 7, 8, 16, 16, 31, 32]
+
+
+def test_closure_type_is_u2_at_three_and_max_compact_past_it():
+    assert closure_type(3) == CompactTypeDescriptor("u", 2)
+    assert str(closure_type(3)) == "u(2)" and closure_type(3).center_dim() == 1
+    for n in range(4, 65):
+        assert closure_type(n) == max_compact(n), n
+        assert closure_type(n).center_dim() == 0, n
+    with pytest.raises(ValueError):
+        closure_type(2)
+
+
+def test_closure_type_dimension_is_the_blade_count():
+    for n in range(3, 65):
+        assert closure_type(n).dimension() == lower_bound_dim(n), n
+
+
+def test_center_dim_counts_u_summands_and_stays_out_of_json():
+    assert CompactTypeDescriptor("u", 3, summands=2).center_dim() == 2
+    assert CompactTypeDescriptor("su", 3, summands=2).center_dim() == 0
+    assert "center_dim" not in CompactTypeDescriptor("u", 2).to_json()
 
 
 def test_compact_type_json_round_trip_fields():

@@ -146,6 +146,31 @@ def test_classify_four_json(capsys):
     assert blob["dim"] == 10 and blob["rank"] == 2
 
 
+CLASSIFY_JSON = {
+    3: {
+        "n": 3, "dim": 4, "center_dim": 1, "derived_dim": 3, "rank": 2,
+        "killing_negative_definite": False, "killing_mode": "exact", "split_dims": None,
+        "matched_type": {"family": "u", "param": 2, "summands": 1, "dimension": 4, "rank": 2,
+                         "display": "u(2)"},
+        "display": "u(2)", "verdict": True, "failures": [],
+    },
+    5: {
+        "n": 5, "dim": 20, "center_dim": 0, "derived_dim": 20, "rank": 4,
+        "killing_negative_definite": True, "killing_mode": "exact", "split_dims": [10, 10],
+        "matched_type": {"family": "sp", "param": 2, "summands": 2, "dimension": 20, "rank": 4,
+                         "display": "sp(2) ⊕ sp(2)"},
+        "display": "sp(2) ⊕ sp(2)", "verdict": True, "failures": [],
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLASSIFY_JSON))
+def test_classify_json_in_full(capsys, n):
+    code, out, err = run_cli(capsys, "classify", "--n", str(n))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(CLASSIFY_JSON[n], indent=2) + "\n"
+
+
 # -- verify ------------------------------------------------------------------
 
 def test_verify_small_range_json(capsys):

@@ -3,7 +3,13 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from enspin.deltas import delta_closed, delta_identities, delta_sum, lower_bound_dim
+from enspin.deltas import (
+    delta_closed,
+    delta_identities,
+    delta_sum,
+    drops_top_blade,
+    lower_bound_dim,
+)
 
 
 def test_closed_forms_match_direct_sums_up_to_64():
@@ -77,6 +83,7 @@ def test_lower_bound_subtracts_one_only_past_three():
         raw = delta_closed(2, n) + delta_closed(3, n)
         expect = raw - 1 if (n % 4 == 3 and n > 3) else raw
         assert lower_bound_dim(n) == expect
+        assert drops_top_blade(n) == (n % 4 == 3 and n > 3)
 
 
 def test_domain_errors():

@@ -19,7 +19,7 @@ from enspin.analysis import (
     split_check_fractions,
     structure_constants,
 )
-from enspin.bott import max_compact
+from enspin.bott import closure_type
 from enspin.clifford import Blade, blade_product, blades_anticommute
 from enspin.closure import ClosureBasis, blade_closure
 from enspin.spinrep import spin_generators
@@ -252,7 +252,7 @@ def test_torus_is_maximal_in_any_order(n, data, rnd):
     masks = list(CLOSURES[n].masks)
     rnd.shuffle(masks)
     torus = assert_torus_is_maximal(masks)
-    assert len(torus) == (2 if n == 3 else max_compact(n).rank())
+    assert len(torus) == closure_type(n).rank()
     arbitrary = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=256))
     rnd.shuffle(arbitrary)
     assert_torus_is_maximal(arbitrary)
@@ -277,7 +277,7 @@ def test_analyze_is_exact_at_every_n():
     for n in (4, 9, 10):
         bundle = analyze(n, exact_killing=None)
         assert bundle.killing_mode == "exact" and bundle.killing_ok
-        assert bundle.rank_certified
+        assert bundle.compact
 
 
 def test_analyze_does_not_certify_a_noncompact_torus(monkeypatch):
@@ -286,4 +286,4 @@ def test_analyze_does_not_certify_a_noncompact_torus(monkeypatch):
     monkeypatch.setattr("enspin.analysis.blade_closure", lambda n, gens, **kwargs: noncompact)
     bundle = analyze(3)
     assert bundle.torus == (0b001,)
-    assert not bundle.rank_certified
+    assert not bundle.compact

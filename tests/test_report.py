@@ -3,13 +3,18 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from enspin.analysis import analyze, classify_bundle
 from enspin.bott import max_compact
+from enspin.closure import blade_closure
 from enspin.deltas import lower_bound_dim
 from enspin.report import (
     CHECK_ORDER,
+    _killing_outcome,
     algebra_table,
     reports_to_csv,
     reports_to_json,
@@ -41,6 +46,48 @@ def test_report_rank_three_special_cases():
     assert rep.checks["classify"].detail == "u(2)"
     assert "radical" in rep.checks["killing"].detail
     assert "scalar unit" in rep.checks["lemma"].detail
+
+
+def _with_central(bundle, masks):
+    central = np.isin(bundle.basis.mask_array, masks)
+    return replace(bundle, central=central, center=int(central.sum()))
+
+
+def test_killing_radical_at_three_must_be_exactly_the_top_blade():
+    bundle = analyze(3)
+    out = _killing_outcome(bundle)
+    assert out.status == "pass" and out.detail == "degenerate with radical spanned by the top blade"
+    for masks in ([0b011], [], [0b011, 0b111]):
+        out = _killing_outcome(_with_central(bundle, masks))
+        assert out.status == "fail", masks
+        assert out.detail.endswith("expected radical: the top blade"), masks
+    assert _killing_outcome(replace(bundle, compact=False)).status == "fail"
+    assert "center 0 != 1" in classify_bundle(_with_central(bundle, [])).failures
+
+
+def test_killing_fails_on_one_central_blade_at_six():
+    bundle = analyze(6)
+    assert _killing_outcome(bundle).detail == (
+        "diagonal, K_ii = -4 x anticommuting partners < 0 for all d=36"
+    )
+    for mask in (0b11, 0b111111):
+        out = _killing_outcome(_with_central(bundle, [mask]))
+        assert out.status == "fail"
+        assert out.detail == "diagonal, K_ii >= 0 for 1 of d=36 blades; expected radical: none"
+        assert "center 1 != 0" in classify_bundle(_with_central(bundle, [mask])).failures
+
+
+def test_noncompact_closure_fails_killing_and_classify(monkeypatch):
+    # v1, v2 and v1v2 span sl(2, R): v1 squares to +1, so the algebra is not compact
+    noncompact = blade_closure(3, (0b001, 0b010))
+    monkeypatch.setattr("enspin.analysis.blade_closure", lambda n, gens, **kwargs: noncompact)
+    bundle = analyze(3)
+    assert not bundle.compact and not bundle.killing_ok
+    out = _killing_outcome(bundle)
+    assert out.status == "fail" and "not compact" in out.detail
+    cls = classify_bundle(bundle)
+    assert not cls.verdict
+    assert "torus is not a certified Cartan subalgebra" in cls.failures
 
 
 def test_report_split_skipped_off_the_residues():
