@@ -11,11 +11,11 @@ algebra, Killing definiteness, and rank, then compares.
 from enspin.analysis import analyze, classify
 from enspin.bott import bott_algebra, closure_type
 
-print("n    clifford algebra       predicted      computed   verdict")
+print("n    clifford algebra       predicted      computed       verdict")
 for n in range(3, 9):
     res = classify(n, seed=0)
     predicted = str(closure_type(n))
-    print(f"{n:<5}{str(bott_algebra(n)):<23}{predicted:<15}{res.display:<11}"
+    print(f"{n:<5}{str(bott_algebra(n)):<23}{predicted:<15}{res.display:<15}"
           + ("pass" if res.verdict else "FAIL"))
 
 # a closer look at one case: n = 6 should be sp(4), dimension 36, rank 4

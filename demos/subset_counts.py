@@ -3,14 +3,14 @@ Counting subsets by size mod 4
 ==============================
 
 d_k(n) is the number of subsets of an n-set whose size is congruent to
-k mod 4.  These counts come in closed forms built from 2^(n-1) and a
+k mod 4.  These counts come in closed forms built from 2^(n-2) and a
 power of sqrt(2), and d_2 + d_3 is exactly the dimension bound for the
 blade closures elsewhere in the package.
 """
 
 from enspin.deltas import delta_closed, delta_identities, delta_sum, lower_bound_dim
 
-print("n    d0      d1      d2      d3      total   d2+d3")
+print("n   d0      d1      d2      d3      total   d2+d3")
 for n in range(1, 17):
     row = [delta_closed(k, n) for k in range(4)]
     assert row == [delta_sum(k, n) for k in range(4)]   # closed form vs direct count

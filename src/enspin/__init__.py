@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "bott": (
         "CompactTypeDescriptor", "MatrixAlgebraDescriptor", "bott_algebra",
-        "closure_type", "expected_dim", "expected_rank", "max_compact",
+        "closure_type", "max_compact",
     ),
     "clifford": (
         "Blade", "Multivector", "blade_product", "blades_anticommute", "bracket",
@@ -32,12 +32,12 @@ _EXPORTS = {
         "parse_multivector",
     ),
     "closure": (
-        "ClosureBasis", "GeneralClosureBasis", "blade_closure", "general_closure",
+        "ClosureBasis", "blade_closure", "general_closure",
         "lemma_containment_check", "predicted_masks",
     ),
     "deltas": ("delta_closed", "delta_identities", "delta_sum", "lower_bound_dim"),
     "linalg": (
-        "DEFAULT_PRIMES", "EchelonBasis", "RationalMatrix", "is_negative_definite",
+        "DEFAULT_PRIMES", "EchelonBasis", "is_negative_definite",
         "kernel_dimension", "kernel_dimension_mod_p",
     ),
     "report": ("VerificationReport", "algebra_table", "run_verification"),

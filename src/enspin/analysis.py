@@ -24,18 +24,16 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
 from .bott import CompactTypeDescriptor, closure_type
 from .clifford import Blade, Multivector, blade_product, bracket, mv_product
-from .closure import ClosureBasis, blade_closure, check_ambient
+from .closure import ClosureBasis, _anticommute, blade_closure, check_ambient
 from .linalg import (
     DEFAULT_PRIMES,
     EchelonBasis,
-    RationalMatrix,
     is_negative_definite,
     kernel_dimension_mod_p,
 )
@@ -201,22 +199,17 @@ def killing_entry(sc: StructureConstants, i: int, j: int) -> int:
     return int(np.sum(sc.coeffs[j, ks].astype(np.int64)[closes] * c2[closes]))
 
 
-def killing_form(sc: StructureConstants) -> RationalMatrix:
-    """Full Killing matrix; diagonal by the XOR-translation argument.
+def killing_form(sc: StructureConstants) -> list[list[int]]:
+    """Full Killing matrix as d rows of ints; diagonal by the XOR-translation argument.
 
     For a blade table ad b_i o ad b_j shifts mask_k by mask_i ^ mask_j,
     a fixed-point-free permutation of the basis when i != j, so only the
     diagonal survives.  Assembled here from the computed diagonal.
     """
     if not sc.xor_structured:
-        entries = [[killing_entry(sc, i, j) for j in range(sc.d)] for i in range(sc.d)]
-        return RationalMatrix(entries)
-    diag = killing_diagonal(sc)
-    entries = [
-        [Fraction(int(diag[i])) if i == j else Fraction(0) for j in range(sc.d)]
-        for i in range(sc.d)
-    ]
-    return RationalMatrix(entries)
+        return [[killing_entry(sc, i, j) for j in range(sc.d)] for i in range(sc.d)]
+    diag = killing_diagonal(sc).tolist()
+    return [[diag[i] if i == j else 0 for j in range(sc.d)] for i in range(sc.d)]
 
 
 def killing_negative_definite_check(sc: StructureConstants) -> tuple[bool, str]:
@@ -366,12 +359,12 @@ def _split_result(n: int, half: int, cross: bool, plus: bool, minus: bool) -> Sp
 def split_check_fractions(basis: ClosureBasis) -> SplitResult:
     """Test oracle for split_check: omega and every pair bracketed as exact multivectors.
 
-    Off n == 1 mod 4 it returns split_check's answer, which depends on n
-    alone there.
+    Only n == 1 mod 4 has a split to check (omega is central with
+    omega^2 = 1 there alone), so any other n raises ValueError.
     """
     n = basis.n
     if n % 4 != 1:
-        return split_check(basis)
+        raise ValueError(f"the split oracle needs n == 1 mod 4, got {n}")
     full = (1 << n) - 1
     omega = Multivector({full: 1}, n)
     omega_sq = 1 if mv_product(omega, omega) == Multivector.scalar(1, n) else -1
@@ -405,16 +398,6 @@ def split_check_fractions(basis: ClosureBasis) -> SplitResult:
 
 
 # --- the mask-native core: everything analyze runs ------------------------
-
-def _anticommute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean array: the blades a and b anticommute (|a||b| - |a & b| odd).
-
-    For even |b| that is |a & b| odd; for odd |b| it is |a| - |a & b| =
-    |a & ~b| odd.  So one popcount of a & h_b decides, with h_b = b or ~b.
-    """
-    h = np.where(np.bitwise_count(b) & 1, ~b, b)
-    return (np.bitwise_count(a & h) & 1).astype(bool)
-
 
 def central_blades(basis: ClosureBasis) -> np.ndarray:
     """One bool per blade of the closure of basis.provenance: True when it is central.

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltas import lower_bound_dim
-
 RING_DIM = {"R": 1, "C": 2, "H": 4}
 
 
@@ -149,22 +147,3 @@ def closure_type(n: int) -> CompactTypeDescriptor:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     return CompactTypeDescriptor("u", 2) if n == 3 else max_compact(n)
-
-
-def expected_dim(n: int) -> int:
-    """Dimension of the expected compact type; equals lower_bound_dim(n) for n >= 4."""
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-    return max_compact(n).dimension()
-
-
-def expected_rank(n: int) -> int:
-    """Rank of the expected compact type."""
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-    return max_compact(n).rank()
-
-
-def dims_agree(n: int) -> bool:
-    """Cross-check: type dimension equals the blade-count lower bound."""
-    return expected_dim(n) == lower_bound_dim(n)

@@ -85,6 +85,19 @@ def check_ambient(n: int) -> None:
         raise ValueError(f"ambient dimension {n} exceeds hard ceiling {MAX_AMBIENT}")
 
 
+def _anticommute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean array: the blades a and b anticommute (|a||b| - |a & b| odd).
+
+    Moving a factor v of b across a passes |a| factors, and all but v
+    itself (when v is in a) anticommute with it, so
+    ab = (-1)^(|a||b| - |a & b|) ba.  For even |b| that is |a & b| odd;
+    for odd |b| it is |a| - |a & b| = |a & ~b| odd.  So one popcount of
+    a & h_b decides, with h_b = b or ~b.
+    """
+    h = np.where(np.bitwise_count(b) & 1, ~b, b)
+    return (np.bitwise_count(a & h) & 1).astype(bool)
+
+
 def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = False) -> ClosureBasis:
     """Least superset of the generator masks closed under XOR of anticommuting pairs.
 
@@ -105,15 +118,12 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
       R contains G.  Conversely every step of the walk stays inside any
       such superset of G.  So R is the least one.
 
-    Step test: x and g commute up to (-1)^(p_x p_g + |x & g|), with p
-    the grade parity, which is (-1)^|x & h_g| for h_g = g when |g| is
-    even and h_g = g ^ full when |g| is odd (then p_x + |x & g| =
-    |x & ~g| mod 2).  Each level is one frontier x generators outer
-    product.  Candidates already in the bool membership array are
-    dropped, and the rest are deduplicated through an int32 array of
-    the same length: each candidate writes its position there, one
-    write per mask survives, and the candidate that reads back its own
-    position is kept.  This needs no sort, whose first call maps about
+    Step test: _anticommute, whose docstring has the proof.  Each level
+    is one frontier x generators outer product.  Candidates already in
+    the bool membership array are dropped, and the rest are deduplicated
+    through an int32 array of the same length: each candidate writes its
+    position there, one write per mask survives, and the candidate that
+    reads back its own position is kept.  This needs no sort, whose first call maps about
     0.3 MiB of code, and positions fit in int32 (2^31 candidates would
     take 16 GiB).  Every mask enters the frontier once, so the walk
     does O(|G| d) mask operations for a closure of dimension d, which
@@ -130,14 +140,12 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
             raise ValueError(f"generator mask {g:#x} not a nonzero mask within {n} bits")
 
     g = np.array(gens, dtype=np.int64)
-    h = np.where(np.bitwise_count(g) & 1, g ^ (limit - 1), g)
     present = np.zeros(limit, dtype=bool)
     slot = np.empty(limit, dtype=np.int32)
     present[g] = True
     frontier = g
     while frontier.size:
-        steps = (np.bitwise_count(frontier[:, None] & h) & 1).astype(bool)
-        fresh = (frontier[:, None] ^ g)[steps]
+        fresh = (frontier[:, None] ^ g)[_anticommute(frontier[:, None], g)]
         fresh = fresh[~present[fresh]]
         at = np.arange(fresh.size, dtype=np.int32)
         slot[fresh] = at
@@ -226,24 +234,8 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
     )
 
 
-@dataclass
-class GeneralClosureBasis:
-    """Echelon basis of the Lie span of arbitrary multivector generators."""
-
-    n: int
-    echelon: EchelonBasis
-    generators: tuple[Multivector, ...]
-
-    @property
-    def rank(self) -> int:
-        return self.echelon.rank
-
-    def contains_mask(self, mask: int) -> bool:
-        return self.echelon.contains({mask: 1})
-
-
-def general_closure(n: int, generators: Sequence[Multivector]) -> GeneralClosureBasis:
-    """Close the span of the generators under the bracket by sift-until-fixpoint.
+def general_closure(n: int, generators: Sequence[Multivector]) -> EchelonBasis:
+    """Echelon basis of the Lie span of the generators, closed by sift-until-fixpoint.
 
     Worklist in breadth-first order: each accepted vector is bracketed
     against everything accepted before it, so every unordered pair is
@@ -271,4 +263,4 @@ def general_closure(n: int, generators: Sequence[Multivector]) -> GeneralClosure
                 if len(reps) > (1 << n):
                     raise AssertionError("closure exceeded ambient dimension")
         q += 1
-    return GeneralClosureBasis(n=n, echelon=basis, generators=gens)
+    return basis

@@ -10,7 +10,6 @@ rank, hence kernel mod p >= rational kernel).
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -29,47 +28,20 @@ _BLOCKED_PRIME_LIMIT = 1 << 23
 _PANEL = 128
 
 
-class RationalMatrix:
-    """Dense matrix with exact rational entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: MatrixLike):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, d: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
-
-
 class EchelonBasis:
     """Reduced echelon basis over Q with sparse vectors.
 
     Coordinates are arbitrary non-negative integers below ``ambient``
     (for closure work they are blade masks, so ambient may be 2^n).
-    Each stored vector has pivot entry 1, pivots strictly increasing,
-    and pivot coordinates zero in every other vector.
+    Each stored vector is kept under its pivot, where its entry is 1,
+    and every pivot coordinate is zero in every other vector.
     """
 
     def __init__(self, ambient: int):
         if ambient < 1:
             raise ValueError("ambient length must be >= 1")
         self.ambient = ambient
-        self._rows: list[tuple[int, dict[int, Fraction]]] = []
+        self._rows: dict[int, dict[int, Fraction]] = {}
 
     @property
     def rank(self) -> int:
@@ -88,17 +60,21 @@ class EchelonBasis:
         return out
 
     def reduce(self, v: Union[Mapping[int, Coeff], Sequence[Coeff]]) -> dict[int, Fraction]:
-        """Residual of v after full reduction against the basis."""
+        """Residual of v after full reduction against the basis.
+
+        Only the rows whose pivots appear in v are subtracted, in any
+        order: each row is zero at every other pivot, so subtracting it
+        clears its own pivot and leaves every other pivot coordinate alone.
+        """
         w = self._to_sparse(v)
-        for pivot, row in self._rows:
-            c = w.get(pivot)
-            if c:
-                for k, x in row.items():
-                    acc = w.get(k, Fraction(0)) - c * x
-                    if acc:
-                        w[k] = acc
-                    else:
-                        w.pop(k, None)
+        for pivot in [k for k in w if k in self._rows]:
+            c = w[pivot]
+            for k, x in self._rows[pivot].items():
+                acc = w.get(k, Fraction(0)) - c * x
+                if acc:
+                    w[k] = acc
+                else:
+                    w.pop(k, None)
         return w
 
     def contains(self, v: Union[Mapping[int, Coeff], Sequence[Coeff]]) -> bool:
@@ -115,7 +91,7 @@ class EchelonBasis:
         pivot = min(w)
         inv = 1 / w[pivot]
         w = {k: c * inv for k, c in w.items()}
-        for _, row in self._rows:
+        for row in self._rows.values():
             c = row.get(pivot)
             if c:
                 for k, x in w.items():
@@ -124,14 +100,17 @@ class EchelonBasis:
                         row[k] = acc
                     else:
                         row.pop(k, None)
-        insort(self._rows, (pivot, w), key=lambda r: r[0])
+        self._rows[pivot] = w
         return True
 
 
-def kernel_dimension(m: Union[RationalMatrix, MatrixLike]) -> int:
-    """cols - rank over Q, sifting the rows into an EchelonBasis."""
-    rows = m.entries if isinstance(m, RationalMatrix) else m
-    cols = len(rows[0]) if len(rows) else 0
+def kernel_dimension(rows: MatrixLike) -> int:
+    """cols - rank over Q, sifting the rows into an EchelonBasis.
+
+    cols is the longest row, so a shorter row fails the basis's length
+    check and ragged input raises ValueError.
+    """
+    cols = max(map(len, rows), default=0)
     if not cols:
         return 0
     basis = EchelonBasis(cols)
@@ -283,7 +262,7 @@ def _rank_mod_p_plain(a: np.ndarray, p: int) -> int:
     return r
 
 
-def is_negative_definite(m: Union[RationalMatrix, MatrixLike]) -> bool:
+def is_negative_definite(rows: MatrixLike) -> bool:
     """Exact Sylvester test: D_{k+1} / D_k < 0 for every leading principal minor D_k.
 
     Row k is reduced against rows 0..k-1 held in an EchelonBasis whose
@@ -295,11 +274,13 @@ def is_negative_definite(m: Union[RationalMatrix, MatrixLike]) -> bool:
     such pivot is < 0; a zero or positive pivot fails at once, and a
     negative one makes column k the next pivot of the basis.
     """
-    mat = m if isinstance(m, RationalMatrix) else RationalMatrix(m)
-    if not mat.is_symmetric():
+    d = len(rows)
+    if any(len(row) != d for row in rows):
+        raise ValueError("matrix is not square")
+    if any(rows[i][j] != rows[j][i] for i in range(d) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    basis = EchelonBasis(max(mat.rows, 1))
-    for k, row in enumerate(mat.entries):
+    basis = EchelonBasis(max(d, 1))
+    for k, row in enumerate(rows):
         residual = basis.reduce(row)
         if residual.get(k, 0) >= 0:
             return False

@@ -24,7 +24,7 @@ from enspin.analysis import (
 )
 from enspin.clifford import Multivector, bracket
 from enspin.closure import ClosureBasis, blade_closure
-from enspin.linalg import RationalMatrix, is_negative_definite
+from enspin.linalg import is_negative_definite
 from enspin.spinrep import spin_generators
 
 
@@ -117,7 +117,7 @@ def test_killing_form_against_trace_oracle():
         fast = killing_form(sc)
         for i in range(sc.d):
             for j in range(sc.d):
-                assert fast[i, j] == int(brute[i, j]), (n, i, j)
+                assert fast[i][j] == int(brute[i, j]), (n, i, j)
         diag = killing_diagonal(sc)
         assert np.array_equal(diag, brute.diagonal())
 

@@ -4,9 +4,6 @@ from enspin.bott import (
     CompactTypeDescriptor,
     bott_algebra,
     closure_type,
-    dims_agree,
-    expected_dim,
-    expected_rank,
     max_compact,
 )
 from enspin.deltas import lower_bound_dim
@@ -71,12 +68,11 @@ def test_type_dimension_formulas():
 
 def test_expected_dim_equals_binomial_lower_bound():
     for n in range(4, 65):
-        assert expected_dim(n) == lower_bound_dim(n) == max_compact(n).dimension(), n
-        assert dims_agree(n)
+        assert max_compact(n).dimension() == lower_bound_dim(n), n
 
 
 def test_expected_rank_values():
-    assert [expected_rank(n) for n in range(4, 13)] == [2, 4, 4, 7, 8, 16, 16, 31, 32]
+    assert [max_compact(n).rank() for n in range(4, 13)] == [2, 4, 4, 7, 8, 16, 16, 31, 32]
 
 
 def test_closure_type_is_u2_at_three_and_max_compact_past_it():
@@ -113,7 +109,3 @@ def test_domain_errors():
         bott_algebra(1)
     with pytest.raises(ValueError):
         max_compact(0)
-    with pytest.raises(ValueError):
-        expected_dim(3)
-    with pytest.raises(ValueError):
-        expected_rank(3)

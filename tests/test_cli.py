@@ -356,6 +356,16 @@ def test_lazy_names_resolve_to_their_submodules():
     assert run_python(code, child_env()) == "ok"
 
 
+def test_exports_are_defined_where_listed():
+    # a re-export alias would name a callable defined in another module
+    strays = []
+    for module, names in enspin._EXPORTS.items():
+        mod = importlib.import_module(f"enspin.{module}")
+        strays += [(module, name) for name in names
+                   if callable(obj := getattr(mod, name)) and obj.__module__ != mod.__name__]
+    assert not strays
+
+
 def test_importing_main_does_not_run_the_cli():
     assert run_python("import enspin.__main__; print('imported')", child_env()) == "imported"
 
@@ -422,12 +432,34 @@ def test_tracer_bindings_resolve():
 
 # -- demos -------------------------------------------------------------------
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
+
+
+def demo_stdout(demo: Path) -> str:
+    proc = subprocess.run([sys.executable, str(demo)], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    proc = subprocess.run([sys.executable, str(demo)], env=child_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert demo_stdout(demo).strip()
+
+
+def test_classification_tour_rows_end_in_a_verdict():
+    table = demo_stdout(DEMO_DIR / "classification_tour.py").split("\n\n")[0].splitlines()
+    assert len(table) == 7
+    for row in table[1:]:
+        assert row.split()[-1] == "pass", row
+
+
+def test_subset_counts_header_lines_up_with_rows():
+    lines = demo_stdout(DEMO_DIR / "subset_counts.py").splitlines()
+    row = next(line for line in lines if line.startswith("16 "))
+
+    def starts(line):
+        return [i for i, ch in enumerate(line) if ch != " " and (i == 0 or line[i - 1] == " ")]
+
+    assert starts(lines[0]) == starts(row)

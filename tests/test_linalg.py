@@ -7,7 +7,6 @@ import pytest
 from enspin.linalg import (
     DEFAULT_PRIMES,
     EchelonBasis,
-    RationalMatrix,
     _rank_mod_p_blocked,
     _rank_mod_p_plain,
     is_negative_definite,
@@ -47,6 +46,21 @@ def test_echelon_sift_and_contains():
     assert eb.rank == 3
 
 
+def test_echelon_rank_and_membership_match_numpy_in_any_order():
+    rng = random.Random(43)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        eb = EchelonBasis(cols)
+        for row in rng.sample(m, rows):
+            eb.sift(row)
+        assert eb.rank == np.linalg.matrix_rank(np.array(m)), m
+        for _ in range(5):
+            v = [rng.randint(-2, 2) for _ in range(cols)]
+            grown = np.linalg.matrix_rank(np.array(m + [v]))
+            assert eb.contains(v) == (grown == eb.rank), (m, v)
+
+
 def test_echelon_rejects_out_of_range_coordinate():
     eb = EchelonBasis(2)
     with pytest.raises(ValueError):
@@ -70,7 +84,7 @@ def test_kernel_dimension_known_cases():
     assert kernel_dimension([[0, 0], [0, 0]]) == 2
     assert kernel_dimension([[1, 2, 3]]) == 2
     assert kernel_dimension([[Fraction(1, 2)], [Fraction(1, 3)]]) == 0
-    assert kernel_dimension(RationalMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == 1
+    assert kernel_dimension([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 1
     assert kernel_dimension([]) == 0
     assert kernel_dimension([[]]) == 0
 
@@ -160,9 +174,16 @@ def test_negative_definite_matches_eigen_sign_on_random_symmetric():
         assert is_negative_definite(m) == bool(np.all(evs < 0))
 
 
-def test_rational_matrix_accessors():
-    m = RationalMatrix([[1, 2], [3, 4]])
-    assert m[0, 1] == 2
-    assert m.rows == m.cols == 2
-    assert not m.is_symmetric()
-    assert RationalMatrix.identity(3).is_symmetric()
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+def test_exact_references_reject_ragged_rows(rows):
+    with pytest.raises(ValueError):
+        kernel_dimension(rows)
+    with pytest.raises(ValueError):
+        is_negative_definite(rows)
+
+
+def test_negative_definite_rejects_non_square():
+    with pytest.raises(ValueError):
+        is_negative_definite([[-1, 0, 0], [0, -1, 0]])
+    with pytest.raises(ValueError):
+        is_negative_definite([[-1], [0]])

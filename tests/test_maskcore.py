@@ -194,6 +194,12 @@ def test_integer_split_matches_fraction_oracle(n):
     assert fast.to_json() == split_check_fractions(CLOSURES[n]).to_json()
 
 
+@pytest.mark.parametrize("n", [4, 7])
+def test_fraction_oracle_refuses_n_without_a_split(n):
+    with pytest.raises(ValueError):
+        split_check_fractions(CLOSURES[n])
+
+
 def test_split_certificate_matches_pair_oracles():
     for n in (5, 9, 13):
         basis = CLOSURES.get(n) or blade_closure(n, spin_generators(n).masks)
