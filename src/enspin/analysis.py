@@ -15,7 +15,8 @@ Each function of the core states its proof in its docstring.
 The dense structure table, the mod-p rank probe (rank_trials,
 rank_estimate), the leading-minor Killing test and the Fraction split
 (split_check_fractions) are kept as independent test oracles; no
-verify path calls them.
+verify path calls them, and the package namespace does not export
+them.  The dense table is a blade table (StructureConstants).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .clifford import Blade, Multivector, blade_product, bracket, mv_product
 from .closure import ClosureBasis, _anticommute, blade_closure, check_ambient
 from .linalg import (
     DEFAULT_PRIMES,
-    EchelonBasis,
     is_negative_definite,
     kernel_dimension_mod_p,
 )
@@ -42,26 +42,16 @@ from .spinrep import spin_generators
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Single-target bracket table: [b_i, b_j] = coeffs[i,j] * b_targets[i,j].
+    """Blade table of a closed blade basis: [b_i, b_j] = coeffs[i,j] * b_targets[i,j].
 
     targets holds -1 and coeffs holds 0 where the bracket vanishes.
-    xor_structured marks tables built from a blade closure, where the
-    target mask is always mask_i ^ mask_j; a few routines have fast
-    paths that are only valid under that shape.
+    Elsewhere the target is the blade of mask_i ^ mask_j and the
+    coefficient is +-2; killing_form and center_dim rest on that shape.
     """
 
     d: int
     targets: np.ndarray
     coeffs: np.ndarray
-    xor_structured: bool = False
-
-    @classmethod
-    def from_table(cls, targets, coeffs) -> "StructureConstants":
-        t = np.asarray(targets, dtype=np.int32)
-        c = np.asarray(coeffs, dtype=np.int64)
-        if t.shape != c.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("targets and coeffs must be equal square matrices")
-        return cls(d=t.shape[0], targets=t, coeffs=c)
 
     def entry(self, i: int, j: int) -> tuple[int, int] | None:
         """(target index, coefficient) of [b_i, b_j], or None when zero."""
@@ -109,18 +99,12 @@ def structure_constants(basis: ClosureBasis) -> StructureConstants:
             raise ValueError(f"basis not closed: bracket target {bad:#x} missing")
         targets[i, anti] = tgt
         coeffs[i, anti] = sign
-    return StructureConstants(d=d, targets=targets, coeffs=coeffs, xor_structured=True)
+    return StructureConstants(d=d, targets=targets, coeffs=coeffs)
 
 
 def bracket_coords(sc: StructureConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coordinates of [x, y] for integer coordinate vectors x, y."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    out = np.zeros(sc.d, dtype=np.int64)
-    ii, jj = np.nonzero(sc.coeffs)
-    vals = x[ii] * y[jj] * sc.coeffs[ii, jj].astype(np.int64)
-    np.add.at(out, sc.targets[ii, jj], vals)
-    return out
+    """Coordinates of [x, y] for integer coordinate vectors x, y: ad(x) applied to y."""
+    return ad_matrix(sc, x) @ np.asarray(y, dtype=np.int64)
 
 
 def ad_matrix(sc: StructureConstants, x: np.ndarray) -> np.ndarray:
@@ -188,26 +172,14 @@ def killing_diagonal(sc: StructureConstants) -> np.ndarray:
     return out
 
 
-def killing_entry(sc: StructureConstants, i: int, j: int) -> int:
-    """Trace of ad b_i composed with ad b_j, straight from the table."""
-    ks = np.nonzero(sc.coeffs[j])[0]
-    if ks.size == 0:
-        return 0
-    t1 = sc.targets[j, ks]
-    c2 = sc.coeffs[i, t1].astype(np.int64)
-    closes = (c2 != 0) & (sc.targets[i, t1] == ks)
-    return int(np.sum(sc.coeffs[j, ks].astype(np.int64)[closes] * c2[closes]))
-
-
 def killing_form(sc: StructureConstants) -> list[list[int]]:
-    """Full Killing matrix as d rows of ints; diagonal by the XOR-translation argument.
+    """Full Killing matrix as d rows of ints, assembled from killing_diagonal.
 
-    For a blade table ad b_i o ad b_j shifts mask_k by mask_i ^ mask_j,
-    a fixed-point-free permutation of the basis when i != j, so only the
-    diagonal survives.  Assembled here from the computed diagonal.
+    XOR translation: in a blade table ad b_i o ad b_j sends each b_k to
+    a multiple of b_(k ^ mask_i ^ mask_j).  For i != j that translates
+    the masks by a nonzero XOR, so no basis blade maps to itself, the
+    trace is 0, and only the diagonal survives.
     """
-    if not sc.xor_structured:
-        return [[killing_entry(sc, i, j) for j in range(sc.d)] for i in range(sc.d)]
     diag = killing_diagonal(sc).tolist()
     return [[diag[i] if i == j else 0 for j in range(sc.d)] for i in range(sc.d)]
 
@@ -223,28 +195,22 @@ def killing_negative_definite_check(sc: StructureConstants) -> tuple[bool, str]:
 
 
 def center_dim(sc: StructureConstants) -> int:
-    """Dimension of the centralizer of the whole table.
+    """Dimension of the centralizer of the whole table: the number of zero rows.
 
-    For XOR-structured tables the constraint system decouples (targets
-    are injective per column), so the center is spanned by the basis
-    vectors whose coefficient row vanishes.  Other tables fall back to
-    sifting one constraint row per (column, target) group.
+    Injective columns: in a blade table the nonzero entries of column j
+    target the blades of mask_i ^ mask_j, distinct for distinct i.  So
+    in [x, b_j] = sum x_i [b_i, b_j] every term lands on its own blade,
+    [x, b_j] = 0 forces x_i = 0 wherever coeffs[i, j] != 0, and the
+    center is spanned by the basis vectors whose row vanishes.
     """
-    if sc.xor_structured:
-        return int(np.sum(~np.any(sc.coeffs != 0, axis=1)))
-    constraints = EchelonBasis(sc.d)
-    for j in range(sc.d):
-        groups: dict[int, dict[int, int]] = {}
-        for i in np.nonzero(sc.coeffs[:, j])[0]:
-            t = int(sc.targets[i, j])
-            groups.setdefault(t, {})[int(i)] = int(sc.coeffs[i, j])
-        for row in groups.values():
-            constraints.sift(row)
-    return sc.d - constraints.rank
+    return int(np.sum(~np.any(sc.coeffs != 0, axis=1)))
 
 
 def derived_dim(sc: StructureConstants) -> int:
-    """Dimension of the span of all brackets (single-target tables)."""
+    """Dimension of the span of all brackets: the number of distinct targets.
+
+    Distinct blades are independent, so each target adds one dimension.
+    """
     nz = sc.coeffs != 0
     if not np.any(nz):
         return 0

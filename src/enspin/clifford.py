@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Coeff = Union[int, Fraction]
 
@@ -243,7 +243,10 @@ def parse_multivector(text: str, dim: int) -> Multivector:
         if m is None or m.end() == pos or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"cannot parse multivector term at {s[pos:]!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        try:
+            coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in multivector term at {s[pos:]!r}") from None
         mask, bsign = 0, 1
         if m.group(3):
             for idx_str in _INDEX_RE.findall(m.group(3)):

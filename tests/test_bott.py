@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from enspin.bott import (
@@ -109,3 +112,14 @@ def test_domain_errors():
         bott_algebra(1)
     with pytest.raises(ValueError):
         max_compact(0)
+
+
+def test_readme_computed_facts_match_the_code():
+    # the benchmark gate reads this table as its outside source of facts
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Computed facts", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| (\d+) \| (.+?) \|$", section, flags=re.M)
+    table = {int(n): (int(dim), kind) for n, dim, kind in rows}
+    assert sorted(table) == list(range(3, 25))
+    for n, (dim, kind) in table.items():
+        assert (dim, kind) == (lower_bound_dim(n), str(closure_type(n))), n

@@ -128,6 +128,23 @@ def test_delta_text_reports_identities(capsys):
     assert "FAIL" not in out
 
 
+def test_delta_failed_identity_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("enspin.cli.delta_identities", lambda n: {"sum": True, "broken": False})
+    code, out, _ = run_cli(capsys, "delta", "--n", "8", "--format", "text")
+    assert code == 1
+    assert "broken FAIL" in out
+    code, out, _ = run_cli(capsys, "delta", "--n", "8")
+    assert code == 1
+    assert json.loads(out)["identities"]["broken"] is False
+
+
+def test_delta_closed_form_mismatch_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("enspin.cli.delta_sum", lambda k, n: -1)
+    code, _, err = run_cli(capsys, "delta", "--n", "8")
+    assert code == 1
+    assert "disagree" in err
+
+
 # -- classify ----------------------------------------------------------------
 
 def test_classify_five_text(capsys):
@@ -364,6 +381,23 @@ def test_exports_are_defined_where_listed():
         strays += [(module, name) for name in names
                    if callable(obj := getattr(mod, name)) and obj.__module__ != mod.__name__]
     assert not strays
+
+
+ORACLES = {
+    "analysis": ("StructureConstants", "structure_constants", "center_dim", "derived_dim",
+                 "killing_form", "rank_estimate"),
+    "closure": ("general_closure",),
+    "linalg": ("DEFAULT_PRIMES", "EchelonBasis", "is_negative_definite",
+               "kernel_dimension", "kernel_dimension_mod_p"),
+}
+
+
+def test_oracles_import_from_their_modules_only():
+    for module, names in ORACLES.items():
+        mod = importlib.import_module(f"enspin.{module}")
+        for name in names:
+            assert name not in enspin.__all__, name
+            assert hasattr(mod, name), (module, name)
 
 
 def test_importing_main_does_not_run_the_cli():

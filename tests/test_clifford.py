@@ -193,3 +193,11 @@ def test_parse_blade_accepts_single_terms_only():
 def test_parse_rejects_out_of_range_index():
     with pytest.raises(ValueError):
         parse_multivector("v4", 3)
+
+
+@pytest.mark.parametrize("text", ["1/0", "2/0v1", "v1 + 3/0v2"])
+def test_parse_rejects_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_multivector(text, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_blade(text, 2)
