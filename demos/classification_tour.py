@@ -13,13 +13,13 @@ from enspin.bott import bott_algebra, closure_type
 
 print("n    clifford algebra       predicted      computed       verdict")
 for n in range(3, 9):
-    res = classify(n, seed=0)
+    res = classify(n)
     predicted = str(closure_type(n))
     print(f"{n:<5}{str(bott_algebra(n)):<23}{predicted:<15}{res.display:<15}"
           + ("pass" if res.verdict else "FAIL"))
 
 # a closer look at one case: n = 6 should be sp(4), dimension 36, rank 4
-bundle = analyze(6, seed=0)
+bundle = analyze(6)
 print(f"\nn=6: dim {bundle.basis.dim}, center {bundle.center}, "
       f"derived {bundle.derived}, rank {bundle.rank}")
 print(f"compact: {bundle.compact}, Killing form negative definite: {bundle.killing_ok}")
@@ -27,7 +27,7 @@ print(f"compact: {bundle.compact}, Killing form negative definite: {bundle.killi
 # at n = 5 and n = 9 the top blade is central with square +1, so the
 # algebra splits into two ideals of equal dimension
 for n in (5, 9):
-    split = analyze(n, seed=0).split
+    split = analyze(n).split
     print(f"\nn={n}: split into {split.dims}, cross brackets vanish: "
           f"{split.cross_vanishes}, exhaustive: {split.exhaustive}")
 

@@ -14,8 +14,8 @@ import sys
 
 from .analysis import classify
 from .clifford import Blade
-from .closure import MAX_AMBIENT, blade_closure, check_ambient
-from .deltas import delta_closed, delta_identities, delta_sum
+from .closure import blade_closure, check_ambient
+from .deltas import MAX_DELTA_N, delta_closed, delta_identities, delta_sum
 from .report import (
     algebra_table,
     reports_to_csv,
@@ -56,6 +56,8 @@ def cmd_closure(args: argparse.Namespace) -> int:
 def cmd_delta(args: argparse.Namespace) -> int:
     if args.n < 1:
         return _usage_error(f"delta needs --n >= 1, got {args.n}")
+    if args.n > MAX_DELTA_N:
+        return _usage_error(f"delta needs --n <= {MAX_DELTA_N}, got {args.n}")
     values = {f"d{k}": int(delta_closed(k, args.n)) for k in range(4)}
     sums = {f"d{k}": delta_sum(k, args.n) for k in range(4)}
     if values != sums:
@@ -79,7 +81,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.n < 3:
         return _usage_error(f"classify needs --n >= 3, got {args.n}")
     try:
-        result = classify(args.n, seed=args.seed)
+        result = classify(args.n)
     except ValueError as e:
         return _usage_error(str(e))
     if args.format == "json":
@@ -93,11 +95,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0 if result.verdict else 1
 
 
-def _verify_worker(task: tuple[int, bool]) -> "object":
-    n, with_timings = task
-    return run_verification(n, with_timings=with_timings)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = args.from_n, args.to_n
     if lo < 3:
@@ -106,20 +103,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"--to {hi} is below --from {lo}")
     if args.jobs < 1:
         return _usage_error(f"verify needs --jobs >= 1, got {args.jobs}")
-    tasks = [(n, not args.no_timings) for n in range(lo, hi + 1)]
+    ns = range(lo, hi + 1)
     try:
         check_ambient(hi)
-        if args.jobs > 1 and len(tasks) > 1:
+        if args.jobs > 1 and len(ns) > 1:
             # imported only here: concurrent.futures.process pulls in
             # multiprocessing, which a serial run never uses
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-                reports = list(pool.map(_verify_worker, tasks))
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(ns))) as pool:
+                reports = list(pool.map(run_verification, ns))
         else:
-            reports = [_verify_worker(t) for t in tasks]
+            reports = [run_verification(n) for n in ns]
     except ValueError as e:
         return _usage_error(str(e))
+    if args.no_timings:
+        for r in reports:
+            r.timings_ms = dict.fromkeys(r.timings_ms, 0.0)
     if args.format == "json":
         sys.stdout.write(reports_to_json(reports))
     elif args.format == "markdown":
@@ -173,13 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_small_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="json")
 
-    def add_ignored_large(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--allow-large", action="store_true",
-                       help=f"accepted for compatibility and ignored; every n up to {MAX_AMBIENT} runs")
-
     p = sub.add_parser("closure", help="basis of the Lie closure of the spin generators")
     p.add_argument("--n", type=int, required=True)
-    add_ignored_large(p)
     add_small_format(p)
     p.set_defaults(func=cmd_closure)
 
@@ -190,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="match the closure against its compact type")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for compatibility; every check is deterministic")
-    add_ignored_large(p)
     add_small_format(p)
     p.set_defaults(func=cmd_classify)
 
@@ -202,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0,
-                   help="accepted for compatibility; every check is deterministic")
-    add_ignored_large(p)
+                   help="accepted for the benchmark, which forwards one; every check is deterministic")
     p.add_argument("--no-timings", action="store_true",
                    help="zero out stage timings for byte-stable output")
     p.set_defaults(func=cmd_verify)
@@ -216,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="algebra tables side by side with computed dimensions")
     p.add_argument("--to", dest="to_n", type=int, default=12)
     p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
-    add_ignored_large(p)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -121,6 +121,8 @@ class Multivector:
         return self.dim == other.dim and self.terms == other.terms
 
     def __add__(self, other: "Multivector") -> "Multivector":
+        if not isinstance(other, Multivector):
+            return NotImplemented
         self._check_dim(other)
         acc = dict(self.terms)
         for mask, c in other.terms.items():
@@ -128,11 +130,9 @@ class Multivector:
         return Multivector(acc, self.dim)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check_dim(other)
-        acc = dict(self.terms)
-        for mask, c in other.terms.items():
-            acc[mask] = acc.get(mask, Fraction(0)) - c
-        return Multivector(acc, self.dim)
+        if not isinstance(other, Multivector):
+            return NotImplemented
+        return self + -other
 
     def __neg__(self) -> "Multivector":
         return Multivector({m: -c for m, c in self.terms.items()}, self.dim)
@@ -144,10 +144,10 @@ class Multivector:
     def __mul__(self, other: Union["Multivector", Coeff]) -> "Multivector":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return mv_product(self, other)
+        return mv_product(self, other) if isinstance(other, Multivector) else NotImplemented
 
     def __rmul__(self, other: Coeff) -> "Multivector":
-        return self.scale(other)
+        return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __str__(self) -> str:
         return format_multivector(self)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+MAX_DELTA_N = 2048  # the largest n `enspin delta` takes; about 0.7 s there on 2 vCPUs
+
 
 def _check_k(k: int) -> None:
     if k not in (0, 1, 2, 3):

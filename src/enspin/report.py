@@ -93,11 +93,13 @@ def _killing_outcome(bundle: AnalysisBundle) -> CheckOutcome:
     return _outcome(True, f"diagonal, K_ii = -4 x anticommuting partners < 0 for all d={d}")
 
 
-def run_verification(n: int, *, with_timings: bool = True) -> VerificationReport:
+def run_verification(n: int) -> VerificationReport:
     """All checks for one n, assembled into a single report record.
 
     The ambient ceiling is checked before any work, the O(n^2)
-    generator relations included."""
+    generator relations included.  timings_ms holds each stage's wall
+    time in milliseconds, rounded to 3 places; `verify --no-timings`
+    zeroes them in the CLI for byte-stable output."""
     if n < 3:
         raise ValueError(f"verification needs n >= 3, got {n}")
     check_ambient(n)
@@ -171,8 +173,6 @@ def run_verification(n: int, *, with_timings: bool = True) -> VerificationReport
         detail += ": " + "; ".join(cls.failures)
     checks["classify"] = _outcome(cls.verdict, detail)
 
-    timings = {k: round(v, 3) if with_timings else 0.0 for k, v in timings.items()}
-
     return VerificationReport(
         n=n,
         closure_dim=bundle.basis.dim,
@@ -181,7 +181,7 @@ def run_verification(n: int, *, with_timings: bool = True) -> VerificationReport
         bott_algebra=str(bott_algebra(n)),
         max_compact=str(max_compact(n)),
         checks={name: checks[name] for name in CHECK_ORDER},
-        timings_ms=timings,
+        timings_ms={k: round(v, 3) for k, v in timings.items()},
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import enspin
 from enspin.cli import main
+from enspin.deltas import MAX_DELTA_N
 
 DATA = Path(__file__).parent / "data"
 
@@ -37,26 +38,45 @@ def test_verify_rejects_bad_range(capsys):
     assert run_cli(capsys, "verify", "--from", "5", "--to", "4")[0] == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--from", "3", "--to", "25"),
-    ("verify", "--from", "3", "--to", "25", "--allow-large"),
-    ("report", "--to", "25"),
-    ("report", "--to", "25", "--allow-large"),
-    ("closure", "--n", "25"),
-    ("closure", "--n", "25", "--allow-large"),
-    ("classify", "--n", "25"),
-    ("classify", "--n", "25", "--allow-large"),
-])
-def test_over_cap_range_fails_before_any_work(capsys, monkeypatch, argv):
+def record_work(monkeypatch) -> list:
+    """Replace every entry into the pipeline by a recorder and return its calls."""
     calls = []
     monkeypatch.setattr("enspin.cli.run_verification", lambda *a, **k: calls.append(a))
     monkeypatch.setattr("enspin.closure.blade_closure", lambda *a, **k: calls.append(a))
     # the spin generators alone are O(n^2) bits, so the refusal must come first
     monkeypatch.setattr("enspin.cli.spin_generators", lambda *a, **k: calls.append(a))
     monkeypatch.setattr("enspin.analysis.spin_generators", lambda *a, **k: calls.append(a))
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--from", "3", "--to", "25"),
+    ("report", "--to", "25"),
+    ("closure", "--n", "25"),
+    ("classify", "--n", "25"),
+])
+def test_over_cap_range_fails_before_any_work(capsys, monkeypatch, argv):
+    calls = record_work(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err and out == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--n", "3", "--allow-large"),
+    ("classify", "--n", "3", "--allow-large"),
+    ("verify", "--from", "3", "--to", "3", "--allow-large"),
+    ("report", "--to", "3", "--allow-large"),
+    ("classify", "--n", "3", "--seed", "0"),
+])
+def test_removed_flags_exit_two_before_any_work(capsys, monkeypatch, argv):
+    calls = record_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in captured.err and captured.out == ""
     assert calls == []
 
 
@@ -70,14 +90,6 @@ def test_past_sixteen_needs_no_flag(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert out and err == ""
-
-
-def test_allow_large_is_ignored(capsys):
-    base = ("verify", "--from", "17", "--to", "18", "--no-timings")
-    plain = run_cli(capsys, *base)
-    flagged = run_cli(capsys, *base, "--allow-large")
-    assert plain[0] == 0
-    assert plain == flagged
 
 
 def test_roots_rejects_affine_and_beyond(capsys):
@@ -126,6 +138,25 @@ def test_delta_text_reports_identities(capsys):
     assert code == 0
     assert "total 256" in out
     assert "FAIL" not in out
+
+
+def test_delta_prints_at_its_ceiling(capsys):
+    code, out, err = run_cli(capsys, "delta", "--n", str(MAX_DELTA_N))
+    assert (code, err) == (0, "")
+    blob = json.loads(out)
+    assert blob["total"] == 2 ** MAX_DELTA_N
+    assert all(blob["identities"].values())
+
+
+def test_delta_past_its_ceiling_exits_two_before_any_sum(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("summed past the ceiling")
+
+    for name in ("delta_closed", "delta_sum", "delta_identities"):
+        monkeypatch.setattr(f"enspin.cli.{name}", fail)
+    code, out, err = run_cli(capsys, "delta", "--n", str(MAX_DELTA_N + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: delta needs --n <= {MAX_DELTA_N}, got {MAX_DELTA_N + 1}\n"
 
 
 def test_delta_failed_identity_exits_one(capsys, monkeypatch):

@@ -140,6 +140,19 @@ def test_multivector_arithmetic_basics():
     assert (-x).terms == {0b01: -1, 0b10: -2}
     assert x.scale(0).is_zero()
     assert (3 * x).terms == {0b01: 3, 0b10: 6}
+    assert x * Fraction(1, 2) == Fraction(1, 2) * x == x.scale(Fraction(1, 2))
+    # foreign operands raise TypeError from either side, never a silent result
+    for foreign in (0.5, "x", 1, None):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                op(x, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, x)
+    for foreign in (0.5, "x", None):
+        with pytest.raises(TypeError):
+            _ = x * foreign
+        with pytest.raises(TypeError):
+            _ = foreign * x
 
 
 def test_dimension_mismatch_raises():

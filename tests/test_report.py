@@ -8,8 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from enspin import spinrep
 from enspin.analysis import analyze, classify_bundle
 from enspin.bott import max_compact
+from enspin.cli import main
+from enspin.clifford import Blade
 from enspin.closure import blade_closure
 from enspin.deltas import lower_bound_dim
 from enspin.report import (
@@ -108,7 +111,7 @@ def test_report_roots_skipped_past_rank_eight():
 
 @pytest.mark.parametrize("n", range(13, 19))
 def test_report_verifies_thirteen_through_eighteen(n):
-    rep = run_verification(n, with_timings=False)
+    rep = run_verification(n)
     assert rep.verdict
     assert rep.closure_dim == lower_bound_dim(n)
     assert rep.checks["classify"].detail == str(max_compact(n))
@@ -124,15 +127,39 @@ def test_report_refuses_past_ceiling_before_relations(monkeypatch, n):
         run_verification(n)
 
 
-def test_report_timings_toggle():
-    timed = run_verification(4, with_timings=True)
-    bare = run_verification(4, with_timings=False)
-    assert all(v == 0.0 for v in bare.timings_ms.values())
-    assert timed.timings_ms.keys() == bare.timings_ms.keys()
+def test_report_timings_toggle(capsys):
+    # --no-timings is applied by the CLI, to serial and pooled reports alike
+    def timings(*flags):
+        assert main(["verify", "--from", "4", "--to", "5", *flags]) == 0
+        return [r["timings_ms"] for r in json.loads(capsys.readouterr().out)]
+
+    timed = timings()
+    assert all(sum(t.values()) > 0 for t in timed)
+    for jobs in ("1", "2"):
+        bare = timings("--no-timings", "--jobs", jobs)
+        assert [t.keys() for t in bare] == [t.keys() for t in timed]
+        assert all(v == 0.0 for t in bare for v in t.values())
+
+
+def test_relations_check_fails_on_a_wrong_generator(monkeypatch):
+    # A_1 = v1 squares to +1; the closure and the other checks keep the true generators
+    true_generators = spinrep.spin_generators
+
+    def wrong_first(n):
+        gens = true_generators(n)
+        return replace(gens, blades=(Blade(0b1),) + gens.blades[1:])
+
+    monkeypatch.setattr("enspin.spinrep.spin_generators", wrong_first)
+    rel = spinrep.verify_relations(5)
+    assert "A_1^2 != -1" in rel.failures
+    assert "half-scaled presentation failed" in rel.failures
+    rep = run_verification(5)
+    assert rep.checks["relations"].status == "fail"
+    assert not rep.verdict
 
 
 def test_report_json_shape():
-    rep = run_verification(4, with_timings=False)
+    rep = run_verification(4)
     blob = rep.to_json()
     assert blob["n"] == 4
     assert blob["delta"] == {"d0": 2, "d1": 4, "d2": 6, "d3": 4}
@@ -143,13 +170,13 @@ def test_report_json_shape():
 
 
 def test_reports_to_json_is_a_list_sorted_by_n():
-    reps = [run_verification(n, with_timings=False) for n in (5, 4)]
+    reps = [run_verification(n) for n in (5, 4)]
     blob = json.loads(reports_to_json(reps))
     assert [r["n"] for r in blob] == [4, 5]
 
 
 def test_reports_markdown_has_one_row_per_n():
-    reps = [run_verification(n, with_timings=False) for n in (4, 5)]
+    reps = [run_verification(n) for n in (4, 5)]
     text = reports_to_markdown(reps)
     lines = text.strip().splitlines()
     assert lines[0].startswith("| n |")
@@ -158,7 +185,7 @@ def test_reports_markdown_has_one_row_per_n():
 
 
 def test_reports_csv_parses_back():
-    reps = [run_verification(n, with_timings=False) for n in (4, 5)]
+    reps = [run_verification(n) for n in (4, 5)]
     rows = list(csv.DictReader(io.StringIO(reports_to_csv(reps))))
     assert [r["n"] for r in rows] == ["4", "5"]
     assert rows[0]["verdict"] == "pass"
