@@ -7,12 +7,15 @@ about it: closure bases, mod-4 binomial dimension counts, the period-8
 matrix-algebra tables, defining relations, Killing definiteness, rank
 certificates, the top-blade eigenspace split, and positive-root counts.
 
-``import enspin`` loads no submodule and so no numpy: each public name
-below is imported from its submodule on first use (PEP 562) and then
-cached on the package.  The names are the verifier's; its independent
-test oracles (the dense blade table, the mod-p rank probe, the exact
+``import enspin`` loads no submodule: each public name below is
+imported from its submodule on first use (PEP 562) and then cached on
+the package.  The names are the verifier's, and none of them imports
+numpy: a closure is one Python int of 2^n bits (2 MiB at n = 24), and
+every check reads it with int operations.  The independent test
+oracles (the dense blade table, the mod-p rank probe, the exact
 references over Q and general_closure) are imported from
-enspin.analysis, enspin.linalg and enspin.closure.
+enspin.analysis, enspin.linalg and enspin.closure; the numpy ones
+import numpy when they are called.
 """
 
 import importlib

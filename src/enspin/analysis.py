@@ -3,20 +3,22 @@
 Every bracket of two basis blades is zero or +-2 times the XOR blade,
 so center, derived algebra, Killing form, rank and the two-ideal split
 are all mask combinatorics.  analyze runs only the mask-native core on
-the closure that blade_closure proves bracket-closed: the central
-blades, which are the blades commuting with every generator
+the bitset of the closure that blade_closure proves bracket-closed: the
+central blades, which are the blades commuting with every generator
 (central_blades) and whose complement spans the derived algebra; the
 diagonal Killing form, negative exactly on the non-central blades of
 grade 2 or 3 mod 4; a greedy torus of commuting blades that is its own
 centralizer by construction (rank); and the central idempotents
-(1 +- omega)/2 for the split, certified by O(d) checks on the masks.
-Each function of the core states its proof in its docstring.
+(1 +- omega)/2 for the split.  Each stage is a few operations on Python
+ints of 2^n bits (2 MiB each at n = 24), so no verify path imports
+numpy.  Each function of the core states its proof in its docstring.
 
 The dense structure table, the mod-p rank probe (rank_trials,
 rank_estimate), the leading-minor Killing test and the Fraction split
 (split_check_fractions) are kept as independent test oracles; no
 verify path calls them, and the package namespace does not export
-them.  The dense table is a blade table (StructureConstants).
+them.  The dense table is a blade table (StructureConstants).  The
+numpy oracles import numpy when they are called.
 """
 
 from __future__ import annotations
@@ -25,19 +27,29 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .bott import CompactTypeDescriptor, closure_type
-from .clifford import Blade, Multivector, blade_product, bracket, mv_product
-from .closure import ClosureBasis, _anticommute, blade_closure, check_ambient
+from .clifford import Blade, Multivector, blade_product, blades_anticommute, bracket, mv_product
+from .closure import (
+    ClosureBasis,
+    _anticommute_pattern,
+    _grade_classes,
+    _low_halves,
+    _set_bits,
+    _xor_translate,
+    blade_closure,
+    check_ambient,
+)
 from .linalg import (
     DEFAULT_PRIMES,
     is_negative_definite,
     kernel_dimension_mod_p,
 )
 from .spinrep import spin_generators
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,8 @@ def structure_constants(basis: ClosureBasis) -> StructureConstants:
     bit-by-bit over a, the anticommutation test is the parity of
     |a||b| - |a & b|, and a bracket target outside the basis raises.
     """
+    import numpy as np
+
     masks = basis.mask_array
     d = len(masks)
     n = basis.n
@@ -104,11 +118,15 @@ def structure_constants(basis: ClosureBasis) -> StructureConstants:
 
 def bracket_coords(sc: StructureConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coordinates of [x, y] for integer coordinate vectors x, y: ad(x) applied to y."""
+    import numpy as np
+
     return ad_matrix(sc, x) @ np.asarray(y, dtype=np.int64)
 
 
 def ad_matrix(sc: StructureConstants, x: np.ndarray) -> np.ndarray:
     """Matrix of ad(x) acting on coordinate columns, as int64."""
+    import numpy as np
+
     x = np.asarray(x, dtype=np.int64)
     d = sc.d
     a = np.zeros((d, d), dtype=np.int64)
@@ -119,6 +137,8 @@ def ad_matrix(sc: StructureConstants, x: np.ndarray) -> np.ndarray:
 
 
 def antisymmetry_holds(sc: StructureConstants) -> bool:
+    import numpy as np
+
     c = sc.coeffs
     t = sc.targets
     if not np.array_equal(c, -c.T):
@@ -165,6 +185,8 @@ def table_jacobi_holds(sc: StructureConstants, *, samples: int = 2000, seed: int
 
 def killing_diagonal(sc: StructureConstants) -> np.ndarray:
     """Diagonal K_ii = sum_k c_ik * c_{i, t_ik}, as int64."""
+    import numpy as np
+
     out = np.zeros(sc.d, dtype=np.int64)
     ii, kk = np.nonzero(sc.coeffs)
     back = sc.coeffs[ii, sc.targets[ii, kk]].astype(np.int64)
@@ -203,6 +225,8 @@ def center_dim(sc: StructureConstants) -> int:
     [x, b_j] = 0 forces x_i = 0 wherever coeffs[i, j] != 0, and the
     center is spanned by the basis vectors whose row vanishes.
     """
+    import numpy as np
+
     return int(np.sum(~np.any(sc.coeffs != 0, axis=1)))
 
 
@@ -211,6 +235,8 @@ def derived_dim(sc: StructureConstants) -> int:
 
     Distinct blades are independent, so each target adds one dimension.
     """
+    import numpy as np
+
     nz = sc.coeffs != 0
     if not np.any(nz):
         return 0
@@ -235,6 +261,8 @@ def rank_trials(
     primes=DEFAULT_PRIMES,
 ) -> list[RankTrial]:
     """Kernel dimensions of ad(x) for random integer x, per trial and prime."""
+    import numpy as np
+
     rng = random.Random(seed)
     log: list[RankTrial] = []
     for t in range(trials):
@@ -365,12 +393,14 @@ def split_check_fractions(basis: ClosureBasis) -> SplitResult:
 
 # --- the mask-native core: everything analyze runs ------------------------
 
-def central_blades(basis: ClosureBasis) -> np.ndarray:
-    """One bool per blade of the closure of basis.provenance: True when it is central.
+def central_blades(basis: ClosureBasis) -> int:
+    """The central blades of the closure of basis.provenance, as a bitset.
 
     The rule: a blade of the closure L is central iff it commutes with
-    every generator.  One _anticommute call per generator, so O(n d)
-    for the n spin generators, with nothing of length 2^n.
+    every generator.  So the center is basis.bits without the union of
+    the generators' anticommute patterns (_anticommute_pattern): one
+    pattern per generator, O(n 2^n) bits of work for the n spin
+    generators.
 
     Center.  Say a blade x of the basis S is a partner of a when the
     two anticommute.  For a fixed t the map i -> i ^ t is injective, so
@@ -403,15 +433,17 @@ def central_blades(basis: ClosureBasis) -> np.ndarray:
     b_i is not central, and the form is negative definite exactly when
     that holds for every blade.
     """
-    masks = basis.mask_array
-    anti = np.zeros(masks.size, dtype=bool)
+    anti = 0
     for g in basis.provenance:
-        anti |= _anticommute(masks, np.int64(g))
-    return ~anti
+        anti |= _anticommute_pattern(g, basis.n)
+    return basis.bits & ~anti
 
 
-def is_compact_basis(masks) -> bool:
-    """True when every blade squares to -1, which makes the algebra compact.
+def is_compact_basis(bits: int, n: int) -> bool:
+    """True when every blade of the bitset squares to -1, which makes the algebra compact.
+
+    That is, no mask below 2^n in bits has grade 0 or 1 mod 4
+    (_grade_classes).
 
     Reversing the k factors of a grade-k blade b takes k(k-1)/2 swaps,
     and b reverse(b) = 1 because each v_i squares to 1, so
@@ -423,17 +455,16 @@ def is_compact_basis(masks) -> bool:
     in so(2^n).  This holds at n = 3 as well, where the Killing form is
     degenerate.
     """
-    grade = np.bitwise_count(np.asarray(masks, dtype=np.int64)) % 4
-    return bool(np.all(grade >= 2))
+    grades = _grade_classes(n)
+    return not bits & (grades[0] | grades[1])
 
 
-def greedy_torus(masks) -> tuple[int, ...]:
-    """A maximal abelian set of blades, kept greedily in the given order.
+def greedy_torus(bits: int, n: int) -> tuple[int, ...]:
+    """A maximal abelian set of blades of the bitset, kept greedily in ascending order.
 
-    One pass over a shrinking candidate array: keep the first candidate
-    t, then keep as candidates only the remaining masks that commute
-    with t.  The output T is a torus by construction, for any list of
-    distinct masks:
+    The greedy rule: go through the masks in ascending order and keep a
+    mask when it commutes with every mask kept so far.  Run in any order
+    on any set of distinct masks, the rule outputs a torus T:
 
     (a) T is abelian: each kept blade survived the filter of every blade
         kept before it, so it commutes with all of them.
@@ -449,24 +480,31 @@ def greedy_torus(masks) -> tuple[int, ...]:
         (Knapp, Lie Groups Beyond an Introduction, ch. IV), so the rank
         is |T|.
 
-    The filter runs over rest[1:]: t commutes with itself, so a filter
-    over all of rest would keep t as a candidate forever.
+    On the bitset the rule takes at most n pattern steps.  The
+    commutation exponent q is bilinear over F_2 (_anticommute_pattern),
+    so a mask commutes with every kept mask iff it commutes with their
+    F_2 span K, and a kept mask that lies in K filters out nothing.
+    Hold the candidates C = bits & K^perp, kept and still to come alike.
+    The lowest mask t of C outside K is the next one that filters: every
+    lower mask of C lies in K and is kept.  Filtering C by the pattern
+    of t drops no mask of K, since t is in K^perp, and K + t, which is
+    K | (K ^ t) (_xor_translate), doubles K.  So after at most n steps C
+    lies inside K, every mask of C is kept, and T = C.
     """
-    rest = np.asarray(masks, dtype=np.int64)
-    torus: list[int] = []
-    while rest.size:
-        t = rest[0]
-        torus.append(int(t))
-        rest = rest[1:][~_anticommute(rest[1:], t)]
-    return tuple(torus)
+    low_halves = _low_halves(n)
+    candidates, span = bits, 1
+    while outside := candidates & ~span:
+        t = (outside & -outside).bit_length() - 1
+        candidates &= ~_anticommute_pattern(t, n)
+        span |= _xor_translate(span, t, low_halves)
+    return _set_bits(candidates)
 
 
 def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     """Certify the split of the closure into the two top-blade eigenspaces.
 
-    Premise: the basis is the bracket closure of basis.provenance, with
-    its masks in ascending order.  analyze passes the output of
-    blade_closure, whose breadth-first-walk proof makes it so.
+    Premise: the basis is the bracket closure of basis.provenance.
+    analyze passes the output of blade_closure, whose proof makes it so.
 
     Proof of the split: when omega = v1...vn is central with omega^2 = 1,
     p = (1 + omega)/2 and q = (1 - omega)/2 are central idempotents with
@@ -481,13 +519,15 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     blade_product; centrality as no generator anticommuting with the
     top blade, O(n), since ad(omega) is a derivation that then kills
     every bracket of generators (the rule of central_blades); and
-    closure under complement, O(d): masks ^ full = full - masks reverses
-    the ascending order, so it holds iff masks ^ full equals the masks
-    reversed.  At the first difference the larger of the two entries is
-    missing from the other array, which names a mask whose complement
-    is missing.  When they hold, the proof covers every pair
-    of eigenvectors at once.  seed is accepted for compatibility and
-    ignored: nothing is sampled.
+    closure under complement, O(n 2^n): the bitset flipped by
+    _xor_translate(bits, full) equals the bitset.  When it does not,
+    the largest mask y in just one of the two names the hole: y itself
+    when y is in the basis, and full ^ y otherwise, since then y is the
+    complement of a mask of the basis.  That is the first difference of
+    the complements and the masks, both in descending order.  When the
+    preconditions hold, the proof covers every pair of eigenvectors at
+    once.  seed is accepted for compatibility and ignored: nothing is
+    sampled.
     """
     n = basis.n
     if n % 2 == 0:
@@ -497,17 +537,17 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     if omega_sq != 1:
         return SplitResult(n=n, applicable=False, reason="top blade squares to -1 when n == 3 mod 4")
 
-    if np.any(_anticommute(np.array(basis.provenance, dtype=np.int64), np.int64(full))):
+    if any(blades_anticommute(g, full) for g in basis.provenance):
         return SplitResult(n=n, applicable=True, omega_central=False, omega_square=omega_sq,
                            reason="top blade failed centrality or square check")
-    masks = basis.mask_array
-    comp, back = masks ^ full, masks[::-1]
-    if not np.array_equal(comp, back):
-        i = int(np.argmax(comp != back))
-        m = int(masks[i] if comp[i] > back[i] else back[i])
+    bits = basis.bits
+    flipped = _xor_translate(bits, full, _low_halves(n))
+    if flipped != bits:
+        y = (flipped ^ bits).bit_length() - 1
+        m = y if bits >> y & 1 else y ^ full
         return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
                            reason=f"complement of {m:#x} missing from basis")
-    return _split_result(n, len(masks) // 2, True, True, True)
+    return _split_result(n, basis.dim // 2, True, True, True)
 
 
 @contextmanager
@@ -525,7 +565,7 @@ class AnalysisBundle:
     n: int
     basis: ClosureBasis
     center: int
-    central: np.ndarray
+    central: int
     compact: bool
     torus: tuple[int, ...]
     split: SplitResult
@@ -569,11 +609,11 @@ def analyze(n: int, *, seed: int = 0, exact_killing: bool | None = None) -> Anal
     with stage(timings, "structure"):
         central = central_blades(basis)
     with stage(timings, "center"):
-        center = int(np.count_nonzero(central))
+        center = central.bit_count()
     with stage(timings, "killing"):
-        compact = is_compact_basis(basis.mask_array)
+        compact = is_compact_basis(basis.bits, n)
     with stage(timings, "rank"):
-        torus = greedy_torus(basis.mask_array)
+        torus = greedy_torus(basis.bits, n)
     with stage(timings, "split"):
         split = split_check(basis)
 

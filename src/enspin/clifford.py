@@ -156,9 +156,18 @@ class Multivector:
         return f"Multivector({self!s}, dim={self.dim})"
 
 
+def _check_operands(x: Multivector, y: Multivector) -> None:
+    """TypeError unless both are Multivectors, as the operators raise; then the dimension check."""
+    if not (isinstance(x, Multivector) and isinstance(y, Multivector)):
+        raise TypeError(
+            f"operands must be Multivectors, got {type(x).__name__} and {type(y).__name__}"
+        )
+    x._check_dim(y)
+
+
 def mv_product(x: Multivector, y: Multivector) -> Multivector:
     """Clifford product, extended bilinearly from blade_product."""
-    x._check_dim(y)
+    _check_operands(x, y)
     acc: dict[int, Fraction] = {}
     for ma, ca in x.terms.items():
         for mb, cb in y.terms.items():
@@ -176,7 +185,7 @@ def bracket(x: Multivector, y: Multivector) -> Multivector:
     For single blades the result is 0 (commuting) or twice their blade
     product; the fast path keeps closure computations exact and cheap.
     """
-    x._check_dim(y)
+    _check_operands(x, y)
     if len(x.terms) == 1 and len(y.terms) == 1:
         (ma, ca), = x.terms.items()
         (mb, cb), = y.terms.items()

@@ -4,54 +4,89 @@ Two routes.  The fast route works on blade masks only: the bracket of
 two basis blades is zero or +-2 times a single blade, so the subalgebra
 generated by blades is spanned by blades, and the closure is the least
 mask set that holds the XOR of every anticommuting pair it contains.
-blade_closure reaches that set by a breadth-first walk from the
-generators, one generator step at a time, because the algebra is
-spanned by right-normed brackets: O(n d) mask operations for a closure
-of dimension d on a bool and an int32 array of length 2^n, and after it
-one int64 array, 8 bytes per blade and no Python int per blade.  Its
-proof certifies that the result is bracket-closed.  One ceiling,
-MAX_AMBIENT, bounds n for every caller, and check_ambient tests it
-before anything is built.  The general route,
-which cross-validates it, sifts brackets into an exact echelon basis.
+blade_closure keeps that set as one Python int of 2^n bits, bit x set
+iff mask x is in it, and relaxes it one generator step at a time, in
+tiles that stay in cache.  CPython works on an int word by word, so
+each step is a few passes over 2^n/8 bytes (2 MiB at n = 24), with no
+Python object per blade and no numpy.  Its proof certifies that the result is
+bracket-closed.  The bitset kernels here (_anticommute_pattern,
+_xor_translate, _grade_classes) serve every later stage as well.  One
+ceiling, MAX_AMBIENT, bounds n for every caller, and check_ambient tests
+it before anything is built.  The general route, which cross-validates
+it, sifts brackets into an exact echelon basis.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .clifford import Multivector, bracket
 from .deltas import drops_top_blade, lower_bound_dim
 from .linalg import EchelonBasis
 
-#: The one ceiling on the ambient dimension, set by memory: the walk
-#: holds a bool and an int32 array of length 2^n, after it a run holds
-#: 8 bytes per blade and no Python int per blade, and the peak of a run
-#: roughly doubles with each step of n (about 215 MiB at n = 24).
+#: The one ceiling on the ambient dimension.  A bitset of 2^n bits is
+#: 2 MiB at n = 24, and no stage holds more than a few dozen of them.
 MAX_AMBIENT = 24
+
+#: blade_closure relaxes the bitset in tiles of 2^_TILE_LOG bits (8 KiB).
+_TILE_LOG = 16
+
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
+
+
+def _set_bits(bits: int) -> tuple[int, ...]:
+    """The positions of the set bits of a non-negative int, ascending.
+
+    The int's bytes are scanned for runs of nonzero bytes, and each run
+    is spelled out by bin(), which is linear for a power-of-two base,
+    and compress, which selects the positions in C.  No Python loop runs
+    per bit, and a sparse set costs little more than its 2^n/8 bytes.
+    """
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    out: list[int] = []
+    for run in _NONZERO_RUN.finditer(data):
+        selectors = bin(int.from_bytes(run.group(), "little"))[:1:-1].encode()
+        start = 8 * run.start()
+        out.extend(compress(range(start, start + len(selectors)),
+                            selectors.translate(_BIT_SELECTORS)))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
 class ClosureBasis:
-    """Blade masks of a bracket-closed subalgebra.
+    """Blade masks of a bracket-closed subalgebra, as a bitset.
 
-    mask_array is ascending, read-only int64 and what every stage reads
-    (split_check relies on the order); masks, its tuple, is built on read."""
+    bits has bit x set iff mask x is in the closure; every stage reads
+    it.  masks, the ascending tuple, and mask_array, the same masks as a
+    read-only int64 array for the test oracles, are built on first read,
+    and only mask_array imports numpy."""
 
     n: int
-    mask_array: np.ndarray
+    bits: int
     provenance: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.mask_array.size
+        return self.bits.bit_count()
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        return tuple(self.mask_array.tolist())
+        return _set_bits(self.bits)
+
+    @cached_property
+    def mask_array(self):
+        import numpy as np
+
+        raw = np.frombuffer(self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little"),
+                            dtype=np.uint8)
+        arr = np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(np.int64)
+        arr.flags.writeable = False
+        return arr
 
     def is_closed(self) -> bool:
         """Re-check the defining closure property (quadratic, for tests)."""
@@ -85,17 +120,85 @@ def check_ambient(n: int) -> None:
         raise ValueError(f"ambient dimension {n} exceeds hard ceiling {MAX_AMBIENT}")
 
 
-def _anticommute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean array: the blades a and b anticommute (|a||b| - |a & b| odd).
+# --- bitset kernels: patterns of 2^n bits, one bit per mask --------------
 
-    Moving a factor v of b across a passes |a| factors, and all but v
-    itself (when v is in a) anticommute with it, so
-    ab = (-1)^(|a||b| - |a & b|) ba.  For even |b| that is |a & b| odd;
-    for odd |b| it is |a| - |a & b| = |a & ~b| odd.  So one popcount of
-    a & h_b decides, with h_b = b or ~b.
+def _low_halves(n: int) -> list[int]:
+    """Entry b: the masks x < 2^n with bit b clear, as a pattern.
+
+    That is 2^b ones under 2^b zeros, doubled until it fills 2^n bits.
     """
-    h = np.where(np.bitwise_count(b) & 1, ~b, b)
-    return (np.bitwise_count(a & h) & 1).astype(bool)
+    out = []
+    for b in range(n):
+        pattern, width = (1 << (1 << b)) - 1, 2 << b
+        while width < 1 << n:
+            pattern |= pattern << width
+            width <<= 1
+        out.append(pattern)
+    return out
+
+
+def _xor_translate(bits: int, g: int, low_halves: Sequence[int]) -> int:
+    """The bitset {x ^ g : x in bits}, for masks below 2^n, n = len(low_halves).
+
+    One delta swap per set bit b of g (Warren, Hacker's Delight, ch. 7):
+    XOR with 2^b swaps each mask x that has bit b clear with x + 2^b, so
+    the bits selected by low_halves[b] trade places with the bits 2^b
+    above them.
+    """
+    b = 0
+    while g:
+        if g & 1:
+            s, low = 1 << b, low_halves[b]
+            bits = ((bits >> s) & low) | ((bits & low) << s)
+        g >>= 1
+        b += 1
+    return bits
+
+
+def _parity_pattern(h: int, k: int) -> int:
+    """The masks x < 2^k with |x & h| odd, as a pattern.
+
+    Built by doubling: the masks below 2^(b+1) are those below 2^b and,
+    above them, the same masks with bit b set, whose parity flips when
+    bit b is in h.  That is 2^k bits of work in all.
+    """
+    pattern, width = 0, 1
+    for b in range(k):
+        upper = pattern ^ ((1 << width) - 1) if h >> b & 1 else pattern
+        pattern |= upper << width
+        width <<= 1
+    return pattern
+
+
+def _anticommute_pattern(g: int, n: int) -> int:
+    """The masks x < 2^n whose blades anticommute with the blade g.
+
+    Moving a factor v of g across x passes |x| factors, and all but v
+    itself (when v is in x) anticommute with it, so
+    xg = (-1)^(|x||g| - |x & g|) gx.  For even |g| that is |x & g| odd;
+    for odd |g| it is |x| - |x & g| = |x & ~g| odd.  So the pattern is
+    the parity pattern of h_g = g or g ^ (2^n - 1).  The exponent
+    q(x, g) = |x||g| + |x & g| mod 2 is bilinear over F_2 and q(x, x) = 0.
+    """
+    return _parity_pattern(_commutation_vector(g, n), n)
+
+
+def _commutation_vector(g: int, n: int) -> int:
+    """h_g of _anticommute_pattern: x anticommutes with g iff |x & h_g| is odd."""
+    return g ^ ((1 << n) - 1) if g.bit_count() & 1 else g
+
+
+def _grade_classes(k: int) -> tuple[int, int, int, int]:
+    """Entry r: the masks x < 2^k with |x| == r mod 4, as a pattern.
+
+    Doubling again: above the masks below 2^b sit the same masks with
+    bit b set, one grade higher.
+    """
+    classes, width = (1, 0, 0, 0), 1
+    for _ in range(k):
+        classes = tuple(c | (classes[r - 1] << width) for r, c in enumerate(classes))
+        width <<= 1
+    return classes
 
 
 def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = False) -> ClosureBasis:
@@ -118,17 +221,23 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
       R contains G.  Conversely every step of the walk stays inside any
       such superset of G.  So R is the least one.
 
-    Step test: _anticommute, whose docstring has the proof.  Each level
-    is one frontier x generators outer product.  Candidates already in
-    the bool membership array are dropped, and the rest are deduplicated
-    through an int32 array of the same length: each candidate writes its
-    position there, one write per mask survives, and the candidate that
-    reads back its own position is kept.  This needs no sort, whose first call maps about
-    0.3 MiB of code, and positions fit in int32 (2^31 candidates would
-    take 16 GiB).  Every mask enters the frontier once, so the walk
-    does O(|G| d) mask operations for a closure of dimension d, which
-    is O(n d) for the n spin generators.  allow_large is accepted for
-    compatibility and ignored: MAX_AMBIENT is the only ceiling.
+    The bitset P starts at G and relaxes P |= (P & A_g) ^ g, where A_g
+    is the anticommute pattern of g (_anticommute_pattern) and ^ g is
+    _xor_translate, for each generator in ascending order, until a whole
+    sweep adds no bit.  Every bit it sets is one step of the walk, so P
+    stays inside R; it stops only when P holds every step from every
+    member, and then R, the least such superset of G, lies inside P.
+    So P = R.  Each sweep only sets bits, so the loop ends; for the n
+    spin generators it takes n - 1 or n sweeps of n steps each.
+
+    Tiles: P is relaxed as 2^(n - c) tiles of 2^c bits, c = min(n,
+    _TILE_LOG), so every pass stays in cache.  Tile i holds the masks
+    x = i 2^c + y with y < 2^c.  Split g and h_g (_commutation_vector)
+    the same way; then |x & h_g| = |y & h_low| + |i & h_high|, so the
+    slice of A_g in tile i is the tile pattern of h_low or its
+    complement, and x ^ g lands in tile i ^ g_high, translated within
+    the tile by g_low.  allow_large is accepted for compatibility and
+    ignored: MAX_AMBIENT is the only ceiling.
     """
     check_ambient(n)
     gens = sorted({int(g) for g in generators})
@@ -139,21 +248,29 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
         if g <= 0 or g >= limit:
             raise ValueError(f"generator mask {g:#x} not a nonzero mask within {n} bits")
 
-    g = np.array(gens, dtype=np.int64)
-    present = np.zeros(limit, dtype=bool)
-    slot = np.empty(limit, dtype=np.int32)
-    present[g] = True
-    frontier = g
-    while frontier.size:
-        fresh = (frontier[:, None] ^ g)[_anticommute(frontier[:, None], g)]
-        fresh = fresh[~present[fresh]]
-        at = np.arange(fresh.size, dtype=np.int32)
-        slot[fresh] = at
-        frontier = fresh[slot[fresh] == at]
-        present[frontier] = True
-    masks = np.flatnonzero(present)
-    masks.flags.writeable = False
-    return ClosureBasis(n=n, mask_array=masks, provenance=tuple(gens))
+    c = min(n, _TILE_LOG)
+    low, tile_ones = (1 << c) - 1, (1 << (1 << c)) - 1
+    low_halves = _low_halves(c)
+    steps = []
+    for g in gens:
+        h = _commutation_vector(g, n)
+        anti = _parity_pattern(h & low, c)
+        steps.append((g & low, g >> c, h >> c, (anti, anti ^ tile_ones)))
+    tiles = [0] * (1 << (n - c))
+    for g in gens:
+        tiles[g >> c] |= 1 << (g & low)
+    while True:
+        before = list(tiles)
+        for g_low, g_high, h_high, anti in steps:
+            for i in range(len(tiles)):
+                hit = tiles[i] & anti[(i & h_high).bit_count() & 1]
+                if hit:
+                    tiles[i ^ g_high] |= _xor_translate(hit, g_low, low_halves)
+        if tiles == before:
+            break
+    size = (1 << c) // 8 or 1  # a tile of under 8 bits is the only tile
+    bits = int.from_bytes(b"".join(t.to_bytes(size, "little") for t in tiles), "little")
+    return ClosureBasis(n=n, bits=bits, provenance=tuple(gens))
 
 
 def predicted_masks(n: int) -> frozenset[int]:
@@ -204,30 +321,32 @@ class LemmaContainment:
 def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
     """Check a spin-generator closure against the predicted grade-(2,3 mod 4) span.
 
-    Counts on the mask array alone, in O(d): a mask is predicted when it
-    has at most n bits, its grade is 2 or 3 mod 4, and it is not an
-    excluded full mask (predicted_masks).  The masks of a ClosureBasis
-    are distinct and the predicted set has lower_bound_dim(n) elements,
-    so missing = lower_bound_dim(n) - hits and extra = d - hits.
+    Popcounts of the bitset against the grade classes (_grade_classes),
+    in O(2^n): a mask is predicted when it has at most n bits, its grade
+    is 2 or 3 mod 4, and it is not an excluded full mask
+    (predicted_masks).  The classes are built wide enough to cover every
+    set bit, so a mask beyond n bits still counts by its grade.  The
+    predicted set has lower_bound_dim(n) elements, so
+    missing = lower_bound_dim(n) - hits and extra = d - hits.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     full = (1 << n) - 1
     drop_full = drops_top_blade(n)
-    have = basis.mask_array
-    grade = np.bitwise_count(have) % 4
-    predicted = (grade >= 2) & (have <= full)
+    have = basis.bits
+    grades = _grade_classes(max(n, (have.bit_length() - 1).bit_length()))
+    predicted = (grades[2] | grades[3]) & ((1 << (1 << n)) - 1)
     if drop_full:
-        predicted &= have != full
-    hits = int(np.count_nonzero(predicted))
+        predicted &= ~(1 << full)
+    hits = (have & predicted).bit_count()
     missing = lower_bound_dim(n) - hits
-    extra = have.size - hits
+    extra = basis.dim - hits
     return LemmaContainment(
         n=n,
         all_expected_present=missing == 0,
-        full_mask_present=bool(np.any(have == full)),
+        full_mask_present=bool(have >> full & 1),
         full_mask_expected=not drop_full and n % 4 in (2, 3),
-        wrong_grade_masks=int(np.count_nonzero(grade < 2)),
+        wrong_grade_masks=(have & (grades[0] | grades[1])).bit_count(),
         missing_masks=missing,
         extra_masks=extra,
         exactly_predicted=missing == 0 and extra == 0,

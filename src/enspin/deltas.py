@@ -9,6 +9,7 @@ closed power-of-two formulas make the bounds explicit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 MAX_DELTA_N = 2048  # the largest n `enspin delta` takes; about 0.7 s there on 2 vCPUs
@@ -19,8 +20,14 @@ def _check_k(k: int) -> None:
         raise ValueError(f"residue class k must be in 0..3, got {k}")
 
 
+@lru_cache(maxsize=4)
 def delta_sum(k: int, n: int) -> int:
-    """Direct binomial sum: number of subsets of an n-set of size == k (mod 4)."""
+    """Direct binomial sum: number of subsets of an n-set of size == k (mod 4).
+
+    The four sums of the last n are cached, so `enspin delta`, which
+    compares them with the closed forms and then evaluates
+    delta_identities(n) on them, sums each once.
+    """
     _check_k(k)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

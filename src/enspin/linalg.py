@@ -5,15 +5,17 @@ elimination, a sparse reduced-echelon basis over ``Fraction`` with
 incremental sifting; kernel dimensions and the leading-minor test for
 definiteness both run on it.  Over prime fields there is a fast mod-p
 elimination used as a one-sided rank probe (rank mod p <= rational
-rank, hence kernel mod p >= rational kernel).
+rank, hence kernel mod p >= rational kernel); it is a test oracle, and
+it imports numpy when it is called.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Coeff = Union[int, Fraction]
 MatrixLike = Sequence[Sequence[Coeff]]
@@ -155,6 +157,8 @@ def kernel_dimension_mod_p(m, p: int) -> int:
     residues stays under 2^53).  Larger primes fall back to plain int64
     elimination with delayed reduction.
     """
+    import numpy as np
+
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     a = np.asarray(m, dtype=np.int64)
@@ -177,6 +181,8 @@ def _rank_mod_p_blocked(a: np.ndarray, p: int, block: int = _PANEL) -> int:
     2^63), multipliers stay in place below each pivot, and the trailing
     submatrix takes one exact float64 GEMM plus one reduction per panel.
     """
+    import numpy as np
+
     n_rows, n_cols = a.shape
     r = 0
     for c0 in range(0, n_cols, block):
@@ -233,6 +239,8 @@ def _rank_mod_p_plain(a: np.ndarray, p: int) -> int:
     Entries grow by at most (p-1)^2 per deferred update step, so the
     bulk submatrix is reduced every few steps to stay below 2^63.
     """
+    import numpy as np
+
     n_rows, n_cols = a.shape
     reduce_every = max(1, min(int((2 ** 62) // ((p - 1) ** 2 + 1)), 1024))
     r = 0

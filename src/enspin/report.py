@@ -80,15 +80,16 @@ def _killing_outcome(bundle: AnalysisBundle) -> CheckOutcome:
     image type has a center (closure_type), and none elsewhere.
     """
     d = bundle.basis.dim
-    top = bundle.basis.mask_array == (1 << bundle.n) - 1
-    radical = top & (closure_type(bundle.n).center_dim() > 0)
+    full = (1 << bundle.n) - 1
+    top = bundle.basis.bits & (1 << full)
+    radical = top if closure_type(bundle.n).center_dim() > 0 else 0
     if not bundle.compact:
         return _outcome(False, "a blade squares to +1, so the algebra is not compact")
-    if (bundle.central != radical).any():
-        want = "the top blade" if radical.any() else "none"
-        detail = f"diagonal, K_ii >= 0 for {int(bundle.central.sum())} of d={d} blades"
+    if bundle.central != radical:
+        want = "the top blade" if radical else "none"
+        detail = f"diagonal, K_ii >= 0 for {bundle.central.bit_count()} of d={d} blades"
         return _outcome(False, f"{detail}; expected radical: {want}")
-    if radical.any():
+    if radical:
         return _outcome(True, "degenerate with radical spanned by the top blade")
     return _outcome(True, f"diagonal, K_ii = -4 x anticommuting partners < 0 for all d={d}")
 

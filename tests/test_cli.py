@@ -8,11 +8,13 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import enspin
+from enspin import deltas
 from enspin.cli import main
 from enspin.deltas import MAX_DELTA_N
 
@@ -167,6 +169,22 @@ def test_delta_failed_identity_exits_one(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "delta", "--n", "8")
     assert code == 1
     assert json.loads(out)["identities"]["broken"] is False
+
+
+def test_delta_sums_each_binomial_once(capsys, monkeypatch):
+    # the closed-form check and the identities share the four direct sums
+    calls = []
+
+    def counting_comb(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr("enspin.deltas.comb", counting_comb)
+    deltas.delta_sum.cache_clear()
+    code, _, _ = run_cli(capsys, "delta", "--n", "9")
+    deltas.delta_sum.cache_clear()
+    assert code == 0
+    assert sorted(calls) == [(9, k) for k in range(10)]
 
 
 def test_delta_closed_form_mismatch_exits_one(capsys, monkeypatch):
@@ -437,31 +455,71 @@ def test_importing_main_does_not_run_the_cli():
 
 START_AS_MODULE = """
 import contextlib, io, json, os, runpy, sys
-sys.argv = ["enspin", "closure", "--n", "3"]
-with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        runpy.run_module("enspin", run_name="__main__", alter_sys=True)
-    except SystemExit as e:
-        code = e.code
+environ = dict(os.environ)
+argv = json.loads(sys.argv[1])
+code = None
+if argv is None:
+    import enspin.cli
+else:
+    sys.argv = ["enspin", *argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("enspin", run_name="__main__", alter_sys=True)
+        except SystemExit as e:
+            code = e.code
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([code, "numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"], threads]))
+print(json.dumps([code, "numpy" in sys.modules, dict(os.environ) == environ, threads]))
 """
 
 
-def test_module_entry_starts_with_one_blas_thread():
-    env = child_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    code, numpy_loaded, blas_threads, threads = json.loads(run_python(START_AS_MODULE, env))
-    assert (code, numpy_loaded, blas_threads) == (0, True, "1")
-    if threads is None:
-        pytest.skip("no /proc/self/task to count threads")
-    assert threads == 1
+def start_as_module(argv, env):
+    """Run the enspin entry on argv (or only import enspin.cli for None) in a fresh child.
+
+    Returns the exit code, whether numpy was imported, whether the
+    environment came out unchanged, and the thread count (None without
+    /proc/self/task).
+    """
+    proc = subprocess.run([sys.executable, "-c", START_AS_MODULE, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+NUMPY_FREE = {
+    "closure": ["closure", "--n", "6"],
+    "delta": ["delta", "--n", "7"],
+    "classify": ["classify", "--n", "5"],
+    "verify": ["verify", "--from", "3", "--to", "9", "--no-timings"],
+    "roots": ["roots", "--n", "8"],
+    "report": ["report", "--to", "9"],
+    "verify-jobs-2": ["verify", "--from", "3", "--to", "9", "--jobs", "2"],
+    "import-cli": None,
+}
+
+
+@pytest.mark.parametrize("argv", list(NUMPY_FREE.values()), ids=list(NUMPY_FREE))
+def test_cli_never_imports_numpy(argv):
+    # numpy is needed by the test oracles only; the CLI runs on Python ints
+    code, numpy_loaded, _, _ = start_as_module(argv, child_env())
+    assert (code, numpy_loaded) == (0 if argv else None, False)
 
 
 def test_module_entry_keeps_an_explicit_blas_thread_count():
+    # the entry sets no variable of its own, so a user's value reaches --jobs workers as given
     env = {**child_env(), "OPENBLAS_NUM_THREADS": "2"}
-    code, _, blas_threads, _ = json.loads(run_python(START_AS_MODULE, env))
-    assert (code, blas_threads) == (0, "2")
+    code, _, environ_unchanged, _ = start_as_module(["closure", "--n", "3"], env)
+    assert (code, environ_unchanged) == (0, True)
+
+
+def test_module_entry_starts_with_one_blas_thread():
+    # no OpenBLAS is loaded, so no BLAS thread spin-waits beside the main one
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code, numpy_loaded, _, threads = start_as_module(["closure", "--n", "3"], env)
+    assert (code, numpy_loaded) == (0, False)
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,8 +531,7 @@ def test_module_entry_keeps_an_explicit_blas_thread_count():
     ("report", "--to", "9"),
 ])
 def test_cli_never_reaches_the_float_gemm(capsys, monkeypatch, argv):
-    # The entry caps OpenBLAS at one thread because no command calls BLAS;
-    # the mod-p oracle's blocked elimination is the one float matrix product.
+    # the mod-p oracle's blocked elimination is the one float matrix product
     def gemm(*args, **kwargs):
         raise AssertionError("a CLI path reached the float GEMM")
 

@@ -155,6 +155,17 @@ def test_multivector_arithmetic_basics():
             _ = foreign * x
 
 
+def test_product_and_bracket_raise_type_error_on_foreign_operands():
+    # as the operators do, and not an AttributeError from the dimension check
+    x = Multivector({0b01: 1}, 2)
+    for foreign in (1, 0.5, "x", None):
+        for fn in (mv_product, bracket):
+            with pytest.raises(TypeError):
+                fn(x, foreign)
+            with pytest.raises(TypeError):
+                fn(foreign, x)
+
+
 def test_dimension_mismatch_raises():
     x = Multivector({1: 1}, 2)
     y = Multivector({1: 1}, 3)

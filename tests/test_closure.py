@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enspin.analysis import central_blades, classify, greedy_torus
@@ -11,6 +11,12 @@ from enspin.clifford import Multivector, blades_anticommute
 from enspin.closure import (
     ClosureBasis,
     LemmaContainment,
+    _anticommute_pattern,
+    _grade_classes,
+    _low_halves,
+    _parity_pattern,
+    _set_bits,
+    _xor_translate,
     blade_closure,
     general_closure,
     lemma_containment_check,
@@ -28,6 +34,59 @@ EXPECTED_DIMS = {
 
 def spin_closure(n):
     return blade_closure(n, spin_generators(n).masks)
+
+
+# --- references for the bitset kernels: numpy arrays of masks -------------
+
+def bits_of(masks) -> int:
+    """The bitset of a list of masks: bit m set for each mask m."""
+    buf = bytearray(max(masks, default=0) // 8 + 1)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _anticommute(a, b) -> np.ndarray:
+    """Boolean array: the blades a and b anticommute (|a||b| - |a & b| odd).
+
+    For even |b| that is |a & b| odd, for odd |b| it is |a & ~b| odd (the
+    rule of enspin.closure._anticommute_pattern), so one popcount of
+    a & h_b decides, with h_b = b or ~b.
+    """
+    h = np.where(np.bitwise_count(b) & 1, ~b, b)
+    return (np.bitwise_count(a & h) & 1).astype(bool)
+
+
+def walk_closure(n, gens) -> np.ndarray:
+    """The closure as an ascending int64 array, by a breadth-first walk from the generators.
+
+    Each level is one frontier x generators outer product; candidates
+    already present are dropped, and the rest are deduplicated through
+    an int32 slot array: each candidate writes its position there, and
+    the one that reads back its own position is kept.
+    """
+    g = np.array(sorted(set(gens)), dtype=np.int64)
+    present = np.zeros(1 << n, dtype=bool)
+    slot = np.empty(1 << n, dtype=np.int32)
+    present[g] = True
+    frontier = g
+    while frontier.size:
+        fresh = (frontier[:, None] ^ g)[_anticommute(frontier[:, None], g)]
+        fresh = fresh[~present[fresh]]
+        at = np.arange(fresh.size, dtype=np.int32)
+        slot[fresh] = at
+        frontier = fresh[slot[fresh] == at]
+        present[frontier] = True
+    return np.flatnonzero(present)
+
+
+def central_blades_reference(basis) -> np.ndarray:
+    """One bool per mask of basis.masks: True when it commutes with every generator."""
+    masks = basis.mask_array
+    anti = np.zeros(masks.size, dtype=bool)
+    for g in basis.provenance:
+        anti |= _anticommute(masks, np.int64(g))
+    return ~anti
 
 
 def _walsh_hadamard(a) -> np.ndarray:
@@ -172,6 +231,45 @@ def test_blade_closure_matches_set_worklist_oracle(case):
     assert basis.is_closed()
 
 
+@given(st.integers(0, 1 << 300), st.integers(0, 1 << 300))
+def test_set_bits_lists_every_set_bit(x, y):
+    bits = x & y  # sparse as well as dense sets
+    for b in (x, bits):
+        assert _set_bits(b) == tuple(i for i in range(b.bit_length()) if b >> i & 1)
+
+
+@given(n=st.integers(1, 7), data=st.data())
+def test_bitset_kernels_match_their_definitions(n, data):
+    g = data.draw(st.integers(0, (1 << n) - 1))
+    members = data.draw(st.sets(st.integers(0, (1 << n) - 1)))
+    bits = bits_of(sorted(members))
+    assert _xor_translate(bits, g, _low_halves(n)) == bits_of([x ^ g for x in members])
+    assert _set_bits(_anticommute_pattern(g, n)) == tuple(
+        x for x in range(1 << n) if blades_anticommute(x, g))
+    assert _set_bits(_parity_pattern(g, n)) == tuple(
+        x for x in range(1 << n) if (x & g).bit_count() & 1)
+    assert [_set_bits(c) for c in _grade_classes(n)] == [
+        tuple(x for x in range(1 << n) if x.bit_count() % 4 == r) for r in range(4)]
+
+
+@settings(max_examples=60)
+@given(generator_sets(10), st.integers(3, 5))
+def test_tiled_closure_matches_set_worklist_oracle(case, tile_log):
+    # blade_closure relaxes tiles of 2^16 bits; small tiles put the
+    # cross-tile steps within reach of the set oracle
+    n, gens = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("enspin.closure._TILE_LOG", tile_log)
+        basis = blade_closure(n, gens)
+    assert basis.masks == oracle_closure(gens)
+
+
+@pytest.mark.parametrize("n", range(17, 20))
+def test_tiled_spin_closure_matches_the_walk(n):
+    gens = spin_generators(n).masks
+    assert np.array_equal(blade_closure(n, gens).mask_array, walk_closure(n, gens))
+
+
 @given(generator_sets(12))
 def test_blade_closure_matches_fixpoint_oracle(case):
     n, gens = case
@@ -188,11 +286,11 @@ def test_spin_closure_matches_fixpoint_oracle(n):
 def test_large_spin_closure_dimension(n):
     basis = blade_closure(n, spin_generators(n).masks)
     assert basis.dim == lower_bound_dim(n)
-    assert len(greedy_torus(basis.masks)) == max_compact(n).rank()
+    assert len(greedy_torus(basis.bits, n)) == max_compact(n).rank()
     # no center, so the derived algebra is all of it, and the Killing form is negative definite
     partners = partner_sweep(basis)
     assert np.all(partners > 0)
-    assert not np.any(central_blades(basis))
+    assert central_blades(basis) == 0
     assert np.all(mask_killing_diagonal(basis.masks, partners) < 0)
 
 
@@ -205,13 +303,13 @@ def test_spin_closure_matches_set_worklist_oracle():
 def test_partner_sweep_matches_pairwise_count(case):
     n, gens = case
     masks = oracle_closure(gens)
-    basis = ClosureBasis(n=n, mask_array=np.array(masks, dtype=np.int64),
-                         provenance=tuple(sorted(set(gens))))
+    basis = ClosureBasis(n=n, bits=bits_of(masks), provenance=tuple(sorted(set(gens))))
     partners = partner_sweep(basis)
     want = [sum(blades_anticommute(a, b) for b in masks) for a in masks]
     assert partners.tolist() == want
     # the center rule: central exactly when commuting with every generator
-    assert np.array_equal(central_blades(basis), partners == 0)
+    assert np.array_equal(central_blades_reference(basis), partners == 0)
+    assert central_blades(basis) == bits_of([m for m, k in zip(masks, want) if k == 0])
     # the derived-algebra lemma: the blades with a partner are exactly the brackets
     with_partner = {m for m, k in zip(masks, partners.tolist()) if k > 0}
     assert with_partner == {a ^ b for a in masks for b in masks if blades_anticommute(a, b)}
@@ -277,6 +375,7 @@ def test_masks_are_sorted_and_unique():
 def test_mask_array_is_built_once_and_read_only():
     basis = spin_closure(8)
     arr = basis.mask_array
+    assert basis.mask_array is arr
     assert arr.dtype == np.int64 and np.all(arr[1:] > arr[:-1])
     with pytest.raises(ValueError):
         arr[0] = 0
@@ -290,6 +389,7 @@ def test_computing_paths_never_build_the_mask_tuple(monkeypatch):
         raise AssertionError("a computing path read ClosureBasis.masks")
 
     monkeypatch.setattr(ClosureBasis, "masks", property(refuse))
+    monkeypatch.setattr(ClosureBasis, "mask_array", property(refuse))
     # n=3 is the Killing special case; the split is applicable at n=5 and 9
     for n in range(3, 10):
         assert run_verification(n).verdict, n
@@ -340,8 +440,16 @@ def test_lemma_check_matches_set_reference(n):
     if n >= 4:
         cases.append(tuple(sorted(masks + (0b1111,))))
     for case in cases:
-        probe = ClosureBasis(n=n, mask_array=np.array(case, dtype=np.int64), provenance=basis.provenance)
+        probe = ClosureBasis(n=n, bits=bits_of(case), provenance=basis.provenance)
         assert lemma_containment_check(n, probe) == lemma_reference(n, probe), (n, len(case))
+
+
+@given(n=st.integers(3, 9), data=st.data())
+def test_lemma_check_matches_set_reference_on_any_set(n, data):
+    # masks of up to n + 2 bits, so some lie beyond the n bits of the ambient space
+    masks = data.draw(st.lists(st.integers(0, (1 << (n + 2)) - 1), unique=True))
+    probe = ClosureBasis(n=n, bits=bits_of(masks), provenance=spin_generators(n).masks)
+    assert lemma_containment_check(n, probe) == lemma_reference(n, probe)
 
 
 def test_predicted_masks_cardinality():
@@ -417,7 +525,6 @@ def test_general_closure_rejects_bad_input():
 
 def test_is_closed_detects_a_hole():
     # v1v2 and v2v3 anticommute; dropping their bracket target breaks closure
-    broken = ClosureBasis(n=3, mask_array=np.array((0b011, 0b110), dtype=np.int64),
-                          provenance=(0b011, 0b110))
+    broken = ClosureBasis(n=3, bits=bits_of([0b011, 0b110]), provenance=(0b011, 0b110))
     assert blades_anticommute(0b011, 0b110)
     assert not broken.is_closed()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enspin.analysis import (
-    _anticommute,
     analyze,
     center_dim,
     central_blades,
@@ -23,7 +22,14 @@ from enspin.bott import closure_type
 from enspin.clifford import Blade, blade_product, blades_anticommute
 from enspin.closure import ClosureBasis, blade_closure
 from enspin.spinrep import spin_generators
-from test_closure import anticommuting_pair_counts, mask_killing_diagonal, partner_sweep
+from test_closure import (
+    _anticommute,
+    anticommuting_pair_counts,
+    bits_of,
+    central_blades_reference,
+    mask_killing_diagonal,
+    partner_sweep,
+)
 
 CLOSURES = {n: blade_closure(n, spin_generators(n).masks) for n in range(3, 11)}
 
@@ -31,7 +37,10 @@ CLOSURES = {n: blade_closure(n, spin_generators(n).masks) for n in range(3, 11)}
 
 
 def greedy_torus_reference(masks) -> tuple[int, ...]:
-    """Blades taken in the given order, each kept when it commutes with all kept so far."""
+    """Blades taken in the given order, each kept when it commutes with all kept so far.
+
+    greedy_torus runs the same rule on the bitset, in ascending order.
+    """
     m = np.asarray(masks, dtype=np.int64)
     free = np.ones(len(m), dtype=bool)
     chosen: list[int] = []
@@ -59,7 +68,7 @@ def centralizer_masks(masks, torus) -> tuple[int, ...]:
     return tuple(int(x) for x in m[free])
 
 
-def torus_is_cartan(masks, torus) -> bool:
+def torus_is_cartan(n, masks, torus) -> bool:
     """Certificate that span(torus) is a Cartan subalgebra, so rank = |torus|.
 
     If the centralizer of span(torus) is span(torus) itself, the torus is
@@ -67,7 +76,7 @@ def torus_is_cartan(masks, torus) -> bool:
     abelian subalgebra is a Cartan subalgebra (Knapp, Lie Groups Beyond
     an Introduction, ch. IV), and is_compact_basis supplies compactness.
     """
-    return is_compact_basis(masks) and set(centralizer_masks(masks, torus)) == set(torus)
+    return is_compact_basis(bits_of(masks), n) and set(centralizer_masks(masks, torus)) == set(torus)
 
 
 # --- integer pair oracle for the split certificate -------------------------
@@ -168,10 +177,11 @@ def test_mask_core_matches_table_oracles(n):
     assert center == center_dim(sc)
     assert basis.dim - center == derived_dim(sc)
     central = central_blades(basis)
-    assert int(np.count_nonzero(central)) == center_dim(sc)
-    assert np.array_equal(central, killing_diagonal(sc) == 0)
-    torus = greedy_torus(basis.masks)
-    assert torus_is_cartan(basis.masks, torus)
+    assert central.bit_count() == center_dim(sc)
+    assert np.array_equal(central_blades_reference(basis), killing_diagonal(sc) == 0)
+    assert central == bits_of(basis.mask_array[killing_diagonal(sc) == 0].tolist())
+    torus = greedy_torus(basis.bits, n)
+    assert torus_is_cartan(n, basis.masks, torus)
     assert len(torus) == rank_estimate(sc, trials=5, seed=0)
 
 
@@ -223,30 +233,79 @@ def test_split_fails_on_one_flipped_eigenvector(n):
         assert not all(split_pair_checks(n, lo, flipped)), (n, k)
 
 
+def complement_hole_reference(masks, n):
+    """The mask named by the sorted-array rule, or None when every complement is present.
+
+    The complements of the ascending masks and the masks reversed are
+    both descending; at their first difference the larger entry is
+    missing from the other array, and the mask it comes from is named.
+    """
+    m = np.array(sorted(masks), dtype=np.int64)
+    comp, back = m ^ ((1 << n) - 1), m[::-1]
+    if np.array_equal(comp, back):
+        return None
+    i = int(np.argmax(comp != back))
+    return int(m[i] if comp[i] > back[i] else back[i])
+
+
+SPLIT_CLOSURES = {n: blade_closure(n, spin_generators(n).masks) for n in (5, 9, 13)}
+
+
 def test_split_fails_without_one_complement_mask():
     basis = CLOSURES[9]
-    dropped = ClosureBasis(n=9, mask_array=np.array(basis.masks[1:], dtype=np.int64),
-                           provenance=basis.provenance)
+    dropped = ClosureBasis(n=9, bits=bits_of(basis.masks[1:]), provenance=basis.provenance)
     res = split_check(dropped)
     assert not res.passed
     assert "complement" in res.reason
     # the named mask is in the basis and its complement is not, wherever the hole is
     for k in (0, 1, basis.dim // 2, basis.dim - 1):
-        probe = ClosureBasis(n=9, mask_array=np.array(basis.masks[:k] + basis.masks[k + 1:], dtype=np.int64),
+        probe = ClosureBasis(n=9, bits=bits_of(basis.masks[:k] + basis.masks[k + 1:]),
                              provenance=basis.provenance)
         named = int(split_check(probe).reason.split()[2], 16)
         assert named in probe.masks and named ^ 0x1FF not in probe.masks, k
 
 
+@given(n=st.sampled_from(sorted(SPLIT_CLOSURES)), data=st.data())
+def test_split_names_the_hole_of_the_sorted_rule(n, data):
+    basis = SPLIT_CLOSURES[n]
+    drop = data.draw(st.sets(st.integers(0, basis.dim - 1), min_size=1, max_size=3))
+    kept = [m for i, m in enumerate(basis.masks) if i not in drop]
+    res = split_check(ClosureBasis(n=n, bits=bits_of(kept), provenance=basis.provenance))
+    want = complement_hole_reference(kept, n)
+    if want is None:  # only whole complement pairs were dropped
+        assert res.passed
+    else:
+        assert res.reason == f"complement of {want:#x} missing from basis"
+
+
 @pytest.mark.parametrize("n", range(3, 17))
 def test_greedy_torus_matches_reference(n):
-    masks = blade_closure(n, spin_generators(n).masks).masks
-    assert greedy_torus(masks) == greedy_torus_reference(masks)
+    basis = blade_closure(n, spin_generators(n).masks)
+    assert greedy_torus(basis.bits, n) == greedy_torus_reference(basis.masks)
+
+
+@given(n=st.integers(1, 10), data=st.data())
+def test_greedy_torus_matches_reference_on_any_set(n, data):
+    masks = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=256)))
+    assert greedy_torus(bits_of(masks), n) == greedy_torus_reference(masks)
+
+
+def test_greedy_torus_takes_at_most_n_pattern_steps(monkeypatch):
+    # only masks outside the span of the kept ones filter, and each doubles the span
+    import enspin.analysis
+
+    steps = []
+    pattern = enspin.analysis._anticommute_pattern
+    monkeypatch.setattr(enspin.analysis, "_anticommute_pattern",
+                        lambda t, n: steps.append(t) or pattern(t, n))
+    basis = blade_closure(16, spin_generators(16).masks)
+    torus = greedy_torus(basis.bits, 16)
+    assert len(torus) == closure_type(16).rank() > 16 >= len(steps)
 
 
 def assert_torus_is_maximal(masks) -> tuple[int, ...]:
-    torus = greedy_torus(masks)
-    assert torus == greedy_torus_reference(masks)
+    """The greedy rule in the given order yields a maximal abelian set (greedy_torus (a), (b))."""
+    torus = greedy_torus_reference(masks)
     assert not any(blades_anticommute(a, b) for a in torus for b in torus)
     assert centralizer_masks(masks, torus) == torus
     return torus
@@ -258,7 +317,7 @@ def test_torus_is_maximal_in_any_order(n, data, rnd):
     masks = list(CLOSURES[n].masks)
     rnd.shuffle(masks)
     torus = assert_torus_is_maximal(masks)
-    assert len(torus) == closure_type(n).rank()
+    assert len(torus) == len(greedy_torus(CLOSURES[n].bits, n)) == closure_type(n).rank()
     arbitrary = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=256))
     rnd.shuffle(arbitrary)
     assert_torus_is_maximal(arbitrary)
@@ -266,10 +325,10 @@ def test_torus_is_maximal_in_any_order(n, data, rnd):
 
 def test_certificates_reject_what_they_must():
     basis = CLOSURES[8]
-    torus = greedy_torus(basis.masks)
-    assert not torus_is_cartan(basis.masks, torus[:-1])
-    assert is_compact_basis(basis.masks)
-    assert not is_compact_basis(basis.masks + (0b1,))
+    torus = greedy_torus(basis.bits, 8)
+    assert not torus_is_cartan(8, basis.masks, torus[:-1])
+    assert is_compact_basis(basis.bits, 8)
+    assert not is_compact_basis(basis.bits | bits_of([0b1]), 8)
     # v1v2 and v2v3 anticommute, so their bracket v1v3 is a target outside the set
     unclosed = np.zeros(8, dtype=np.int64)
     unclosed[[0b011, 0b110]] = 1
