@@ -36,7 +36,6 @@ from .closure import (
     _anticommute_pattern,
     _grade_classes,
     _low_halves,
-    _set_bits,
     _xor_translate,
     blade_closure,
     check_ambient,
@@ -459,8 +458,9 @@ def is_compact_basis(bits: int, n: int) -> bool:
     return not bits & (grades[0] | grades[1])
 
 
-def greedy_torus(bits: int, n: int) -> tuple[int, ...]:
-    """A maximal abelian set of blades of the bitset, kept greedily in ascending order.
+def greedy_torus(bits: int, n: int) -> int:
+    """A maximal abelian set of blades of the bitset, kept greedily in ascending order,
+    as a bitset; the rank is its bit count.
 
     The greedy rule: go through the masks in ascending order and keep a
     mask when it commutes with every mask kept so far.  Run in any order
@@ -497,7 +497,7 @@ def greedy_torus(bits: int, n: int) -> tuple[int, ...]:
         t = (outside & -outside).bit_length() - 1
         candidates &= ~_anticommute_pattern(t, n)
         span |= _xor_translate(span, t, low_halves)
-    return _set_bits(candidates)
+    return candidates
 
 
 def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
@@ -567,7 +567,7 @@ class AnalysisBundle:
     center: int
     central: int
     compact: bool
-    torus: tuple[int, ...]
+    torus: int
     split: SplitResult
     timings_ms: dict[str, float] = field(default_factory=dict)
 
@@ -582,7 +582,7 @@ class AnalysisBundle:
 
     @property
     def rank(self) -> int:
-        return len(self.torus)
+        return self.torus.bit_count()
 
     @property
     def killing_mode(self) -> str:
@@ -668,7 +668,10 @@ def classify_bundle(bundle: AnalysisBundle) -> ClassificationResult:
     """Match dimension, rank, compactness, center and split against closure_type(n).
 
     The derived dimension (d minus the center) and the Killing sign
-    (compact with no center) follow from these, so neither is checked."""
+    (compact with no center) follow from these, so neither is checked.
+    Nor are the split dims: a split passes only when the basis is closed
+    under m -> m ^ full, a map with no fixed point, so the basis falls
+    into complement pairs, d is even and the dims (d/2, d/2) sum to d."""
     n = bundle.n
     dim = bundle.basis.dim
     failures: list[str] = []
@@ -684,11 +687,8 @@ def classify_bundle(bundle: AnalysisBundle) -> ClassificationResult:
     want_split = matched.summands == 2
     if bundle.split.applicable != want_split:
         failures.append("split applicability does not match summand count")
-    if want_split:
-        if not bundle.split.passed:
-            failures.append(f"split check failed: {bundle.split.reason or 'ideal checks'}")
-        elif bundle.split.dims is not None and sum(bundle.split.dims) != dim:
-            failures.append("split dims do not sum to dim")
+    if want_split and not bundle.split.passed:
+        failures.append(f"split check failed: {bundle.split.reason or 'ideal checks'}")
 
     return ClassificationResult(
         n=n,

@@ -38,11 +38,8 @@ def _usage_error(msg: str) -> int:
 def cmd_closure(args: argparse.Namespace) -> int:
     if args.n < 3:
         return _usage_error(f"closure needs --n >= 3, got {args.n}")
-    try:
-        check_ambient(args.n)
-        basis = blade_closure(args.n, spin_generators(args.n).masks)
-    except ValueError as e:
-        return _usage_error(str(e))
+    check_ambient(args.n)
+    basis = blade_closure(args.n, spin_generators(args.n).masks)
     if args.format == "json":
         print(json.dumps(basis.to_json(), indent=2))
     else:
@@ -80,10 +77,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.n < 3:
         return _usage_error(f"classify needs --n >= 3, got {args.n}")
-    try:
-        result = classify(args.n)
-    except ValueError as e:
-        return _usage_error(str(e))
+    result = classify(args.n)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))
     else:
@@ -104,38 +98,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         return _usage_error(f"verify needs --jobs >= 1, got {args.jobs}")
     ns = range(lo, hi + 1)
-    try:
-        check_ambient(hi)
-        if args.jobs > 1 and len(ns) > 1:
-            # imported only here: concurrent.futures.process pulls in
-            # multiprocessing, which a serial run never uses
-            from concurrent.futures import ProcessPoolExecutor
+    check_ambient(hi)
+    if args.jobs > 1 and len(ns) > 1:
+        # imported only here: concurrent.futures.process pulls in
+        # multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(ns))) as pool:
-                reports = list(pool.map(run_verification, ns))
-        else:
-            reports = [run_verification(n) for n in ns]
-    except ValueError as e:
-        return _usage_error(str(e))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(ns))) as pool:
+            reports = list(pool.map(run_verification, ns))
+    else:
+        reports = [run_verification(n) for n in ns]
     if args.no_timings:
         for r in reports:
             r.timings_ms = dict.fromkeys(r.timings_ms, 0.0)
-    if args.format == "json":
-        sys.stdout.write(reports_to_json(reports))
-    elif args.format == "markdown":
-        sys.stdout.write(reports_to_markdown(reports))
-    else:
-        sys.stdout.write(reports_to_csv(reports))
+    # built per call, so the benchmark tracer's rebinding of these names is seen
+    writers = {"json": reports_to_json, "markdown": reports_to_markdown, "csv": reports_to_csv}
+    sys.stdout.write(writers[args.format](reports))
     return 0 if all(r.verdict for r in reports) else 1
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
     if args.n < 3:
         return _usage_error(f"roots needs --n >= 3, got {args.n}")
-    try:
-        rs = positive_roots(args.n)
-    except ValueError as e:
-        return _usage_error(str(e))
+    rs = positive_roots(args.n)
     if args.format == "json":
         print(json.dumps(rs.to_json(), indent=2))
     else:
@@ -149,16 +134,9 @@ def cmd_roots(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.to_n < 2:
         return _usage_error(f"report needs --to >= 2, got {args.to_n}")
-    try:
-        rows = algebra_table(args.to_n)
-    except ValueError as e:
-        return _usage_error(str(e))
-    if args.format == "json":
-        sys.stdout.write(table_to_json(rows))
-    elif args.format == "markdown":
-        sys.stdout.write(table_to_markdown(rows))
-    else:
-        sys.stdout.write(table_to_csv(rows))
+    rows = algebra_table(args.to_n)
+    writers = {"json": table_to_json, "markdown": table_to_markdown, "csv": table_to_csv}
+    sys.stdout.write(writers[args.format](rows))
     return 0
 
 
@@ -218,7 +196,12 @@ def main(argv: list[str] | None = None) -> int:
     except (AttributeError, ValueError):
         pass
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the one error boundary: a ValueError from any layer (the ambient
+    # ceiling, an infinite type) is a validation error, exit 2
+    try:
+        return args.func(args)
+    except ValueError as e:
+        return _usage_error(str(e))
 
 
 if __name__ == "__main__":

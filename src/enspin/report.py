@@ -191,118 +191,83 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.to_json() for r in ordered], indent=2) + "\n"
 
 
-def reports_to_markdown(reports: list[VerificationReport]) -> str:
-    cols = ["n", "dim", "expected", "type"] + list(CHECK_ORDER) + ["verdict"]
+def _markdown(cols: list[str], rows: list[list]) -> str:
     lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    for r in sorted(reports, key=lambda r: r.n):
-        row = [str(r.n), str(r.closure_dim), str(r.expected_dim), r.max_compact]
-        row += [r.checks[name].status for name in CHECK_ORDER]
-        row.append("pass" if r.verdict else "fail")
-        lines.append("| " + " | ".join(row) + " |")
+    # None, a cell with nothing to compare, reads "--" here and blank in CSV
+    cells = (("--" if v is None else str(v) for v in row) for row in rows)
+    lines += ["| " + " | ".join(row) + " |" for row in cells]
     return "\n".join(lines) + "\n"
 
 
-def reports_to_csv(reports: list[VerificationReport]) -> str:
+def _csv(cols: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "closure_dim", "expected_dim", "max_compact"]
-               + [f"check_{name}" for name in CHECK_ORDER] + ["verdict"])
-    for r in sorted(reports, key=lambda r: r.n):
-        w.writerow(
-            [r.n, r.closure_dim, r.expected_dim, r.max_compact]
-            + [r.checks[name].status for name in CHECK_ORDER]
-            + ["pass" if r.verdict else "fail"]
-        )
+    w.writerow(cols)
+    w.writerows(rows)
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One line of the side-by-side algebra table."""
-
-    n: int
-    clifford: str
-    clifford_dim: int
-    compact_type: str
-    type_dim: int
-    closure_dim: int | None
-    match: bool | None
-    note: str
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "clifford": self.clifford,
-            "clifford_dim": self.clifford_dim,
-            "max_compact": self.compact_type,
-            "type_dim": self.type_dim,
-            "closure_dim": self.closure_dim,
-            "match": self.match,
-            "note": self.note,
-        }
+def _status_rows(reports: list[VerificationReport]) -> list[list]:
+    return [
+        [r.n, r.closure_dim, r.expected_dim, r.max_compact]
+        + [r.checks[name].status for name in CHECK_ORDER]
+        + ["pass" if r.verdict else "fail"]
+        for r in sorted(reports, key=lambda r: r.n)
+    ]
 
 
-def algebra_table(to_n: int) -> list[TableRow]:
-    """Clifford and compact-type descriptors next to computed closure dims."""
+def reports_to_markdown(reports: list[VerificationReport]) -> str:
+    cols = ["n", "dim", "expected", "type", *CHECK_ORDER, "verdict"]
+    return _markdown(cols, _status_rows(reports))
+
+
+def reports_to_csv(reports: list[VerificationReport]) -> str:
+    checks = [f"check_{name}" for name in CHECK_ORDER]
+    cols = ["n", "closure_dim", "expected_dim", "max_compact", *checks, "verdict"]
+    return _csv(cols, _status_rows(reports))
+
+
+def algebra_table(to_n: int) -> list[dict]:
+    """Clifford and compact-type descriptors next to computed closure dims,
+    one JSON row per n; closure_dim and match are None where nothing is compared."""
     from .closure import blade_closure
     from .spinrep import spin_generators
 
     if to_n < 2:
         raise ValueError(f"table needs to_n >= 2, got {to_n}")
     check_ambient(to_n)
-    rows: list[TableRow] = []
+    rows: list[dict] = []
     for n in range(2, to_n + 1):
-        alg = bott_algebra(n)
-        typ = max_compact(n)
-        closure_dim: int | None = None
-        match: bool | None = None
-        note = ""
+        alg, typ = bott_algebra(n), max_compact(n)
+        row = {"n": n, "clifford": str(alg), "clifford_dim": alg.real_dimension(),
+               "max_compact": str(typ), "type_dim": typ.dimension(),
+               "closure_dim": None, "match": None, "note": ""}
         if n >= 3:
-            closure_dim = blade_closure(n, spin_generators(n).masks).dim
+            row["closure_dim"] = dim = blade_closure(n, spin_generators(n).masks).dim
             image = closure_type(n)
             if image == typ:
-                match = closure_dim == typ.dimension()
+                row["match"] = dim == typ.dimension()
             else:
-                note = f"image is {image}, one dimension above the listed type"
-        rows.append(
-            TableRow(
-                n=n,
-                clifford=str(alg),
-                clifford_dim=alg.real_dimension(),
-                compact_type=str(typ),
-                type_dim=typ.dimension(),
-                closure_dim=closure_dim,
-                match=match,
-                note=note,
-            )
-        )
+                row["note"] = f"image is {image}, one dimension above the listed type"
+        rows.append(row)
     return rows
 
 
-def table_to_json(rows: list[TableRow]) -> str:
-    return json.dumps([r.to_json() for r in rows], indent=2) + "\n"
+def table_to_json(rows: list[dict]) -> str:
+    return json.dumps(rows, indent=2) + "\n"
 
 
-def table_to_markdown(rows: list[TableRow]) -> str:
+def _table_cells(rows: list[dict]) -> list[list]:
+    yes_no = {None: None, True: "yes", False: "no"}
+    return [list({**row, "match": yes_no[row["match"]]}.values()) for row in rows]
+
+
+def table_to_markdown(rows: list[dict]) -> str:
     cols = ["n", "clifford", "dim C", "max compact", "type dim", "closure dim", "match", "note"]
-    lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    for r in rows:
-        lines.append("| " + " | ".join([
-            str(r.n), r.clifford, str(r.clifford_dim), r.compact_type, str(r.type_dim),
-            "--" if r.closure_dim is None else str(r.closure_dim),
-            "--" if r.match is None else ("yes" if r.match else "no"),
-            r.note,
-        ]) + " |")
-    return "\n".join(lines) + "\n"
+    return _markdown(cols, _table_cells(rows))
 
 
-def table_to_csv(rows: list[TableRow]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "clifford", "clifford_dim", "max_compact", "type_dim",
-                "closure_dim", "match", "note"])
-    for r in rows:
-        w.writerow([r.n, r.clifford, r.clifford_dim, r.compact_type, r.type_dim,
-                    "" if r.closure_dim is None else r.closure_dim,
-                    "" if r.match is None else ("yes" if r.match else "no"), r.note])
-    return buf.getvalue()
+def table_to_csv(rows: list[dict]) -> str:
+    cols = ["n", "clifford", "clifford_dim", "max_compact",
+            "type_dim", "closure_dim", "match", "note"]
+    return _csv(cols, _table_cells(rows))

@@ -360,6 +360,23 @@ def test_verify_matches_golden(capsys, n):
     assert out == golden
 
 
+VERIFY_3_9 = ("verify", "--from", "3", "--to", "9", "--no-timings")
+GOLDEN_TABLES = {
+    "verify_3_9.md": (*VERIFY_3_9, "--format", "markdown"),
+    "verify_3_9.csv": (*VERIFY_3_9, "--format", "csv"),
+    "report_9.json": ("report", "--to", "9", "--format", "json"),
+    "report_9.md": ("report", "--to", "9", "--format", "markdown"),
+    "report_9.csv": ("report", "--to", "9", "--format", "csv"),
+}
+
+
+@pytest.mark.parametrize("golden", list(GOLDEN_TABLES))
+def test_tables_match_golden_bytes(capsys, golden):
+    code, out, err = run_cli(capsys, *GOLDEN_TABLES[golden])
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (DATA / golden).read_bytes()
+
+
 # -- module entry point ------------------------------------------------------
 
 def child_env() -> dict[str, str]:
@@ -499,9 +516,13 @@ NUMPY_FREE = {
 
 @pytest.mark.parametrize("argv", list(NUMPY_FREE.values()), ids=list(NUMPY_FREE))
 def test_cli_never_imports_numpy(argv):
-    # numpy is needed by the test oracles only; the CLI runs on Python ints
-    code, numpy_loaded, _, _ = start_as_module(argv, child_env())
-    assert (code, numpy_loaded) == (0 if argv else None, False)
+    # numpy is needed by the test oracles only; the CLI runs on Python ints,
+    # sets no environment variable of its own, and a serial run starts no
+    # thread beside the main one (no OpenBLAS pool, no executor)
+    code, numpy_loaded, environ_unchanged, threads = start_as_module(argv, child_env())
+    assert (code, numpy_loaded, environ_unchanged) == (0 if argv else None, False, True)
+    if "--jobs" not in (argv or ()) and threads is not None:
+        assert threads == 1
 
 
 def test_module_entry_keeps_an_explicit_blas_thread_count():

@@ -20,7 +20,7 @@ from enspin.analysis import (
 )
 from enspin.bott import closure_type
 from enspin.clifford import Blade, blade_product, blades_anticommute
-from enspin.closure import ClosureBasis, blade_closure
+from enspin.closure import ClosureBasis, _set_bits, blade_closure
 from enspin.spinrep import spin_generators
 from test_closure import (
     _anticommute,
@@ -180,7 +180,7 @@ def test_mask_core_matches_table_oracles(n):
     assert central.bit_count() == center_dim(sc)
     assert np.array_equal(central_blades_reference(basis), killing_diagonal(sc) == 0)
     assert central == bits_of(basis.mask_array[killing_diagonal(sc) == 0].tolist())
-    torus = greedy_torus(basis.bits, n)
+    torus = _set_bits(greedy_torus(basis.bits, n))
     assert torus_is_cartan(n, basis.masks, torus)
     assert len(torus) == rank_estimate(sc, trials=5, seed=0)
 
@@ -281,13 +281,13 @@ def test_split_names_the_hole_of_the_sorted_rule(n, data):
 @pytest.mark.parametrize("n", range(3, 17))
 def test_greedy_torus_matches_reference(n):
     basis = blade_closure(n, spin_generators(n).masks)
-    assert greedy_torus(basis.bits, n) == greedy_torus_reference(basis.masks)
+    assert _set_bits(greedy_torus(basis.bits, n)) == greedy_torus_reference(basis.masks)
 
 
 @given(n=st.integers(1, 10), data=st.data())
 def test_greedy_torus_matches_reference_on_any_set(n, data):
     masks = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=256)))
-    assert greedy_torus(bits_of(masks), n) == greedy_torus_reference(masks)
+    assert _set_bits(greedy_torus(bits_of(masks), n)) == greedy_torus_reference(masks)
 
 
 def test_greedy_torus_takes_at_most_n_pattern_steps(monkeypatch):
@@ -300,7 +300,7 @@ def test_greedy_torus_takes_at_most_n_pattern_steps(monkeypatch):
                         lambda t, n: steps.append(t) or pattern(t, n))
     basis = blade_closure(16, spin_generators(16).masks)
     torus = greedy_torus(basis.bits, 16)
-    assert len(torus) == closure_type(16).rank() > 16 >= len(steps)
+    assert torus.bit_count() == closure_type(16).rank() > 16 >= len(steps)
 
 
 def assert_torus_is_maximal(masks) -> tuple[int, ...]:
@@ -317,7 +317,7 @@ def test_torus_is_maximal_in_any_order(n, data, rnd):
     masks = list(CLOSURES[n].masks)
     rnd.shuffle(masks)
     torus = assert_torus_is_maximal(masks)
-    assert len(torus) == len(greedy_torus(CLOSURES[n].bits, n)) == closure_type(n).rank()
+    assert len(torus) == greedy_torus(CLOSURES[n].bits, n).bit_count() == closure_type(n).rank()
     arbitrary = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=256))
     rnd.shuffle(arbitrary)
     assert_torus_is_maximal(arbitrary)
@@ -325,7 +325,7 @@ def test_torus_is_maximal_in_any_order(n, data, rnd):
 
 def test_certificates_reject_what_they_must():
     basis = CLOSURES[8]
-    torus = greedy_torus(basis.bits, 8)
+    torus = _set_bits(greedy_torus(basis.bits, 8))
     assert not torus_is_cartan(8, basis.masks, torus[:-1])
     assert is_compact_basis(basis.bits, 8)
     assert not is_compact_basis(basis.bits | bits_of([0b1]), 8)
@@ -350,5 +350,5 @@ def test_analyze_does_not_certify_a_noncompact_torus(monkeypatch):
     noncompact = blade_closure(3, (0b001, 0b010))
     monkeypatch.setattr("enspin.analysis.blade_closure", lambda n, gens, **kwargs: noncompact)
     bundle = analyze(3)
-    assert bundle.torus == (0b001,)
+    assert _set_bits(bundle.torus) == (0b001,)
     assert not bundle.compact

@@ -193,14 +193,16 @@ def test_reports_csv_parses_back():
 
 def test_algebra_table_matches_through_twelve():
     rows = algebra_table(12)
-    assert [r.n for r in rows] == list(range(2, 13))
-    by_n = {r.n: r for r in rows}
-    assert by_n[2].closure_dim is None
-    assert by_n[3].match is None and "u(2)" in by_n[3].note
+    assert [r["n"] for r in rows] == list(range(2, 13))
+    assert all(list(r) == ["n", "clifford", "clifford_dim", "max_compact", "type_dim",
+                           "closure_dim", "match", "note"] for r in rows)
+    by_n = {r["n"]: r for r in rows}
+    assert by_n[2]["closure_dim"] is None
+    assert by_n[3]["match"] is None and "u(2)" in by_n[3]["note"]
     for n in range(4, 13):
-        assert by_n[n].match, f"type dimension mismatch at n={n}"
-        assert by_n[n].compact_type == str(max_compact(n))
-    assert by_n[12].closure_dim == 2080
+        assert by_n[n]["match"] is True, f"type dimension mismatch at n={n}"
+        assert by_n[n]["max_compact"] == str(max_compact(n))
+    assert by_n[12]["closure_dim"] == 2080
 
 
 def test_table_serializers_agree_on_content():
@@ -208,8 +210,12 @@ def test_table_serializers_agree_on_content():
     md = table_to_markdown(rows)
     parsed = list(csv.DictReader(io.StringIO(table_to_csv(rows))))
     blob = json.loads(table_to_json(rows))
-    assert len(parsed) == len(blob) == len(rows)
+    assert blob == rows
+    assert len(parsed) == len(rows)
     for row in rows:
-        assert f"| {row.n} |" in md
+        assert f"| {row['n']} |" in md
     assert blob[-1]["max_compact"] == "sp(4)"
+    assert parsed[-1]["closure_dim"] == "36"
+    assert parsed[0]["closure_dim"] == parsed[0]["match"] == ""
+    assert "| 2 | M(2,R) | 4 | so(2) | 1 | -- | -- |  |" in md
     assert parsed[-1]["closure_dim"] == "36"

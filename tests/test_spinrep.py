@@ -1,6 +1,12 @@
-import pytest
+from dataclasses import replace
+from fractions import Fraction
 
-from enspin.clifford import Blade
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from enspin import spinrep
+from enspin.clifford import Blade, Multivector, bracket, mv_product
 from enspin.spinrep import (
     en_adjacency,
     shared_index_adjacency_ok,
@@ -73,10 +79,27 @@ def test_relation_report_serialization():
     assert blob["failures"] == []
 
 
+def relations_reference(n: int) -> tuple[dict, dict, bool]:
+    """The presentation checked with multivector products and brackets, as exact rationals."""
+    mvs = spinrep.spin_generators(n).multivectors()
+    diagram = en_adjacency(n)
+    squares = {i: mv_product(a, a) == Multivector.scalar(-1, n) for i, a in enumerate(mvs, 1)}
+    pairs = {}
+    for i, a in enumerate(mvs, 1):
+        for j, b in enumerate(mvs, 1):
+            if i != j:
+                br = bracket(a, b)
+                pairs[(i, j)] = (bracket(a, br) == b.scale(-4) if diagram.adjacent(i, j)
+                                 else br.is_zero())
+    ys = [m.scale(Fraction(1, 2)) for m in mvs]
+    scaled = all(mv_product(y, y) == Multivector.scalar(Fraction(-1, 4), n) for y in ys) and all(
+        bracket(ys[i - 1], bracket(ys[i - 1], ys[j - 1])) == -ys[j - 1]
+        for (i, j) in pairs if diagram.adjacent(i, j))
+    return squares, pairs, scaled
+
+
 def test_nonadjacent_generators_commute_spot_check():
     # A_1 = v1v2 and A_2 = v1v2v3 share two indices and must commute
-    from enspin.clifford import bracket
-
     gens = spin_generators(6)
     mvs = gens.multivectors()
     assert bracket(mvs[0], mvs[1]).is_zero()
@@ -84,3 +107,21 @@ def test_nonadjacent_generators_commute_spot_check():
     assert bracket(mvs[3], mvs[5]).is_zero()
     # A_4 and A_5 = v4v5 share one index and must not
     assert not bracket(mvs[3], mvs[4]).is_zero()
+    # every square and ordered pair read off the masks agrees with the multivector brackets
+    for n in range(3, 11):
+        report = verify_relations(n)
+        assert (report.squares, report.pairs, report.scaled_ok) == relations_reference(n), n
+
+
+@given(n=st.integers(3, 6), data=st.data())
+def test_relations_read_off_masks_match_brackets_on_any_blades(n, data):
+    # each generator kept or swapped for an arbitrary signed blade, so one relation can fail alone
+    true_generators = spin_generators
+    signed_blades = st.builds(Blade, st.integers(0, (1 << n) - 1), st.sampled_from((1, -1)))
+    blades = tuple(data.draw(st.one_of(st.just(b), signed_blades))
+                   for b in true_generators(n).blades)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spinrep, "spin_generators",
+                  lambda k: replace(true_generators(k), blades=blades))
+        report = verify_relations(n)
+        assert (report.squares, report.pairs, report.scaled_ok) == relations_reference(n)
