@@ -26,8 +26,7 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .bott import CompactTypeDescriptor, closure_type
 from .clifford import Blade, Multivector, blade_product, blades_anticommute, bracket, mv_product
@@ -51,8 +50,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """Blade table of a closed blade basis: [b_i, b_j] = coeffs[i,j] * b_targets[i,j].
 
     targets holds -1 and coeffs holds 0 where the bracket vanishes.
@@ -242,8 +240,7 @@ def derived_dim(sc: StructureConstants) -> int:
     return int(np.unique(sc.targets[nz]).size)
 
 
-@dataclass(frozen=True)
-class RankTrial:
+class RankTrial(NamedTuple):
     trial: int
     kernel_by_prime: dict[int, int]
 
@@ -286,8 +283,7 @@ def rank_estimate(
     return min(t.minimum for t in rank_trials(sc, trials, seed=seed, primes=primes))
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     """Eigenspace split under right multiplication by the top blade.
 
     exhaustive is True when every pair of eigenvectors is covered by the
@@ -320,19 +316,8 @@ class SplitResult:
         )
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "omega_central": self.omega_central,
-            "omega_square": self.omega_square,
-            "dims": list(self.dims) if self.dims is not None else None,
-            "cross_vanishes": self.cross_vanishes,
-            "plus_closed": self.plus_closed,
-            "minus_closed": self.minus_closed,
-            "exhaustive": self.exhaustive,
-            "passed": self.passed,
-        }
+        dims = list(self.dims) if self.dims is not None else None
+        return {**self._asdict(), "dims": dims, "passed": self.passed}
 
 
 def _split_result(n: int, half: int, cross: bool, plus: bool, minus: bool) -> SplitResult:
@@ -558,8 +543,7 @@ def stage(timings: dict[str, float], name: str) -> Iterator[None]:
     timings[name] = (time.perf_counter() - t0) * 1000.0
 
 
-@dataclass
-class AnalysisBundle:
+class AnalysisBundle(NamedTuple):
     """Everything the classifier and the verifier share for one n."""
 
     n: int
@@ -569,7 +553,7 @@ class AnalysisBundle:
     compact: bool
     torus: int
     split: SplitResult
-    timings_ms: dict[str, float] = field(default_factory=dict)
+    timings_ms: dict[str, float]
 
     @property
     def derived(self) -> int:
@@ -629,8 +613,7 @@ def analyze(n: int, *, seed: int = 0, exact_killing: bool | None = None) -> Anal
     )
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     n: int
     dim: int
     center_dim: int

@@ -11,26 +11,35 @@ dimension and rank formulas check computed closures against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 RING_DIM = {"R": 1, "C": 2, "H": 4}
 
 
-@dataclass(frozen=True)
-class MatrixAlgebraDescriptor:
-    """One or two matrix-ring summands over R/C/H, tensored with M(t, R)."""
-
+class _MatrixAlgebraFields(NamedTuple):
     summands: tuple[tuple[str, int], ...]
     tensor_size: int
 
-    def __post_init__(self) -> None:
-        if len(self.summands) not in (1, 2):
+
+class MatrixAlgebraDescriptor(_MatrixAlgebraFields):
+    """One or two matrix-ring summands over R/C/H, tensored with M(t, R)."""
+
+    __slots__ = ()
+
+    def __new__(cls, summands: tuple[tuple[str, int], ...],
+                tensor_size: int) -> MatrixAlgebraDescriptor:
+        if len(summands) not in (1, 2):
             raise ValueError("descriptor must have one or two summands")
-        for ring, size in self.summands:
+        for ring, size in summands:
             if ring not in RING_DIM:
                 raise ValueError(f"unknown base ring {ring!r}")
-            if size < 1 or self.tensor_size < 1:
+            if size < 1 or tensor_size < 1:
                 raise ValueError("matrix sizes must be positive")
+        return super().__new__(cls, summands, tensor_size)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: validate there too
+        return cls(*fields)
 
     def real_dimension(self) -> int:
         return sum(m * m * RING_DIM[ring] for ring, m in self.summands) * self.tensor_size ** 2
@@ -55,19 +64,27 @@ class MatrixAlgebraDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class CompactTypeDescriptor:
-    """A compact Lie algebra type: so/su/sp/u(N), possibly two equal summands."""
-
+class _CompactTypeFields(NamedTuple):
     family: str
     param: int
     summands: int = 1
 
-    def __post_init__(self) -> None:
-        if self.family not in ("so", "su", "sp", "u"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.param < 1 or self.summands not in (1, 2):
+
+class CompactTypeDescriptor(_CompactTypeFields):
+    """A compact Lie algebra type: so/su/sp/u(N), possibly two equal summands."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, param: int, summands: int = 1) -> CompactTypeDescriptor:
+        if family not in ("so", "su", "sp", "u"):
+            raise ValueError(f"unknown family {family!r}")
+        if param < 1 or summands not in (1, 2):
             raise ValueError("bad compact type parameters")
+        return super().__new__(cls, family, param, summands)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: validate there too
+        return cls(*fields)
 
     def dimension(self) -> int:
         N = self.param
@@ -93,14 +110,8 @@ class CompactTypeDescriptor:
         return " ⊕ ".join([one] * self.summands)
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "param": self.param,
-            "summands": self.summands,
-            "dimension": self.dimension(),
-            "rank": self.rank(),
-            "display": str(self),
-        }
+        return {**self._asdict(), "dimension": self.dimension(), "rank": self.rank(),
+                "display": str(self)}
 
 
 #: C(R^{r}) for r = n mod 8, as matrix-ring summands (ring, size).

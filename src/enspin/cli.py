@@ -109,8 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         reports = [run_verification(n) for n in ns]
     if args.no_timings:
-        for r in reports:
-            r.timings_ms = dict.fromkeys(r.timings_ms, 0.0)
+        reports = [r._replace(timings_ms=dict.fromkeys(r.timings_ms, 0.0)) for r in reports]
     # built per call, so the benchmark tracer's rebinding of these names is seen
     writers = {"json": reports_to_json, "markdown": reports_to_markdown, "csv": reports_to_csv}
     sys.stdout.write(writers[args.format](reports))

@@ -12,25 +12,32 @@ The induced Lie bracket is [A, B] = AB - BA.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 Coeff = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Blade:
-    """A signed Clifford monomial: ``sign * v_{i_1} ... v_{i_k}`` with ascending indices."""
-
+class _BladeFields(NamedTuple):
     mask: int
     sign: int = 1
 
-    def __post_init__(self) -> None:
-        if self.mask < 0:
+
+class Blade(_BladeFields):
+    """A signed Clifford monomial: ``sign * v_{i_1} ... v_{i_k}`` with ascending indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, mask: int, sign: int = 1) -> Blade:
+        if mask < 0:
             raise ValueError("blade mask must be non-negative")
-        if self.sign not in (1, -1):
-            raise ValueError(f"blade sign must be +1 or -1, got {self.sign}")
+        if sign not in (1, -1):
+            raise ValueError(f"blade sign must be +1 or -1, got {sign}")
+        return super().__new__(cls, mask, sign)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: validate there too
+        return cls(*fields)
 
     @property
     def grade(self) -> int:

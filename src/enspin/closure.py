@@ -18,10 +18,9 @@ it, sifts brackets into an exact echelon basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .clifford import Multivector, bracket
 from .deltas import drops_top_blade, lower_bound_dim
@@ -51,18 +50,18 @@ def _set_bits(bits: int) -> tuple[int, ...]:
     return tuple(compress(range(len(selectors)), selectors))
 
 
-@dataclass(frozen=True, eq=False)
 class ClosureBasis:
     """Blade masks of a bracket-closed subalgebra, as a bitset.
 
     bits has bit x set iff mask x is in the closure; every stage reads
     it.  masks, the ascending tuple, and mask_array, the same masks as a
     read-only int64 array for the test oracles, are built on first read,
-    and only mask_array imports numpy."""
+    and only mask_array imports numpy.  Bases compare by identity."""
 
-    n: int
-    bits: int
-    provenance: tuple[int, ...]
+    def __init__(self, n: int, bits: int, provenance: tuple[int, ...]) -> None:
+        self.n = n
+        self.bits = bits
+        self.provenance = provenance
 
     @property
     def dim(self) -> int:
@@ -282,8 +281,7 @@ def predicted_masks(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class LemmaContainment:
+class LemmaContainment(NamedTuple):
     """Outcome of comparing a computed closure against the predicted mask set."""
 
     n: int
@@ -300,16 +298,7 @@ class LemmaContainment:
         return self.exactly_predicted
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "all_expected_present": self.all_expected_present,
-            "full_mask_present": self.full_mask_present,
-            "full_mask_expected": self.full_mask_expected,
-            "wrong_grade_masks": self.wrong_grade_masks,
-            "missing_masks": self.missing_masks,
-            "extra_masks": self.extra_masks,
-            "exactly_predicted": self.exactly_predicted,
-        }
+        return self._asdict()
 
 
 def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:

@@ -9,10 +9,8 @@ JSON, Markdown, or CSV with a stable column set.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analysis import AnalysisBundle, analyze, classify_bundle, stage
 from .bott import bott_algebra, closure_type, max_compact
@@ -24,13 +22,12 @@ from .spinrep import verify_relations
 CHECK_ORDER = ("relations", "lemma", "identities", "killing", "rank", "split", "roots", "classify")
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     status: str  # "pass" | "fail" | "skipped"
     detail: str
 
     def to_json(self) -> dict:
-        return {"status": self.status, "detail": self.detail}
+        return self._asdict()
 
 
 def _outcome(ok: bool, detail: str) -> CheckOutcome:
@@ -41,8 +38,7 @@ def _skipped(reason: str) -> CheckOutcome:
     return CheckOutcome(status="skipped", detail=reason)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     closure_dim: int
     expected_dim: int
@@ -50,7 +46,7 @@ class VerificationReport:
     bott_algebra: str
     max_compact: str
     checks: dict[str, CheckOutcome]
-    timings_ms: dict[str, float] = field(default_factory=dict)
+    timings_ms: dict[str, float]
 
     @property
     def verdict(self) -> bool:
@@ -200,6 +196,10 @@ def _markdown(cols: list[str], rows: list[list]) -> str:
 
 
 def _csv(cols: list[str], rows: list[list]) -> str:
+    # imported here, so JSON and Markdown runs never load csv
+    import csv
+    import io
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(cols)

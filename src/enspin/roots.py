@@ -13,7 +13,7 @@ system and is rejected up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spinrep import en_adjacency
 
@@ -21,8 +21,7 @@ from .spinrep import en_adjacency
 MAX_POSITIVE_ROOTS = 240
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """Positive system of one diagram, roots sorted by (height, lex)."""
 
     n: int

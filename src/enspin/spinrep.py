@@ -20,15 +20,14 @@ and the half-scaled variant Y_i = A_i / 2 with Y_i^2 = -1/4 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # bracket and mv_product stay importable here: the benchmark tracer
 # (perfbench/tracer.py) binds them under this module
 from .clifford import Blade, Multivector, blade_product, blades_anticommute, bracket, mv_product
 
 
-@dataclass(frozen=True)
-class EnDiagram:
+class EnDiagram(NamedTuple):
     """E_n Dynkin graph on nodes 1..n (Bourbaki branch node convention)."""
 
     n: int
@@ -66,8 +65,7 @@ def en_adjacency(n: int) -> EnDiagram:
     return EnDiagram(n=n, edges=frozenset(edges))
 
 
-@dataclass(frozen=True)
-class SpinGenerators:
+class SpinGenerators(NamedTuple):
     n: int
     blades: tuple[Blade, ...]
 
@@ -88,8 +86,7 @@ def spin_generators(n: int) -> SpinGenerators:
     return SpinGenerators(n=n, blades=tuple(blades))
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     """Pass/fail record for the full generator presentation at one n."""
 
     n: int

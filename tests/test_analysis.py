@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -91,7 +90,7 @@ def flipped(sc, *cells):
     coeffs = sc.coeffs.copy()
     for i, j in cells:
         coeffs[i, j] = -coeffs[i, j]
-    return dataclasses.replace(sc, coeffs=coeffs)
+    return sc._replace(coeffs=coeffs)
 
 
 def test_antisymmetry_rejects_one_flipped_coefficient():

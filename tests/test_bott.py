@@ -5,6 +5,7 @@ import pytest
 
 from enspin.bott import (
     CompactTypeDescriptor,
+    MatrixAlgebraDescriptor,
     bott_algebra,
     closure_type,
     max_compact,
@@ -112,6 +113,28 @@ def test_domain_errors():
         bott_algebra(1)
     with pytest.raises(ValueError):
         max_compact(0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CompactTypeDescriptor("xx", 2), "unknown family 'xx'"),
+    (lambda: CompactTypeDescriptor("su", 0), "bad compact type parameters"),
+    (lambda: CompactTypeDescriptor("su", 2, 3), "bad compact type parameters"),
+    (lambda: MatrixAlgebraDescriptor((), 1), "descriptor must have one or two summands"),
+    (lambda: MatrixAlgebraDescriptor((("Q", 1),), 1), "unknown base ring 'Q'"),
+    (lambda: MatrixAlgebraDescriptor((("R", 0),), 1), "matrix sizes must be positive"),
+], ids=["family", "param", "summands", "no-summand", "ring", "size"])
+def test_descriptors_reject_bad_fields(make, message):
+    with pytest.raises(ValueError) as e:
+        make()
+    assert str(e.value) == message
+
+
+def test_descriptor_replace_validates_like_the_constructor():
+    with pytest.raises(ValueError, match="unknown family 'xx'"):
+        CompactTypeDescriptor("su", 2)._replace(family="xx")
+    with pytest.raises(ValueError, match="matrix sizes must be positive"):
+        bott_algebra(4)._replace(tensor_size=0)
+    assert max_compact(9)._replace(summands=1) == CompactTypeDescriptor("so", 16)
 
 
 def test_readme_computed_facts_match_the_code():

@@ -485,16 +485,16 @@ else:
         except SystemExit as e:
             code = e.code
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([code, "numpy" in sys.modules, dict(os.environ) == environ, threads]))
+print(json.dumps([code, sorted(sys.modules), dict(os.environ) == environ, threads]))
 """
 
 
 def start_as_module(argv, env):
     """Run the enspin entry on argv (or only import enspin.cli for None) in a fresh child.
 
-    Returns the exit code, whether numpy was imported, whether the
-    environment came out unchanged, and the thread count (None without
-    /proc/self/task).
+    Returns the exit code, the names in sys.modules at the end, whether
+    the environment came out unchanged, and the thread count (None
+    without /proc/self/task).
     """
     proc = subprocess.run([sys.executable, "-c", START_AS_MODULE, json.dumps(argv)], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -519,10 +519,22 @@ def test_cli_never_imports_numpy(argv):
     # numpy is needed by the test oracles only; the CLI runs on Python ints,
     # sets no environment variable of its own, and a serial run starts no
     # thread beside the main one (no OpenBLAS pool, no executor)
-    code, numpy_loaded, environ_unchanged, threads = start_as_module(argv, child_env())
-    assert (code, numpy_loaded, environ_unchanged) == (0 if argv else None, False, True)
+    code, loaded, environ_unchanged, threads = start_as_module(argv, child_env())
+    assert (code, "numpy" in loaded, environ_unchanged) == (0 if argv else None, False, True)
     if "--jobs" not in (argv or ()) and threads is not None:
         assert threads == 1
+
+
+@pytest.mark.parametrize("argv", list(NUMPY_FREE.values()), ids=list(NUMPY_FREE))
+def test_cli_never_imports_dataclasses(argv):
+    # the records are named tuples: dataclasses would import inspect, ast, dis and
+    # tokenize, and exec the generated methods of every class, at each start
+    unwanted = {"dataclasses", "inspect"}
+    if argv == NUMPY_FREE["verify"]:
+        unwanted.add("csv")  # a JSON run writes no CSV
+    code, loaded, _, _ = start_as_module(argv, child_env())
+    assert code == (0 if argv else None)
+    assert unwanted.isdisjoint(loaded)
 
 
 def test_module_entry_keeps_an_explicit_blas_thread_count():
@@ -536,8 +548,8 @@ def test_module_entry_starts_with_one_blas_thread():
     # no OpenBLAS is loaded, so no BLAS thread spin-waits beside the main one
     env = child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
-    code, numpy_loaded, _, threads = start_as_module(["closure", "--n", "3"], env)
-    assert (code, numpy_loaded) == (0, False)
+    code, loaded, _, threads = start_as_module(["closure", "--n", "3"], env)
+    assert (code, "numpy" in loaded) == (0, False)
     if threads is None:
         pytest.skip("no /proc/self/task to count threads")
     assert threads == 1

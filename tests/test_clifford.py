@@ -225,3 +225,21 @@ def test_parse_rejects_zero_denominator(text):
         parse_multivector(text, 2)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_blade(text, 2)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "blade mask must be non-negative"),
+    ((3, 0), "blade sign must be +1 or -1, got 0"),
+], ids=["mask", "sign"])
+def test_blade_rejects_bad_fields(args, message):
+    with pytest.raises(ValueError) as e:
+        Blade(*args)
+    assert str(e.value) == message
+
+
+def test_blade_replace_validates_like_the_constructor():
+    with pytest.raises(ValueError, match="blade mask must be non-negative"):
+        Blade(1)._replace(mask=-1)
+    with pytest.raises(ValueError, match="blade sign must be"):
+        Blade(1)._replace(sign=0)
+    assert Blade(3)._replace(sign=-1) == Blade(3, -1)

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -52,7 +51,7 @@ def test_report_rank_three_special_cases():
 
 def _with_central(bundle, masks):
     central = bundle.basis.bits & sum(1 << m for m in masks)
-    return replace(bundle, central=central, center=central.bit_count())
+    return bundle._replace(central=central, center=central.bit_count())
 
 
 def test_killing_radical_at_three_must_be_exactly_the_top_blade():
@@ -63,7 +62,7 @@ def test_killing_radical_at_three_must_be_exactly_the_top_blade():
         out = _killing_outcome(_with_central(bundle, masks))
         assert out.status == "fail", masks
         assert out.detail.endswith("expected radical: the top blade"), masks
-    assert _killing_outcome(replace(bundle, compact=False)).status == "fail"
+    assert _killing_outcome(bundle._replace(compact=False)).status == "fail"
     assert "center 0 != 1" in classify_bundle(_with_central(bundle, [])).failures
 
 
@@ -146,7 +145,7 @@ def test_relations_check_fails_on_a_wrong_generator(monkeypatch):
 
     def wrong_first(n):
         gens = true_generators(n)
-        return replace(gens, blades=(Blade(0b1),) + gens.blades[1:])
+        return gens._replace(blades=(Blade(0b1),) + gens.blades[1:])
 
     monkeypatch.setattr("enspin.spinrep.spin_generators", wrong_first)
     rel = spinrep.verify_relations(5)

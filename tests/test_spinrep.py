@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -122,6 +121,6 @@ def test_relations_read_off_masks_match_brackets_on_any_blades(n, data):
                    for b in true_generators(n).blades)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(spinrep, "spin_generators",
-                  lambda k: replace(true_generators(k), blades=blades))
+                  lambda k: true_generators(k)._replace(blades=blades))
         report = verify_relations(n)
         assert (report.squares, report.pairs, report.scaled_ok) == relations_reference(n)
