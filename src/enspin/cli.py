@@ -55,7 +55,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
         return _usage_error(f"delta needs --n >= 1, got {args.n}")
     if args.n > MAX_DELTA_N:
         return _usage_error(f"delta needs --n <= {MAX_DELTA_N}, got {args.n}")
-    values = {f"d{k}": int(delta_closed(k, args.n)) for k in range(4)}
+    values = {f"d{k}": delta_closed(k, args.n) for k in range(4)}
     sums = {f"d{k}": delta_sum(k, args.n) for k in range(4)}
     if values != sums:
         print(f"FAIL closed forms {values} disagree with direct sums {sums}", file=sys.stderr)

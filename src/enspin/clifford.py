@@ -187,21 +187,7 @@ def mv_product(x: Multivector, y: Multivector) -> Multivector:
 
 
 def bracket(x: Multivector, y: Multivector) -> Multivector:
-    """Lie bracket xy - yx.
-
-    For single blades the result is 0 (commuting) or twice their blade
-    product; the fast path keeps closure computations exact and cheap.
-    """
-    _check_operands(x, y)
-    if len(x.terms) == 1 and len(y.terms) == 1:
-        (ma, ca), = x.terms.items()
-        (mb, cb), = y.terms.items()
-        if not blades_anticommute(ma, mb):
-            return Multivector.zero(x.dim)
-        c = 2 * ca * cb
-        if reorder_swaps(ma, mb) & 1:
-            c = -c
-        return Multivector({ma ^ mb: c}, x.dim)
+    """Lie bracket xy - yx."""
     return mv_product(x, y) - mv_product(y, x)
 
 

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .clifford import Multivector, bracket
 from .deltas import drops_top_blade, lower_bound_dim
-from .linalg import EchelonBasis
+
+if TYPE_CHECKING:  # annotations only: general_closure, a test oracle, imports what it runs
+    from .clifford import Multivector
+    from .linalg import EchelonBasis
 
 #: The one ceiling on the ambient dimension.  A bitset of 2^n bits is
 #: 2 MiB at n = 24, and no stage holds more than a few dozen of them.
@@ -75,9 +77,7 @@ class ClosureBasis:
     def mask_array(self):
         import numpy as np
 
-        raw = np.frombuffer(self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little"),
-                            dtype=np.uint8)
-        arr = np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(np.int64)
+        arr = np.array(self.masks, dtype=np.int64)
         arr.flags.writeable = False
         return arr
 
@@ -343,6 +343,9 @@ def general_closure(n: int, generators: Sequence[Multivector]) -> EchelonBasis:
     against everything accepted before it, so every unordered pair is
     handled exactly once and the termination bound is the ambient 2^n.
     """
+    from .clifford import bracket
+    from .linalg import EchelonBasis
+
     gens = tuple(generators)
     if not gens:
         raise ValueError("generator list is empty")

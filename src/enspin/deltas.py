@@ -3,21 +3,22 @@
 delta(k, n) is the number of subsets of an n-set whose size is congruent
 to k mod 4.  These counts drive the dimension bookkeeping for the spin
 image: the grade-(2,3 mod 4) blades number delta(2,n) + delta(3,n), and
-closed power-of-two formulas make the bounds explicit.
+one closed power-of-two formula makes the bounds explicit.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 MAX_DELTA_N = 2048  # the largest n `enspin delta` takes; about 0.7 s there on 2 vCPUs
 
 
-def _check_k(k: int) -> None:
+def _check(k: int, n: int) -> None:
     if k not in (0, 1, 2, 3):
         raise ValueError(f"residue class k must be in 0..3, got {k}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
 
 @lru_cache(maxsize=4)
@@ -25,52 +26,27 @@ def delta_sum(k: int, n: int) -> int:
     """Direct binomial sum: number of subsets of an n-set of size == k (mod 4).
 
     The four sums of the last n are cached, so `enspin delta`, which
-    compares them with the closed forms and then evaluates
+    compares them with the closed form and then evaluates
     delta_identities(n) on them, sums each once.
     """
-    _check_k(k)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check(k, n)
     return sum(comb(n, i) for i in range(k, n + 1, 4))
 
 
-def _pow2(e: int) -> Fraction:
-    # Exponents go negative for n in {1, 2}; the closed forms still hold there.
-    return Fraction(2) ** e
-
-
 def delta_closed(k: int, n: int) -> int:
-    """Closed power-of-two form for delta(k, n), split by n mod 4."""
-    _check_k(k)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    main = _pow2(n - 2)
-    r = n % 4
-    if r == 0:
-        if k in (1, 3):
-            val = main
-        else:
-            val = main + (-1) ** (n // 4 + k // 2) * _pow2(n // 2 - 1)
-    elif r == 1:
-        s = (-1) ** ((n - 1) // 4)
-        if k in (0, 1):
-            val = main + s * _pow2((n - 3) // 2)
-        else:
-            val = main - s * _pow2((n - 3) // 2)
-    elif r == 2:
-        if k in (0, 2):
-            val = main
-        else:
-            val = main + (-1) ** ((n - 2) // 4 + (k - 1) // 2) * _pow2(n // 2 - 1)
-    else:
-        s = (-1) ** ((n - 3) // 4)
-        if k in (0, 3):
-            val = main - s * _pow2((n - 3) // 2)
-        else:
-            val = main + s * _pow2((n - 3) // 2)
-    if val.denominator != 1:
-        raise AssertionError(f"closed form not integral for k={k}, n={n}")
-    return int(val)
+    """Closed form delta(k, n) = (2^n + c 2^(n//2 + 1)) / 4, with c in {-1, 0, 1}.
+
+    The roots-of-unity filter gives delta(k, n) = 1/4 sum_j i^(-jk) (1 + i^j)^n
+    over j = 0..3.  The j = 2 term vanishes for n >= 1, and the j = 1 and
+    j = 3 terms are conjugates, so delta(k, n) = (2^n + 2 Re z) / 4 with
+    z = i^(-k) (1 + i)^n.  Since (1 + i)^2 = 2i, z = 2^(n//2) i^r (1 + i)^(n mod 2)
+    with r = (n//2 - k) mod 4, and Re z = c 2^(n//2), c the real part of i^r
+    for even n and of i^r (1 + i) for odd n.  The filter sum is
+    4 delta(k, n), so the division is exact.
+    """
+    _check(k, n)
+    c = ((1, 0, -1, 0), (1, -1, -1, 1))[n % 2][(n // 2 - k) % 4]
+    return ((1 << n) + c * (1 << (n // 2 + 1))) // 4
 
 
 def delta_identities(n: int) -> dict[str, bool]:

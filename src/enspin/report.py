@@ -129,7 +129,7 @@ def run_verification(n: int) -> VerificationReport:
 
     with stage(timings, "deltas"):
         ident = delta_identities(n)
-    dvals = tuple(int(delta_closed(k, n)) for k in range(4))
+    dvals = tuple(delta_closed(k, n) for k in range(4))
     checks["identities"] = _outcome(
         all(ident.values()),
         "d0=%d d1=%d d2=%d d3=%d; %s" % (*dvals, ", ".join(f"{k}={v}" for k, v in ident.items())),

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import fractions
 import importlib.util
 import io
 import json
@@ -394,23 +395,6 @@ def run_python(code: str, env: dict[str, str]) -> str:
     return proc.stdout.strip()
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    code = "import sys, enspin.cli; print('concurrent.futures.process' in sys.modules)"
-    assert run_python(code, child_env()) == "False"
-
-
-def test_verify_leaves_numpy_ma_unloaded():
-    # numpy.ma costs about 1.7 MiB of RSS on first import (np.unique pulls it in)
-    code = ("import io, sys, contextlib, enspin.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = enspin.cli.main(['verify', '--from', '3', '--to', '9', '--no-timings'])\n"
-            "print(rc, 'numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 False"
-
-
 def test_module_invocation_round_trips():
     proc = subprocess.run(
         [sys.executable, "-m", "enspin", "closure", "--n", "3", "--format", "text"],
@@ -421,10 +405,6 @@ def test_module_invocation_round_trips():
 
 
 # -- start-up ----------------------------------------------------------------
-
-def test_package_import_loads_no_numpy():
-    assert run_python("import sys, enspin; print('numpy' in sys.modules)", child_env()) == "False"
-
 
 def test_lazy_names_resolve_to_their_submodules():
     code = ("import importlib, enspin\n"
@@ -514,45 +494,44 @@ NUMPY_FREE = {
 }
 
 
-@pytest.mark.parametrize("argv", list(NUMPY_FREE.values()), ids=list(NUMPY_FREE))
-def test_cli_never_imports_numpy(argv):
-    # numpy is needed by the test oracles only; the CLI runs on Python ints,
-    # sets no environment variable of its own, and a serial run starts no
-    # thread beside the main one (no OpenBLAS pool, no executor)
-    code, loaded, environ_unchanged, threads = start_as_module(argv, child_env())
-    assert (code, "numpy" in loaded, environ_unchanged) == (0 if argv else None, False, True)
-    if "--jobs" not in (argv or ()) and threads is not None:
-        assert threads == 1
-
-
-@pytest.mark.parametrize("argv", list(NUMPY_FREE.values()), ids=list(NUMPY_FREE))
-def test_cli_never_imports_dataclasses(argv):
-    # the records are named tuples: dataclasses would import inspect, ast, dis and
-    # tokenize, and exec the generated methods of every class, at each start
-    unwanted = {"dataclasses", "inspect"}
-    if argv == NUMPY_FREE["verify"]:
+@pytest.mark.parametrize("name", list(NUMPY_FREE))
+def test_cli_never_imports_numpy(name):
+    # One child per case.  numpy is needed by the test oracles only: the CLI
+    # runs on Python ints, so no OpenBLAS thread spin-waits beside the main
+    # one.  The records are named tuples: dataclasses would import inspect,
+    # ast, dis and tokenize at each start.  The entry sets no environment
+    # variable of its own, so a user's OPENBLAS_NUM_THREADS reaches --jobs
+    # workers as given, and only --jobs loads the process pool.
+    argv = NUMPY_FREE[name]
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if name == "closure":  # the one child that starts with a thread count of its own
+        env["OPENBLAS_NUM_THREADS"] = "2"
+    code, loaded, environ_unchanged, threads = start_as_module(argv, env)
+    assert (code, environ_unchanged) == (0 if argv else None, True)
+    unwanted = {"numpy", "dataclasses", "inspect"}
+    if "--jobs" not in (argv or ()):
+        unwanted.add("concurrent.futures.process")
+        assert threads in (None, 1)  # None: no /proc/self/task to count threads
+    if name == "verify":
         unwanted.add("csv")  # a JSON run writes no CSV
-    code, loaded, _, _ = start_as_module(argv, child_env())
-    assert code == (0 if argv else None)
     assert unwanted.isdisjoint(loaded)
 
 
-def test_module_entry_keeps_an_explicit_blas_thread_count():
-    # the entry sets no variable of its own, so a user's value reaches --jobs workers as given
-    env = {**child_env(), "OPENBLAS_NUM_THREADS": "2"}
-    code, _, environ_unchanged, _ = start_as_module(["closure", "--n", "3"], env)
-    assert (code, environ_unchanged) == (0, True)
+def test_closure_imports_no_oracle_module():
+    # general_closure, the one oracle in closure, imports linalg and clifford when it runs
+    code = "import sys, enspin.closure; print(sorted({'enspin.linalg', 'fractions'} & set(sys.modules)))"
+    assert run_python(code, child_env()) == "[]"
 
 
-def test_module_entry_starts_with_one_blas_thread():
-    # no OpenBLAS is loaded, so no BLAS thread spin-waits beside the main one
-    env = child_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    code, loaded, _, threads = start_as_module(["closure", "--n", "3"], env)
-    assert (code, "numpy" in loaded) == (0, False)
-    if threads is None:
-        pytest.skip("no /proc/self/task to count threads")
-    assert threads == 1
+def test_verify_and_delta_make_no_fraction(capsys, monkeypatch):
+    # Fraction arithmetic is left to the test oracles: every count here is an int
+    def no_fraction(*args, **kwargs):
+        raise RuntimeError("a Fraction was made")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", no_fraction)
+    assert run_cli(capsys, "verify", "--from", "3", "--to", "12", "--no-timings")[0] == 0
+    assert run_cli(capsys, "delta", "--n", "2048")[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -111,16 +111,6 @@ def test_bracket_jacobi_sampled():
         assert total.is_zero()
 
 
-def test_bracket_fast_path_matches_generic():
-    rng = random.Random(3)
-    for _ in range(500):
-        dim = rng.randint(1, 8)
-        a = Multivector({rng.randrange(1 << dim): rng.randint(1, 5)}, dim)
-        b = Multivector({rng.randrange(1 << dim): rng.randint(1, 5)}, dim)
-        generic = mv_product(a, b) - mv_product(b, a)
-        assert bracket(a, b) == generic
-
-
 def test_bracket_of_basis_blades_is_single_blade_with_coeff_two():
     for a in range(1, 1 << 5):
         for b in range(1, 1 << 5):
