@@ -395,6 +395,23 @@ def run_python(code: str, env: dict[str, str]) -> str:
     return proc.stdout.strip()
 
 
+def test_cli_import_leaves_process_pool_unloaded():
+    code = "import sys, enspin.cli; print('concurrent.futures.process' in sys.modules)"
+    assert run_python(code, child_env()) == "False"
+
+
+def test_verify_leaves_numpy_ma_unloaded():
+    # numpy.ma costs about 1.7 MiB of RSS on first import (np.unique pulls it in)
+    code = ("import io, sys, contextlib, enspin.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = enspin.cli.main(['verify', '--from', '3', '--to', '9', '--no-timings'])\n"
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+
+
 def test_module_invocation_round_trips():
     proc = subprocess.run(
         [sys.executable, "-m", "enspin", "closure", "--n", "3", "--format", "text"],
@@ -405,6 +422,10 @@ def test_module_invocation_round_trips():
 
 
 # -- start-up ----------------------------------------------------------------
+
+def test_package_import_loads_no_numpy():
+    assert run_python("import sys, enspin; print('numpy' in sys.modules)", child_env()) == "False"
+
 
 def test_lazy_names_resolve_to_their_submodules():
     code = ("import importlib, enspin\n"
@@ -516,6 +537,36 @@ def test_cli_never_imports_numpy(name):
     if name == "verify":
         unwanted.add("csv")  # a JSON run writes no CSV
     assert unwanted.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("argv", list(NUMPY_FREE.values()), ids=list(NUMPY_FREE))
+def test_cli_never_imports_dataclasses(argv):
+    # the records are named tuples: dataclasses would import inspect, ast, dis and
+    # tokenize, and exec the generated methods of every class, at each start
+    unwanted = {"dataclasses", "inspect"}
+    if argv == NUMPY_FREE["verify"]:
+        unwanted.add("csv")  # a JSON run writes no CSV
+    code, loaded, _, _ = start_as_module(argv, child_env())
+    assert code == (0 if argv else None)
+    assert unwanted.isdisjoint(loaded)
+
+
+def test_module_entry_keeps_an_explicit_blas_thread_count():
+    # the entry sets no variable of its own, so a user's value reaches --jobs workers as given
+    env = {**child_env(), "OPENBLAS_NUM_THREADS": "2"}
+    code, _, environ_unchanged, _ = start_as_module(["closure", "--n", "3"], env)
+    assert (code, environ_unchanged) == (0, True)
+
+
+def test_module_entry_starts_with_one_blas_thread():
+    # no OpenBLAS is loaded, so no BLAS thread spin-waits beside the main one
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code, loaded, _, threads = start_as_module(["closure", "--n", "3"], env)
+    assert (code, "numpy" in loaded) == (0, False)
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == 1
 
 
 def test_closure_imports_no_oracle_module():
