@@ -12,10 +12,9 @@ imported from its submodule on first use (PEP 562) and then cached on
 the package.  The names are the verifier's, and none of them imports
 numpy: a closure is one Python int of 2^n bits (2 MiB at n = 24), and
 every check reads it with int operations.  The independent test
-oracles (the dense blade table, the mod-p rank probe, the exact
-references over Q and general_closure) are imported from
-enspin.analysis, enspin.linalg and enspin.closure; the numpy ones
-import numpy when they are called.
+oracles (the dense blade table, the mod-p rank probe and the exact
+references over Q) are imported from enspin.analysis and
+enspin.linalg; the numpy ones import numpy when they are called.
 """
 
 import importlib

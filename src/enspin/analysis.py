@@ -14,11 +14,12 @@ ints of 2^n bits (2 MiB each at n = 24), so no verify path imports
 numpy.  Each function of the core states its proof in its docstring.
 
 The dense structure table, the mod-p rank probe (rank_trials,
-rank_estimate), the leading-minor Killing test and the Fraction split
-(split_check_fractions) are kept as independent test oracles; no
-verify path calls them, and the package namespace does not export
-them.  The dense table is a blade table (StructureConstants).  The
-numpy oracles import numpy when they are called.
+rank_estimate) and the leading-minor Killing test are kept as
+independent test oracles, because the acceptance gate or the benchmark
+tracer names them here; no verify path calls them, and the package
+namespace does not export them.  The dense table is a blade table
+(StructureConstants).  The numpy oracles import numpy when they are
+called.  Oracles that only the unit tests call live in those tests.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .bott import CompactTypeDescriptor, closure_type
-from .clifford import Blade, Multivector, blade_product, blades_anticommute, bracket, mv_product
+# bracket and mv_product stay importable here: the benchmark tracer
+# (perfbench/tracer.py) binds them under this module
+from .clifford import Blade, blade_product, blades_anticommute, bracket, mv_product
 from .closure import (
     ClosureBasis,
     _anticommute_pattern,
@@ -61,12 +64,6 @@ class StructureConstants(NamedTuple):
     d: int
     targets: np.ndarray
     coeffs: np.ndarray
-
-    def entry(self, i: int, j: int) -> tuple[int, int] | None:
-        """(target index, coefficient) of [b_i, b_j], or None when zero."""
-        if self.coeffs[i, j] == 0:
-            return None
-        return int(self.targets[i, j]), int(self.coeffs[i, j])
 
 
 def structure_constants(basis: ClosureBasis) -> StructureConstants:
@@ -113,13 +110,6 @@ def structure_constants(basis: ClosureBasis) -> StructureConstants:
     return StructureConstants(d=d, targets=targets, coeffs=coeffs)
 
 
-def bracket_coords(sc: StructureConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coordinates of [x, y] for integer coordinate vectors x, y: ad(x) applied to y."""
-    import numpy as np
-
-    return ad_matrix(sc, x) @ np.asarray(y, dtype=np.int64)
-
-
 def ad_matrix(sc: StructureConstants, x: np.ndarray) -> np.ndarray:
     """Matrix of ad(x) acting on coordinate columns, as int64."""
     import numpy as np
@@ -131,53 +121,6 @@ def ad_matrix(sc: StructureConstants, x: np.ndarray) -> np.ndarray:
     vals = x[ii] * sc.coeffs[ii, jj].astype(np.int64)
     np.add.at(a.ravel(), sc.targets[ii, jj].astype(np.int64) * d + jj, vals)
     return a
-
-
-def antisymmetry_holds(sc: StructureConstants) -> bool:
-    import numpy as np
-
-    c = sc.coeffs
-    t = sc.targets
-    if not np.array_equal(c, -c.T):
-        return False
-    both = (c != 0) & (c.T != 0)
-    return bool(np.all(t[both] == t.T[both])) and bool(np.all(c.diagonal() == 0))
-
-
-def table_jacobi_holds(sc: StructureConstants, *, samples: int = 2000, seed: int = 0) -> bool:
-    """[[i,j],k] + [[j,k],i] + [[k,i],j] = 0, exhaustively for d <= 50."""
-
-    def term(i: int, j: int, k: int, acc: dict[int, int]) -> None:
-        c1 = int(sc.coeffs[i, j])
-        if c1 == 0:
-            return
-        t1 = int(sc.targets[i, j])
-        c2 = int(sc.coeffs[t1, k])
-        if c2 == 0:
-            return
-        t2 = int(sc.targets[t1, k])
-        acc[t2] = acc.get(t2, 0) + c1 * c2
-
-    def triple_ok(i: int, j: int, k: int) -> bool:
-        acc: dict[int, int] = {}
-        term(i, j, k, acc)
-        term(j, k, i, acc)
-        term(k, i, j, acc)
-        return all(v == 0 for v in acc.values())
-
-    d = sc.d
-    if d <= 50:
-        return all(
-            triple_ok(i, j, k)
-            for i in range(d)
-            for j in range(i + 1, d)
-            for k in range(j + 1, d)
-        )
-    rng = random.Random(seed)
-    return all(
-        triple_ok(rng.randrange(d), rng.randrange(d), rng.randrange(d))
-        for _ in range(samples)
-    )
 
 
 def killing_diagonal(sc: StructureConstants) -> np.ndarray:
@@ -318,61 +261,6 @@ class SplitResult(NamedTuple):
     def to_json(self) -> dict:
         dims = list(self.dims) if self.dims is not None else None
         return {**self._asdict(), "dims": dims, "passed": self.passed}
-
-
-def _split_result(n: int, half: int, cross: bool, plus: bool, minus: bool) -> SplitResult:
-    return SplitResult(
-        n=n,
-        applicable=True,
-        omega_central=True,
-        omega_square=1,
-        dims=(half, half),
-        cross_vanishes=cross,
-        plus_closed=plus,
-        minus_closed=minus,
-        exhaustive=True,
-    )
-
-
-def split_check_fractions(basis: ClosureBasis) -> SplitResult:
-    """Test oracle for split_check: omega and every pair bracketed as exact multivectors.
-
-    Only n == 1 mod 4 has a split to check (omega is central with
-    omega^2 = 1 there alone), so any other n raises ValueError.
-    """
-    n = basis.n
-    if n % 4 != 1:
-        raise ValueError(f"the split oracle needs n == 1 mod 4, got {n}")
-    full = (1 << n) - 1
-    omega = Multivector({full: 1}, n)
-    omega_sq = 1 if mv_product(omega, omega) == Multivector.scalar(1, n) else -1
-    central = all(bracket(Multivector({m: 1}, n), omega).is_zero() for m in basis.masks)
-    if omega_sq != 1 or not central:
-        return SplitResult(n=n, applicable=True, omega_central=central, omega_square=omega_sq,
-                           reason="top blade failed centrality or square check")
-    mask_set = set(basis.masks)
-    missing = [m for m in basis.masks if full ^ m not in mask_set]
-    if missing:
-        return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
-                           reason=f"complement of {missing[0]:#x} missing from basis")
-
-    plus: list[Multivector] = []
-    minus: list[Multivector] = []
-    for m in basis.masks:
-        if m < full ^ m:
-            s = blade_product(Blade(m), Blade(full)).sign
-            plus.append(Multivector({m: 1, full ^ m: s}, n))
-            minus.append(Multivector({m: 1, full ^ m: -s}, n))
-
-    def eigen_ok(z: Multivector, val: int) -> bool:
-        return z.is_zero() or mv_product(z, omega) == z.scale(val)
-
-    half = len(plus)
-    same_pairs = [(i, j) for i in range(half) for j in range(i + 1, half)]
-    cross = all(bracket(p, m).is_zero() for p in plus for m in minus)
-    p_closed = all(eigen_ok(bracket(plus[i], plus[j]), 1) for i, j in same_pairs)
-    m_closed = all(eigen_ok(bracket(minus[i], minus[j]), -1) for i, j in same_pairs)
-    return _split_result(n, half, cross, p_closed, m_closed)
 
 
 # --- the mask-native core: everything analyze runs ------------------------
@@ -532,7 +420,9 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
         m = y if bits >> y & 1 else y ^ full
         return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
                            reason=f"complement of {m:#x} missing from basis")
-    return _split_result(n, basis.dim // 2, True, True, True)
+    half = basis.dim // 2
+    return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1, dims=(half, half),
+                       cross_vanishes=True, plus_closed=True, minus_closed=True, exhaustive=True)
 
 
 @contextmanager

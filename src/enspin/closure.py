@@ -1,32 +1,26 @@
-"""Lie subalgebra closure inside the Clifford algebra.
+"""Lie subalgebra closure inside the Clifford algebra, on blade masks.
 
-Two routes.  The fast route works on blade masks only: the bracket of
-two basis blades is zero or +-2 times a single blade, so the subalgebra
-generated by blades is spanned by blades, and the closure is the least
-mask set that holds the XOR of every anticommuting pair it contains.
-blade_closure keeps that set as one Python int of 2^n bits, bit x set
-iff mask x is in it, and relaxes it one generator step at a time, in
-tiles that stay in cache.  CPython works on an int word by word, so
-each step is a few passes over 2^n/8 bytes (2 MiB at n = 24), with no
-Python object per blade and no numpy.  Its proof certifies that the result is
-bracket-closed.  The bitset kernels here (_anticommute_pattern,
-_xor_translate, _grade_classes) serve every later stage as well.  One
-ceiling, MAX_AMBIENT, bounds n for every caller, and check_ambient tests
-it before anything is built.  The general route, which cross-validates
-it, sifts brackets into an exact echelon basis.
+The bracket of two basis blades is zero or +-2 times a single blade, so
+the subalgebra generated by blades is spanned by blades, and the closure
+is the least mask set that holds the XOR of every anticommuting pair it
+contains.  blade_closure keeps that set as one Python int of 2^n bits,
+bit x set iff mask x is in it, and relaxes it one generator step at a
+time, in tiles that stay in cache.  CPython works on an int word by
+word, so each step is a few passes over 2^n/8 bytes (2 MiB at n = 24),
+with no Python object per blade and no numpy.  Its proof certifies that
+the result is bracket-closed.  The bitset kernels here
+(_anticommute_pattern, _xor_translate, _grade_classes) serve every later
+stage as well.  One ceiling, MAX_AMBIENT, bounds n for every caller, and
+check_ambient tests it before anything is built.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .deltas import drops_top_blade, lower_bound_dim
-
-if TYPE_CHECKING:  # annotations only: general_closure, a test oracle, imports what it runs
-    from .clifford import Multivector
-    from .linalg import EchelonBasis
 
 #: The one ceiling on the ambient dimension.  A bitset of 2^n bits is
 #: 2 MiB at n = 24, and no stage holds more than a few dozen of them.
@@ -80,18 +74,6 @@ class ClosureBasis:
         arr = np.array(self.masks, dtype=np.int64)
         arr.flags.writeable = False
         return arr
-
-    def is_closed(self) -> bool:
-        """Re-check the defining closure property (quadratic, for tests)."""
-        from .clifford import blades_anticommute
-
-        mask_set = set(self.masks)
-        return all(
-            a ^ b in mask_set
-            for i, a in enumerate(self.masks)
-            for b in self.masks[i + 1:]
-            if blades_anticommute(a, b)
-        )
 
     def to_json(self) -> dict:
         return {
@@ -334,38 +316,3 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
         extra_masks=extra,
         exactly_predicted=missing == 0 and extra == 0,
     )
-
-
-def general_closure(n: int, generators: Sequence[Multivector]) -> EchelonBasis:
-    """Echelon basis of the Lie span of the generators, closed by sift-until-fixpoint.
-
-    Worklist in breadth-first order: each accepted vector is bracketed
-    against everything accepted before it, so every unordered pair is
-    handled exactly once and the termination bound is the ambient 2^n.
-    """
-    from .clifford import bracket
-    from .linalg import EchelonBasis
-
-    gens = tuple(generators)
-    if not gens:
-        raise ValueError("generator list is empty")
-    for g in gens:
-        if g.dim != n:
-            raise ValueError(f"generator dimension {g.dim} != ambient {n}")
-        if g.is_zero():
-            raise ValueError("zero generator")
-    basis = EchelonBasis(1 << n)
-    reps: list[Multivector] = []
-    for g in gens:
-        if basis.sift(g.terms):
-            reps.append(g)
-    q = 0
-    while q < len(reps):
-        for i in range(q):
-            z = bracket(reps[i], reps[q])
-            if not z.is_zero() and basis.sift(z.terms):
-                reps.append(z)
-                if len(reps) > (1 << n):
-                    raise AssertionError("closure exceeded ambient dimension")
-        q += 1
-    return basis

@@ -3,10 +3,11 @@
 Everything here is deterministic and exact.  Over Q there is one
 elimination, a sparse reduced-echelon basis over ``Fraction`` with
 incremental sifting; kernel dimensions and the leading-minor test for
-definiteness both run on it.  Over prime fields there is a fast mod-p
-elimination used as a one-sided rank probe (rank mod p <= rational
-rank, hence kernel mod p >= rational kernel); it is a test oracle, and
-it imports numpy when it is called.
+definiteness both run on it.  Over prime fields there is one
+panel-blocked mod-p elimination, for primes below 2^23, used as a
+one-sided rank probe (rank mod p <= rational rank, hence kernel mod p
+>= rational kernel); it is a test oracle, and it imports numpy when it
+is called.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ MatrixLike = Sequence[Sequence[Coeff]]
 #: through float64 matrix products without ever rounding.
 DEFAULT_PRIMES: tuple[int, ...] = (2_097_143, 2_097_133, 2_097_169)
 
-#: Primes up to here take the BLAS-blocked elimination path.
+#: The largest modulus the mod-p elimination takes: below it a
+#: panel-width dot of residues stays under 2^53, so the float64 matrix
+#: products of the blocked elimination are exact.
 _BLOCKED_PRIME_LIMIT = 1 << 23
 _PANEL = 128
 
@@ -152,25 +155,23 @@ def kernel_dimension_mod_p(m, p: int) -> int:
     bound certificate candidate for the rational kernel dimension only
     when it matches across independent primes.
 
-    Primes below 2^23 go through a panel-blocked elimination whose bulk
-    updates are float64 matrix products (exact: a panel-width dot of
-    residues stays under 2^53).  Larger primes fall back to plain int64
-    elimination with delayed reduction.
+    One panel-blocked elimination, whose bulk updates are float64 matrix
+    products; a prime above _BLOCKED_PRIME_LIMIT (2^23) would make them
+    round, so it raises ValueError.
     """
     import numpy as np
 
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p > _BLOCKED_PRIME_LIMIT:
+        raise ValueError(f"{p} exceeds {_BLOCKED_PRIME_LIMIT}: the float64 products would round")
     a = np.asarray(m, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     n_rows, n_cols = a.shape
     if n_rows == 0 or n_cols == 0:
         return n_cols
-    a = a % p
-    if p <= _BLOCKED_PRIME_LIMIT:
-        return n_cols - _rank_mod_p_blocked(a, p)
-    return n_cols - _rank_mod_p_plain(a, p)
+    return n_cols - _rank_mod_p_blocked(a % p, p)
 
 
 def _rank_mod_p_blocked(a: np.ndarray, p: int, block: int = _PANEL) -> int:
@@ -230,43 +231,6 @@ def _rank_mod_p_blocked(a: np.ndarray, p: int, block: int = _PANEL) -> int:
                 upd = (g.astype(np.float64) @ a[r0:r1, c1:].astype(np.float64)).astype(np.int64)
                 a[r1:, c1:] -= upd
             a[r1:, c1:] %= p
-    return r
-
-
-def _rank_mod_p_plain(a: np.ndarray, p: int) -> int:
-    """Unblocked int64 elimination for primes too big for exact float64.
-
-    Entries grow by at most (p-1)^2 per deferred update step, so the
-    bulk submatrix is reduced every few steps to stay below 2^63.
-    """
-    import numpy as np
-
-    n_rows, n_cols = a.shape
-    reduce_every = max(1, min(int((2 ** 62) // ((p - 1) ** 2 + 1)), 1024))
-    r = 0
-    since_reduce = 0
-    for c in range(n_cols):
-        a[r:, c] %= p
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv], :] = a[[piv, r], :]
-        a[r, c:] %= p
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        if r + 1 < n_rows and c + 1 < n_cols:
-            f = a[r + 1:, c]
-            if np.any(f):
-                a[r + 1:, c + 1:] -= f[:, None] * a[r, c + 1:][None, :]
-                since_reduce += 1
-                if since_reduce >= reduce_every:
-                    a[r + 1:, c + 1:] %= p
-                    since_reduce = 0
-        r += 1
-        if r == n_rows:
-            break
     return r
 
 

@@ -159,16 +159,3 @@ def verify_relations(n: int) -> RelationReport:
         failures.append("half-scaled presentation failed")
 
     return RelationReport(n=n, squares=squares, pairs=pairs, scaled_ok=scaled_ok, failures=failures)
-
-
-def shared_index_adjacency_ok(n: int) -> bool:
-    """Adjacency coincides with sharing exactly one Clifford index."""
-    gens = spin_generators(n)
-    diagram = en_adjacency(n)
-    masks = gens.masks
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            shared = (masks[i - 1] & masks[j - 1]).bit_count()
-            if diagram.adjacent(i, j) != (shared == 1):
-                return False
-    return True

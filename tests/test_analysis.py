@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from enspin.analysis import (
+    StructureConstants,
     ad_matrix,
     analyze,
-    antisymmetry_holds,
-    bracket_coords,
     center_dim,
     classify,
     derived_dim,
@@ -17,7 +16,6 @@ from enspin.analysis import (
     rank_estimate,
     split_check,
     structure_constants,
-    table_jacobi_holds,
 )
 from enspin.clifford import Multivector, bracket
 from enspin.closure import ClosureBasis, blade_closure
@@ -29,6 +27,58 @@ def spin_closure(n):
     return blade_closure(n, spin_generators(n).masks)
 
 
+# --- oracles over the dense blade table ------------------------------------
+
+def bracket_coords(sc: StructureConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinates of [x, y] for integer coordinate vectors x, y: ad(x) applied to y."""
+    return ad_matrix(sc, x) @ np.asarray(y, dtype=np.int64)
+
+
+def antisymmetry_holds(sc: StructureConstants) -> bool:
+    c = sc.coeffs
+    t = sc.targets
+    if not np.array_equal(c, -c.T):
+        return False
+    both = (c != 0) & (c.T != 0)
+    return bool(np.all(t[both] == t.T[both])) and bool(np.all(c.diagonal() == 0))
+
+
+def table_jacobi_holds(sc: StructureConstants, *, samples: int = 2000, seed: int = 0) -> bool:
+    """[[i,j],k] + [[j,k],i] + [[k,i],j] = 0, exhaustively for d <= 50."""
+
+    def term(i: int, j: int, k: int, acc: dict[int, int]) -> None:
+        c1 = int(sc.coeffs[i, j])
+        if c1 == 0:
+            return
+        t1 = int(sc.targets[i, j])
+        c2 = int(sc.coeffs[t1, k])
+        if c2 == 0:
+            return
+        t2 = int(sc.targets[t1, k])
+        acc[t2] = acc.get(t2, 0) + c1 * c2
+
+    def triple_ok(i: int, j: int, k: int) -> bool:
+        acc: dict[int, int] = {}
+        term(i, j, k, acc)
+        term(j, k, i, acc)
+        term(k, i, j, acc)
+        return all(v == 0 for v in acc.values())
+
+    d = sc.d
+    if d <= 50:
+        return all(
+            triple_ok(i, j, k)
+            for i in range(d)
+            for j in range(i + 1, d)
+            for k in range(j + 1, d)
+        )
+    rng = random.Random(seed)
+    return all(
+        triple_ok(rng.randrange(d), rng.randrange(d), rng.randrange(d))
+        for _ in range(samples)
+    )
+
+
 def test_structure_constants_against_multivector_brackets():
     for n in (3, 4, 5):
         basis = spin_closure(n)
@@ -36,12 +86,11 @@ def test_structure_constants_against_multivector_brackets():
         for i, a in enumerate(basis.masks):
             for j, b in enumerate(basis.masks):
                 br = bracket(Multivector({a: 1}, n), Multivector({b: 1}, n))
-                ent = sc.entry(i, j)
-                if ent is None:
+                c = int(sc.coeffs[i, j])
+                if c == 0:
                     assert br.is_zero(), (n, i, j)
                 else:
-                    t, c = ent
-                    assert br.terms == {basis.masks[t]: c}, (n, i, j)
+                    assert br.terms == {basis.masks[sc.targets[i, j]]: c}, (n, i, j)
 
 
 def test_structure_constants_antisymmetry_and_jacobi():

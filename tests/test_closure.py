@@ -1,4 +1,5 @@
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from enspin.analysis import central_blades, classify, greedy_torus
 from enspin.bott import max_compact
-from enspin.clifford import Multivector, blades_anticommute
+from enspin.clifford import Multivector, blades_anticommute, bracket
 from enspin.closure import (
     ClosureBasis,
     LemmaContainment,
@@ -18,11 +19,11 @@ from enspin.closure import (
     _set_bits,
     _xor_translate,
     blade_closure,
-    general_closure,
     lemma_containment_check,
     predicted_masks,
 )
 from enspin.deltas import lower_bound_dim
+from enspin.linalg import EchelonBasis
 from enspin.report import algebra_table, run_verification
 from enspin.spinrep import spin_generators
 
@@ -216,6 +217,49 @@ def oracle_closure(gens):
     return tuple(sorted(members))
 
 
+def is_closed(basis: ClosureBasis) -> bool:
+    """Re-check the defining closure property (quadratic, for tests)."""
+    mask_set = set(basis.masks)
+    return all(
+        a ^ b in mask_set
+        for i, a in enumerate(basis.masks)
+        for b in basis.masks[i + 1:]
+        if blades_anticommute(a, b)
+    )
+
+
+def general_closure(n: int, generators: Sequence[Multivector]) -> EchelonBasis:
+    """Echelon basis of the Lie span of the generators, closed by sift-until-fixpoint.
+
+    Worklist in breadth-first order: each accepted vector is bracketed
+    against everything accepted before it, so every unordered pair is
+    handled exactly once and the termination bound is the ambient 2^n.
+    """
+    gens = tuple(generators)
+    if not gens:
+        raise ValueError("generator list is empty")
+    for g in gens:
+        if g.dim != n:
+            raise ValueError(f"generator dimension {g.dim} != ambient {n}")
+        if g.is_zero():
+            raise ValueError("zero generator")
+    basis = EchelonBasis(1 << n)
+    reps: list[Multivector] = []
+    for g in gens:
+        if basis.sift(g.terms):
+            reps.append(g)
+    q = 0
+    while q < len(reps):
+        for i in range(q):
+            z = bracket(reps[i], reps[q])
+            if not z.is_zero() and basis.sift(z.terms):
+                reps.append(z)
+                if len(reps) > (1 << n):
+                    raise AssertionError("closure exceeded ambient dimension")
+        q += 1
+    return basis
+
+
 @st.composite
 def generator_sets(draw, max_n):
     n = draw(st.integers(1, max_n))
@@ -228,7 +272,7 @@ def test_blade_closure_matches_set_worklist_oracle(case):
     n, gens = case
     basis = blade_closure(n, gens)
     assert basis.masks == oracle_closure(gens)
-    assert basis.is_closed()
+    assert is_closed(basis)
 
 
 @given(st.integers(0, 1 << 300), st.integers(0, 1 << 300))
@@ -346,7 +390,7 @@ def test_dimensions_match_binomial_count():
 
 def test_result_is_a_fixpoint():
     for n in (3, 5, 6, 8):
-        assert spin_closure(n).is_closed()
+        assert is_closed(spin_closure(n))
 
 
 def test_closing_the_closure_changes_nothing():
@@ -527,4 +571,4 @@ def test_is_closed_detects_a_hole():
     # v1v2 and v2v3 anticommute; dropping their bracket target breaks closure
     broken = ClosureBasis(n=3, bits=bits_of([0b011, 0b110]), provenance=(0b011, 0b110))
     assert blades_anticommute(0b011, 0b110)
-    assert not broken.is_closed()
+    assert not is_closed(broken)

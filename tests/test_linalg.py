@@ -8,12 +8,49 @@ from enspin.linalg import (
     DEFAULT_PRIMES,
     EchelonBasis,
     _rank_mod_p_blocked,
-    _rank_mod_p_plain,
     is_negative_definite,
     is_prime,
     kernel_dimension,
     kernel_dimension_mod_p,
 )
+
+BIG_PRIME = 1_000_000_007
+
+
+def _rank_mod_p_plain(a: np.ndarray, p: int) -> int:
+    """Unblocked int64 elimination for primes too big for exact float64.
+
+    Entries grow by at most (p-1)^2 per deferred update step, so the
+    bulk submatrix is reduced every few steps to stay below 2^63.  The
+    reference for the blocked elimination; a must be reduced mod p.
+    """
+    n_rows, n_cols = a.shape
+    reduce_every = max(1, min(int((2 ** 62) // ((p - 1) ** 2 + 1)), 1024))
+    r = 0
+    since_reduce = 0
+    for c in range(n_cols):
+        a[r:, c] %= p
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv], :] = a[[piv, r], :]
+        a[r, c:] %= p
+        inv = pow(int(a[r, c]), -1, p)
+        a[r, c:] = a[r, c:] * inv % p
+        if r + 1 < n_rows and c + 1 < n_cols:
+            f = a[r + 1:, c]
+            if np.any(f):
+                a[r + 1:, c + 1:] -= f[:, None] * a[r, c + 1:][None, :]
+                since_reduce += 1
+                if since_reduce >= reduce_every:
+                    a[r + 1:, c + 1:] %= p
+                    since_reduce = 0
+        r += 1
+        if r == n_rows:
+            break
+    return r
 
 
 def test_default_primes_are_prime_and_distinct():
@@ -117,6 +154,12 @@ def test_mod_p_rejects_composite_modulus():
         kernel_dimension_mod_p([[1]], 10)
 
 
+def test_mod_p_rejects_a_prime_past_exact_float64():
+    # the blocked elimination's float64 products would round above 2^23
+    with pytest.raises(ValueError):
+        kernel_dimension_mod_p(np.eye(3, dtype=np.int64), BIG_PRIME)
+
+
 def test_blocked_and_plain_elimination_agree_across_panels():
     rng = random.Random(31)
     p = DEFAULT_PRIMES[0]
@@ -138,7 +181,7 @@ def test_blocked_path_agrees_with_big_prime_path_on_integer_input():
         m = np.array([[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)],
                      dtype=np.int64)
         small = kernel_dimension_mod_p(m, DEFAULT_PRIMES[0])
-        big = kernel_dimension_mod_p(m, 1_000_000_007)
+        big = cols - _rank_mod_p_plain(m % BIG_PRIME, BIG_PRIME)
         exact = kernel_dimension([[int(x) for x in row] for row in m])
         assert small >= exact and big >= exact
         # with entries this small both primes see the true rank

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enspin.analysis import (
+    SplitResult,
     analyze,
     center_dim,
     central_blades,
@@ -15,11 +16,10 @@ from enspin.analysis import (
     killing_diagonal,
     rank_estimate,
     split_check,
-    split_check_fractions,
     structure_constants,
 )
 from enspin.bott import closure_type
-from enspin.clifford import Blade, blade_product, blades_anticommute
+from enspin.clifford import Blade, Multivector, blade_product, blades_anticommute, bracket, mv_product
 from enspin.closure import ClosureBasis, _set_bits, blade_closure
 from enspin.spinrep import spin_generators
 from test_closure import (
@@ -32,6 +32,51 @@ from test_closure import (
 )
 
 CLOSURES = {n: blade_closure(n, spin_generators(n).masks) for n in range(3, 11)}
+
+# --- the Fraction oracle for the split ------------------------------------
+
+
+def split_check_fractions(basis: ClosureBasis) -> SplitResult:
+    """Test oracle for split_check: omega and every pair bracketed as exact multivectors.
+
+    Only n == 1 mod 4 has a split to check (omega is central with
+    omega^2 = 1 there alone), so any other n raises ValueError.
+    """
+    n = basis.n
+    if n % 4 != 1:
+        raise ValueError(f"the split oracle needs n == 1 mod 4, got {n}")
+    full = (1 << n) - 1
+    omega = Multivector({full: 1}, n)
+    omega_sq = 1 if mv_product(omega, omega) == Multivector.scalar(1, n) else -1
+    central = all(bracket(Multivector({m: 1}, n), omega).is_zero() for m in basis.masks)
+    if omega_sq != 1 or not central:
+        return SplitResult(n=n, applicable=True, omega_central=central, omega_square=omega_sq,
+                           reason="top blade failed centrality or square check")
+    mask_set = set(basis.masks)
+    missing = [m for m in basis.masks if full ^ m not in mask_set]
+    if missing:
+        return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
+                           reason=f"complement of {missing[0]:#x} missing from basis")
+
+    plus: list[Multivector] = []
+    minus: list[Multivector] = []
+    for m in basis.masks:
+        if m < full ^ m:
+            s = blade_product(Blade(m), Blade(full)).sign
+            plus.append(Multivector({m: 1, full ^ m: s}, n))
+            minus.append(Multivector({m: 1, full ^ m: -s}, n))
+
+    def eigen_ok(z: Multivector, val: int) -> bool:
+        return z.is_zero() or mv_product(z, omega) == z.scale(val)
+
+    half = len(plus)
+    same_pairs = [(i, j) for i in range(half) for j in range(i + 1, half)]
+    cross = all(bracket(p, m).is_zero() for p in plus for m in minus)
+    p_closed = all(eigen_ok(bracket(plus[i], plus[j]), 1) for i, j in same_pairs)
+    m_closed = all(eigen_ok(bracket(minus[i], minus[j]), -1) for i, j in same_pairs)
+    return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1, dims=(half, half),
+                       cross_vanishes=cross, plus_closed=p_closed, minus_closed=m_closed,
+                       exhaustive=True)
 
 # --- centralizer oracles for the greedy torus ------------------------------
 

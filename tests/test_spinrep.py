@@ -8,10 +8,22 @@ from enspin import spinrep
 from enspin.clifford import Blade, Multivector, bracket, mv_product
 from enspin.spinrep import (
     en_adjacency,
-    shared_index_adjacency_ok,
     spin_generators,
     verify_relations,
 )
+
+
+def shared_index_adjacency_ok(n: int) -> bool:
+    """Adjacency coincides with sharing exactly one Clifford index."""
+    gens = spin_generators(n)
+    diagram = en_adjacency(n)
+    masks = gens.masks
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            shared = (masks[i - 1] & masks[j - 1]).bit_count()
+            if diagram.adjacent(i, j) != (shared == 1):
+                return False
+    return True
 
 
 def test_adjacency_small_cases():
