@@ -27,7 +27,11 @@ print(f"\nrank 8: heights run 1..{max(heights)}, "
 
 # the rank-3 diagram is disconnected (node 2 only attaches at n >= 4),
 # so its positive system has two maximal elements
-print(f"rank 3 maximal roots: {positive_roots(3).maximal_roots()}")
+rs = positive_roots(3)
+have = set(rs.roots)
+tops = tuple(beta for beta in rs.roots
+             if not any(beta[:i] + (beta[i] + 1,) + beta[i + 1:] in have for i in range(3)))
+print(f"rank 3 maximal roots: {tops}")
 
 # the Cartan matrix drives everything; row sums show the branch node
 c = cartan_matrix(5)

@@ -31,12 +31,9 @@ _EXPORTS = {
     ),
     "clifford": (
         "Blade", "Multivector", "blade_product", "blades_anticommute", "bracket",
-        "format_multivector", "grade_parts", "mv_product", "parse_blade",
-        "parse_multivector",
+        "format_multivector", "mv_product",
     ),
-    "closure": (
-        "ClosureBasis", "blade_closure", "lemma_containment_check", "predicted_masks",
-    ),
+    "closure": ("ClosureBasis", "blade_closure", "lemma_containment_check"),
     "deltas": ("delta_closed", "delta_identities", "delta_sum", "lower_bound_dim"),
     "report": ("VerificationReport", "algebra_table", "run_verification"),
     "roots": ("RootSet", "positive_roots", "theorem_b_check"),

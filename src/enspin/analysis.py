@@ -75,7 +75,7 @@ def structure_constants(basis: ClosureBasis) -> StructureConstants:
     """
     import numpy as np
 
-    masks = basis.mask_array
+    masks = np.array(basis.masks, dtype=np.int64)
     d = len(masks)
     n = basis.n
     pos = np.full(1 << n, -1, dtype=np.int32)

@@ -11,7 +11,6 @@ The induced Lie bracket is [A, B] = AB - BA.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
@@ -38,10 +37,6 @@ class Blade(_BladeFields):
     @classmethod
     def _make(cls, fields):  # _replace builds through _make: validate there too
         return cls(*fields)
-
-    @property
-    def grade(self) -> int:
-        return self.mask.bit_count()
 
     def indices(self) -> tuple[int, ...]:
         """1-based generator indices, ascending."""
@@ -191,15 +186,7 @@ def bracket(x: Multivector, y: Multivector) -> Multivector:
     return mv_product(x, y) - mv_product(y, x)
 
 
-def grade_parts(x: Multivector) -> dict[int, Multivector]:
-    """Partition of x by grade (popcount of mask); summing the parts gives x back."""
-    buckets: dict[int, dict[int, Fraction]] = {}
-    for mask, c in x.terms.items():
-        buckets.setdefault(mask.bit_count(), {})[mask] = c
-    return {g: Multivector(t, x.dim) for g, t in sorted(buckets.items())}
-
-
-# --- textual rendering and parsing ------------------------------------------
+# --- textual rendering ------------------------------------------------------
 
 def format_multivector(x: Multivector) -> str:
     """Signed sum in ascending mask order, e.g. ``v1v2 - 2v2v3 + 1/2v1v2v3v4``."""
@@ -221,57 +208,3 @@ def format_multivector(x: Multivector) -> str:
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"
     return out
-
-
-_TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?((?:v\d+)+)?")
-_INDEX_RE = re.compile(r"v(\d+)")
-
-
-def parse_multivector(text: str, dim: int) -> Multivector:
-    """Parse the grammar produced by :func:`format_multivector`.
-
-    Generator indices may appear in any order and may repeat; the term is
-    normalized through the product rules (v2v1 parses as -v1v2, v1v1 as 1).
-    """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty multivector literal")
-    if s == "0":
-        return Multivector.zero(dim)
-    acc: dict[int, Fraction] = {}
-    pos = 0
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if m is None or m.end() == pos or (m.group(2) is None and m.group(3) is None):
-            raise ValueError(f"cannot parse multivector term at {s[pos:]!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        try:
-            coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in multivector term at {s[pos:]!r}") from None
-        mask, bsign = 0, 1
-        if m.group(3):
-            for idx_str in _INDEX_RE.findall(m.group(3)):
-                i = int(idx_str)
-                if not 1 <= i <= dim:
-                    raise ValueError(f"generator v{i} outside ambient dimension {dim}")
-                bit = 1 << (i - 1)
-                if reorder_swaps(mask, bit) & 1:
-                    bsign = -bsign
-                mask ^= bit
-        acc[mask] = acc.get(mask, Fraction(0)) + sign * bsign * coeff
-        pos = m.end()
-    return Multivector(acc, dim)
-
-
-def parse_blade(text: str, dim: int) -> Blade:
-    """Parse a single signed blade such as ``-v1v2v3``."""
-    mv = parse_multivector(text, dim)
-    if len(mv.terms) != 1:
-        raise ValueError(f"not a single blade: {text!r}")
-    (mask, c), = mv.terms.items()
-    if c == 1:
-        return Blade(mask, 1)
-    if c == -1:
-        return Blade(mask, -1)
-    raise ValueError(f"blade coefficient must be +-1, got {c}")

@@ -50,9 +50,8 @@ class ClosureBasis:
     """Blade masks of a bracket-closed subalgebra, as a bitset.
 
     bits has bit x set iff mask x is in the closure; every stage reads
-    it.  masks, the ascending tuple, and mask_array, the same masks as a
-    read-only int64 array for the test oracles, are built on first read,
-    and only mask_array imports numpy.  Bases compare by identity."""
+    it.  masks, the ascending tuple, is built on first read.  Bases
+    compare by identity."""
 
     def __init__(self, n: int, bits: int, provenance: tuple[int, ...]) -> None:
         self.n = n
@@ -66,14 +65,6 @@ class ClosureBasis:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return _set_bits(self.bits)
-
-    @cached_property
-    def mask_array(self):
-        import numpy as np
-
-        arr = np.array(self.masks, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
 
     def to_json(self) -> dict:
         return {
@@ -248,21 +239,6 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
     return ClosureBasis(n=n, bits=bits, provenance=tuple(gens))
 
 
-def predicted_masks(n: int) -> frozenset[int]:
-    """The mask set the closure of the spin generators is expected to span.
-
-    All masks of grade 2 or 3 mod 4, without the full mask where it is
-    unreachable (drops_top_blade).
-    """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    full = (1 << n) - 1
-    out = {m for m in range(1, 1 << n) if m.bit_count() % 4 in (2, 3)}
-    if drops_top_blade(n):
-        out.discard(full)
-    return frozenset(out)
-
-
 class LemmaContainment(NamedTuple):
     """Outcome of comparing a computed closure against the predicted mask set."""
 
@@ -288,8 +264,8 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
 
     Popcounts of the bitset against the grade classes (_grade_classes),
     in O(2^n): a mask is predicted when it has at most n bits, its grade
-    is 2 or 3 mod 4, and it is not an excluded full mask
-    (predicted_masks).  The classes are built wide enough to cover every
+    is 2 or 3 mod 4, and it is not the full mask where drops_top_blade
+    excludes it.  The classes are built wide enough to cover every
     set bit, so a mask beyond n bits still counts by its grade.  The
     predicted set has lower_bound_dim(n) elements, so
     missing = lower_bound_dim(n) - hits and extra = d - hits.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-MAX_DELTA_N = 2048  # the largest n `enspin delta` takes; about 0.7 s there on 2 vCPUs
+MAX_DELTA_N = 2048  # the largest n `enspin delta` takes; about 0.3 s there on 2 vCPUs
 
 
 def _check(k: int, n: int) -> None:

@@ -17,9 +17,6 @@ from typing import NamedTuple
 
 from .spinrep import en_adjacency
 
-#: No finite E-type system has more positive roots than E_8.
-MAX_POSITIVE_ROOTS = 240
-
 
 class RootSet(NamedTuple):
     """Positive system of one diagram, roots sorted by (height, lex)."""
@@ -31,30 +28,6 @@ class RootSet(NamedTuple):
     @property
     def count(self) -> int:
         return len(self.roots)
-
-    def pairing(self, beta: tuple[int, ...], i: int) -> int:
-        """<beta, alpha_i^vee> = (C beta)_i for the symmetric Cartan matrix."""
-        return sum(self.cartan[i][j] * beta[j] for j in range(self.n))
-
-    def norm(self, beta: tuple[int, ...]) -> int:
-        """beta^T C beta; equals 2 for every root in a simply laced system."""
-        return sum(
-            beta[i] * self.cartan[i][j] * beta[j]
-            for i in range(self.n)
-            for j in range(self.n)
-        )
-
-    def maximal_roots(self) -> tuple[tuple[int, ...], ...]:
-        """Roots beta with no beta + alpha_i in the system (one per component)."""
-        have = set(self.roots)
-        out = []
-        for beta in self.roots:
-            if not any(self._plus_simple(beta, i) in have for i in range(self.n)):
-                out.append(beta)
-        return tuple(out)
-
-    def _plus_simple(self, beta: tuple[int, ...], i: int) -> tuple[int, ...]:
-        return tuple(x + (1 if j == i else 0) for j, x in enumerate(beta))
 
     def to_json(self) -> dict:
         return {
@@ -94,9 +67,6 @@ def positive_roots(n: int) -> RootSet:
     if n > 8:
         raise ValueError(f"infinite type: the rank-{n} diagram has no finite root system")
     cartan = cartan_matrix(n)
-    for row in cartan:
-        if any(x not in (2, -1, 0) for x in row):
-            raise AssertionError("Cartan matrix is not simply laced")
 
     layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     have: set[tuple[int, ...]] = set(layer)
@@ -115,8 +85,6 @@ def positive_roots(n: int) -> RootSet:
                 if p - c_beta[i] > 0:
                     above.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
         have |= above
-        if len(have) > MAX_POSITIVE_ROOTS:
-            raise RuntimeError(f"infinite type: exceeded {MAX_POSITIVE_ROOTS} positive roots")
         layer = above
 
     ordered = tuple(sorted(have, key=lambda r: (sum(r), r)))

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 # bracket and mv_product stay importable here: the benchmark tracer
 # (perfbench/tracer.py) binds them under this module
-from .clifford import Blade, Multivector, blade_product, blades_anticommute, bracket, mv_product
+from .clifford import Blade, blade_product, blades_anticommute, bracket, mv_product
 
 
 class EnDiagram(NamedTuple):
@@ -35,20 +35,6 @@ class EnDiagram(NamedTuple):
 
     def adjacent(self, i: int, j: int) -> bool:
         return frozenset((i, j)) in self.edges
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(e)) for e in self.edges)
-
-    def ascii(self) -> str:
-        """One-line chain with the branch node hanging off node 4."""
-        chain = [1] + list(range(3, self.n + 1))
-        top = "    ".join(str(i) for i in chain)
-        line = "o" + "----o" * (len(chain) - 1)
-        if self.n < 4:
-            return f"{top}\n{line}"
-        # node 2 attaches under node 4, which sits third on the chain
-        pad = " " * 10
-        return f"{top}\n{line}\n{pad}|\n{pad}o  2"
 
 
 def en_adjacency(n: int) -> EnDiagram:
@@ -72,9 +58,6 @@ class SpinGenerators(NamedTuple):
     @property
     def masks(self) -> tuple[int, ...]:
         return tuple(b.mask for b in self.blades)
-
-    def multivectors(self) -> list[Multivector]:
-        return [Multivector.from_blade(b, self.n) for b in self.blades]
 
 
 def spin_generators(n: int) -> SpinGenerators:

@@ -397,18 +397,6 @@ def run_python(code: str, env: dict[str, str]) -> str:
     return proc.stdout.strip()
 
 
-def test_verify_leaves_numpy_ma_unloaded():
-    # numpy.ma costs about 1.7 MiB of RSS on first import (np.unique pulls it in)
-    code = ("import io, sys, contextlib, enspin.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = enspin.cli.main(['verify', '--from', '3', '--to', '9', '--no-timings'])\n"
-            "print(rc, 'numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 False"
-
-
 def test_module_invocation_round_trips():
     proc = subprocess.run(
         [sys.executable, "-m", "enspin", "closure", "--n", "3", "--format", "text"],
@@ -541,24 +529,6 @@ def test_cli_needs_only_the_standard_library():
         assert proc.stdout == (DATA / golden).read_bytes(), golden
 
 
-def test_module_entry_keeps_an_explicit_blas_thread_count():
-    # the entry sets no variable of its own, so a user's value reaches --jobs workers as given
-    env = {**child_env(), "OPENBLAS_NUM_THREADS": "2"}
-    code, _, environ_unchanged, _ = start_as_module(["closure", "--n", "3"], env)
-    assert (code, environ_unchanged) == (0, True)
-
-
-def test_module_entry_starts_with_one_blas_thread():
-    # no OpenBLAS is loaded, so no BLAS thread spin-waits beside the main one
-    env = child_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    code, loaded, _, threads = start_as_module(["closure", "--n", "3"], env)
-    assert (code, "numpy" in loaded) == (0, False)
-    if threads is None:
-        pytest.skip("no /proc/self/task to count threads")
-    assert threads == 1
-
-
 def test_closure_imports_no_oracle_module():
     # closure holds no oracle: the mask kernels need neither linalg nor Fraction
     code = "import sys, enspin.closure; print(sorted({'enspin.linalg', 'fractions'} & set(sys.modules)))"
@@ -621,6 +591,18 @@ def demo_stdout(demo: Path) -> str:
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     assert demo_stdout(demo).strip()
+
+
+def test_blade_arithmetic_prints_its_products_and_brackets():
+    lines = demo_stdout(DEMO_DIR / "blade_arithmetic.py").splitlines()
+    for line in ("(v1v2) (v2v3) = v1v3",
+                 "(v1v2) (v1v2) = -1",
+                 "(v1v3) (v1v2v3) = v2",
+                 "xy = v1v3",
+                 "yx = -v1v3   (shared index, both grade 2: they anticommute)",
+                 "[v1v2, v2v3] = 2v1v3",
+                 "[v1v2, v3v4] = 0   (disjoint even blades commute)"):
+        assert line in lines, line
 
 
 def test_classification_tour_rows_end_in_a_verdict():

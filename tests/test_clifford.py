@@ -11,10 +11,7 @@ from enspin.clifford import (
     blades_anticommute,
     bracket,
     format_multivector,
-    grade_parts,
     mv_product,
-    parse_blade,
-    parse_multivector,
     reorder_swaps,
 )
 
@@ -165,56 +162,11 @@ def test_dimension_mismatch_raises():
         mv_product(x, y)
 
 
-def test_grade_parts_partition():
-    x = Multivector({0b0: 2, 0b1: 1, 0b11: 3, 0b111: Fraction(1, 2)}, 3)
-    parts = grade_parts(x)
-    assert sorted(parts) == [0, 1, 2, 3]
-    total = Multivector.zero(3)
-    for part in parts.values():
-        total = total + part
-    assert total == x
-
-
 def test_format_examples():
     assert format_multivector(Multivector({0b11: 1, 0b110: -2}, 3)) == "v1v2 - 2v2v3"
     assert format_multivector(Multivector({}, 3)) == "0"
     assert format_multivector(Multivector({0: Fraction(1, 2)}, 2)) == "1/2"
     assert str(Blade(0b111, -1)) == "-v1v2v3"
-
-
-def test_parse_format_round_trip():
-    rng = random.Random(19)
-    for _ in range(300):
-        dim = rng.randint(1, 6)
-        x = random_mv(rng, dim)
-        assert parse_multivector(format_multivector(x), dim) == x
-
-
-def test_parse_normalizes_index_order():
-    assert parse_multivector("v2v1", 2) == Multivector({0b11: -1}, 2)
-    assert parse_multivector("v1v1", 2) == Multivector({0: 1}, 2)
-    assert parse_multivector("3v3v1v2 - v2v3v1", 3) == Multivector({0b111: 2}, 3)
-
-
-def test_parse_blade_accepts_single_terms_only():
-    assert parse_blade("-v1v3", 3) == Blade(0b101, -1)
-    with pytest.raises(ValueError):
-        parse_blade("v1 + v2", 2)
-    with pytest.raises(ValueError):
-        parse_blade("2v1", 2)
-
-
-def test_parse_rejects_out_of_range_index():
-    with pytest.raises(ValueError):
-        parse_multivector("v4", 3)
-
-
-@pytest.mark.parametrize("text", ["1/0", "2/0v1", "v1 + 3/0v2"])
-def test_parse_rejects_zero_denominator(text):
-    with pytest.raises(ValueError, match="zero denominator"):
-        parse_multivector(text, 2)
-    with pytest.raises(ValueError, match="zero denominator"):
-        parse_blade(text, 2)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -20,9 +20,8 @@ from enspin.closure import (
     _xor_translate,
     blade_closure,
     lemma_containment_check,
-    predicted_masks,
 )
-from enspin.deltas import lower_bound_dim
+from enspin.deltas import drops_top_blade, lower_bound_dim
 from enspin.linalg import EchelonBasis
 from enspin.report import algebra_table, run_verification
 from enspin.spinrep import spin_generators
@@ -45,6 +44,11 @@ def bits_of(masks) -> int:
     for m in masks:
         buf[m >> 3] |= 1 << (m & 7)
     return int.from_bytes(buf, "little")
+
+
+def mask_array(basis) -> np.ndarray:
+    """The masks of a closure basis as an ascending int64 array."""
+    return np.array(basis.masks, dtype=np.int64)
 
 
 def _anticommute(a, b) -> np.ndarray:
@@ -83,7 +87,7 @@ def walk_closure(n, gens) -> np.ndarray:
 
 def central_blades_reference(basis) -> np.ndarray:
     """One bool per mask of basis.masks: True when it commutes with every generator."""
-    masks = basis.mask_array
+    masks = mask_array(basis)
     anti = np.zeros(masks.size, dtype=bool)
     for g in basis.provenance:
         anti |= _anticommute(masks, np.int64(g))
@@ -122,7 +126,7 @@ def partner_sweep(basis):
     central_blades).
     """
     n = basis.n
-    masks = basis.mask_array
+    masks = mask_array(basis)
     present = np.zeros(1 << n, dtype=bool)
     present[masks] = True
     s_hat = _walsh_hadamard(present)
@@ -186,6 +190,21 @@ def fixpoint_closure(n, gens):
         if not fresh.any():
             return tuple(np.flatnonzero(present).tolist())
         present[fresh] = 1
+
+
+def predicted_masks(n: int) -> frozenset[int]:
+    """The mask set the closure of the spin generators is expected to span.
+
+    All masks of grade 2 or 3 mod 4, without the full mask where it is
+    unreachable (drops_top_blade).
+    """
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    full = (1 << n) - 1
+    out = {m for m in range(1, 1 << n) if m.bit_count() % 4 in (2, 3)}
+    if drops_top_blade(n):
+        out.discard(full)
+    return frozenset(out)
 
 
 def lemma_reference(n, basis):
@@ -311,7 +330,7 @@ def test_tiled_closure_matches_set_worklist_oracle(case, tile_log):
 @pytest.mark.parametrize("n", range(17, 20))
 def test_tiled_spin_closure_matches_the_walk(n):
     gens = spin_generators(n).masks
-    assert np.array_equal(blade_closure(n, gens).mask_array, walk_closure(n, gens))
+    assert np.array_equal(mask_array(blade_closure(n, gens)), walk_closure(n, gens))
 
 
 @given(generator_sets(12))
@@ -418,14 +437,9 @@ def test_masks_are_sorted_and_unique():
 
 def test_mask_array_is_built_once_and_read_only():
     basis = spin_closure(8)
-    arr = basis.mask_array
-    assert basis.mask_array is arr
-    assert arr.dtype == np.int64 and np.all(arr[1:] > arr[:-1])
-    with pytest.raises(ValueError):
-        arr[0] = 0
     masks = basis.masks
     assert basis.masks is masks
-    assert masks == tuple(arr.tolist())
+    assert isinstance(masks, tuple)
 
 
 def test_computing_paths_never_build_the_mask_tuple(monkeypatch):
@@ -433,7 +447,6 @@ def test_computing_paths_never_build_the_mask_tuple(monkeypatch):
         raise AssertionError("a computing path read ClosureBasis.masks")
 
     monkeypatch.setattr(ClosureBasis, "masks", property(refuse))
-    monkeypatch.setattr(ClosureBasis, "mask_array", property(refuse))
     # n=3 is the Killing special case; the split is applicable at n=5 and 9
     for n in range(3, 10):
         assert run_verification(n).verdict, n

@@ -27,6 +27,7 @@ from test_closure import (
     anticommuting_pair_counts,
     bits_of,
     central_blades_reference,
+    mask_array,
     mask_killing_diagonal,
     partner_sweep,
 )
@@ -224,7 +225,7 @@ def test_mask_core_matches_table_oracles(n):
     central = central_blades(basis)
     assert central.bit_count() == center_dim(sc)
     assert np.array_equal(central_blades_reference(basis), killing_diagonal(sc) == 0)
-    assert central == bits_of(basis.mask_array[killing_diagonal(sc) == 0].tolist())
+    assert central == bits_of(mask_array(basis)[killing_diagonal(sc) == 0].tolist())
     torus = _set_bits(greedy_torus(basis.bits, n))
     assert torus_is_cartan(n, basis.masks, torus)
     assert len(torus) == rank_estimate(sc, trials=5, seed=0)

@@ -5,13 +5,34 @@ from enspin.roots import cartan_matrix, positive_roots, theorem_b_check
 EXPECTED_COUNTS = {3: 4, 4: 10, 5: 20, 6: 36, 7: 63, 8: 120}
 
 
+def pairing(cartan, beta, i):
+    """<beta, alpha_i^vee> = (C beta)_i for the symmetric Cartan matrix C."""
+    return sum(c * b for c, b in zip(cartan[i], beta))
+
+
+def norm(cartan, beta):
+    """beta^T C beta; equals 2 for every root in a simply laced system."""
+    return sum(b * pairing(cartan, beta, i) for i, b in enumerate(beta))
+
+
+def plus_simple(beta, i):
+    """beta + alpha_i."""
+    return tuple(x + (1 if j == i else 0) for j, x in enumerate(beta))
+
+
+def maximal_roots(rs):
+    """Roots beta with no beta + alpha_i in the system (one per component)."""
+    have = set(rs.roots)
+    return tuple(
+        beta for beta in rs.roots
+        if not any(plus_simple(beta, i) in have for i in range(rs.n))
+    )
+
+
 def fixpoint_roots(n):
     """Reference enumeration: rescan every known root until nothing grows."""
     cartan = cartan_matrix(n)
     have = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
-
-    def pairing(beta, i):
-        return sum(cartan[i][j] * beta[j] for j in range(n))
 
     grew = True
     while grew:
@@ -25,8 +46,8 @@ def fixpoint_roots(n):
                     if min(down) < 0 or down not in have:
                         break
                     p += 1
-                if p - pairing(beta, i) > 0:
-                    up = tuple(x + (1 if j == i else 0) for j, x in enumerate(beta))
+                if p - pairing(cartan, beta, i) > 0:
+                    up = plus_simple(beta, i)
                     if up not in have:
                         have.add(up)
                         grew = True
@@ -68,7 +89,7 @@ def test_every_root_has_norm_two():
     for n in range(3, 9):
         rs = positive_roots(n)
         for beta in rs.roots:
-            assert rs.norm(beta) == 2, (n, beta)
+            assert norm(rs.cartan, beta) == 2, (n, beta)
 
 
 def test_roots_closed_under_string_rule():
@@ -85,8 +106,8 @@ def test_roots_closed_under_string_rule():
                     if min(down) < 0 or down not in have:
                         break
                     p += 1
-                if p - rs.pairing(beta, i) > 0:
-                    up = tuple(x + (1 if j == i else 0) for j, x in enumerate(beta))
+                if p - pairing(rs.cartan, beta, i) > 0:
+                    up = plus_simple(beta, i)
                     assert up in have, (n, beta, i)
 
 
@@ -97,12 +118,12 @@ def test_height_layers_match_fixpoint_oracle():
 
 def test_highest_root_unique_for_connected_ranks():
     for n in range(4, 9):
-        tops = positive_roots(n).maximal_roots()
+        tops = maximal_roots(positive_roots(n))
         assert len(tops) == 1, n
 
 
 def test_rank_three_has_two_component_highest_roots():
-    tops = positive_roots(3).maximal_roots()
+    tops = maximal_roots(positive_roots(3))
     assert len(tops) == 2
     # one per component: the isolated node 2 and the A_2 chain on 1, 3
     assert tuple(sorted(tops)) == ((0, 1, 0), (1, 0, 1))
@@ -111,7 +132,7 @@ def test_rank_three_has_two_component_highest_roots():
 def test_known_highest_root_heights():
     # sum of coordinates of the highest root, plus one, is the Coxeter number
     rs = positive_roots(8)
-    top = rs.maximal_roots()[0]
+    top = maximal_roots(rs)[0]
     assert sum(top) == 29  # E_8 Coxeter number 30
 
 
