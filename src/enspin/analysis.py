@@ -24,7 +24,6 @@ called.  Oracles that only the unit tests call live in those tests.
 
 from __future__ import annotations
 
-import random
 import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -192,14 +191,13 @@ class RankTrial(NamedTuple):
         return min(self.kernel_by_prime.values())
 
 
-def rank_trials(
-    sc: StructureConstants,
-    trials: int = 5,
-    *,
-    seed: int = 0,
-    primes=DEFAULT_PRIMES,
-) -> list[RankTrial]:
-    """Kernel dimensions of ad(x) for random integer x, per trial and prime."""
+def rank_trials(sc: StructureConstants, trials: int = 5, *, seed: int = 0) -> list[RankTrial]:
+    """Kernel dimensions of ad(x) for random integer x, per trial and prime.
+
+    The primes are fixed: DEFAULT_PRIMES, three primes near 2^21.
+    """
+    import random
+
     import numpy as np
 
     rng = random.Random(seed)
@@ -209,21 +207,14 @@ def rank_trials(
         while not np.any(x):
             x = np.array([rng.randint(-9, 9) for _ in range(sc.d)], dtype=np.int64)
         a = ad_matrix(sc, x)
-        log.append(
-            RankTrial(trial=t, kernel_by_prime={p: kernel_dimension_mod_p(a, p) for p in primes})
-        )
+        kernels = {p: kernel_dimension_mod_p(a, p) for p in DEFAULT_PRIMES}
+        log.append(RankTrial(trial=t, kernel_by_prime=kernels))
     return log
 
 
-def rank_estimate(
-    sc: StructureConstants,
-    trials: int = 5,
-    *,
-    seed: int = 0,
-    primes=DEFAULT_PRIMES,
-) -> int:
+def rank_estimate(sc: StructureConstants, trials: int = 5, *, seed: int = 0) -> int:
     """Minimum observed generic centralizer dimension (the rank, generically)."""
-    return min(t.minimum for t in rank_trials(sc, trials, seed=seed, primes=primes))
+    return min(t.minimum for t in rank_trials(sc, trials, seed=seed))
 
 
 class SplitResult(NamedTuple):

@@ -246,7 +246,6 @@ class LemmaContainment(NamedTuple):
     all_expected_present: bool
     full_mask_present: bool
     full_mask_expected: bool
-    wrong_grade_masks: int
     missing_masks: int
     extra_masks: int
     exactly_predicted: bool
@@ -265,18 +264,17 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
     Popcounts of the bitset against the grade classes (_grade_classes),
     in O(2^n): a mask is predicted when it has at most n bits, its grade
     is 2 or 3 mod 4, and it is not the full mask where drops_top_blade
-    excludes it.  The classes are built wide enough to cover every
-    set bit, so a mask beyond n bits still counts by its grade.  The
-    predicted set has lower_bound_dim(n) elements, so
-    missing = lower_bound_dim(n) - hits and extra = d - hits.
+    excludes it.  The predicted set has lower_bound_dim(n) elements, so
+    missing = lower_bound_dim(n) - hits and extra = d - hits; a mask
+    beyond n bits is never a hit, so it counts as extra.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     full = (1 << n) - 1
     drop_full = drops_top_blade(n)
     have = basis.bits
-    grades = _grade_classes(max(n, (have.bit_length() - 1).bit_length()))
-    predicted = (grades[2] | grades[3]) & ((1 << (1 << n)) - 1)
+    grades = _grade_classes(n)
+    predicted = grades[2] | grades[3]
     if drop_full:
         predicted &= ~(1 << full)
     hits = (have & predicted).bit_count()
@@ -287,7 +285,6 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
         all_expected_present=missing == 0,
         full_mask_present=bool(have >> full & 1),
         full_mask_expected=not drop_full and n % 4 in (2, 3),
-        wrong_grade_masks=(have & (grades[0] | grades[1])).bit_count(),
         missing_masks=missing,
         extra_masks=extra,
         exactly_predicted=missing == 0 and extra == 0,

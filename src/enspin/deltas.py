@@ -54,9 +54,8 @@ def delta_identities(n: int) -> dict[str, bool]:
 
     Returns one flag per identity: the total 2^n, the even/odd half sums
     2^(n-1), and the complementation equalities for the class of n mod 4.
+    delta_sum's check raises ValueError for n < 1 before any sum.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     d = [delta_sum(k, n) for k in range(4)]
     out = {
         "total_is_2n": sum(d) == 2 ** n,

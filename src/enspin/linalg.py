@@ -174,11 +174,11 @@ def kernel_dimension_mod_p(m, p: int) -> int:
     return n_cols - _rank_mod_p_blocked(a % p, p)
 
 
-def _rank_mod_p_blocked(a: np.ndarray, p: int, block: int = _PANEL) -> int:
+def _rank_mod_p_blocked(a: np.ndarray, p: int) -> int:
     """Right-looking blocked elimination; a must be reduced mod p already.
 
     Panel columns are eliminated with int64 updates (reduction deferred
-    to panel end: at most block steps of +-(p-1)^2 each, far below
+    to panel end: at most _PANEL steps of +-(p-1)^2 each, far below
     2^63), multipliers stay in place below each pivot, and the trailing
     submatrix takes one exact float64 GEMM plus one reduction per panel.
     """
@@ -186,10 +186,10 @@ def _rank_mod_p_blocked(a: np.ndarray, p: int, block: int = _PANEL) -> int:
 
     n_rows, n_cols = a.shape
     r = 0
-    for c0 in range(0, n_cols, block):
+    for c0 in range(0, n_cols, _PANEL):
         if r == n_rows:
             break
-        c1 = min(c0 + block, n_cols)
+        c1 = min(c0 + _PANEL, n_cols)
         r0 = r
         piv_cols: list[int] = []
         invs: list[int] = []

@@ -3,10 +3,10 @@
 Roots are integer coordinate vectors in the simple-root basis.  The
 enumeration walks the heights upward from the simple roots: every
 positive root of height h+1 is beta + alpha_i for a positive root beta
-of height h (Humphreys, Introduction to Lie Algebras, 10.2), and by the
-string rule beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0,
-where p is the depth of the alpha_i string below beta.  One pass over
-the heights finds every root in O(R n^2) for R positive roots.  E_3
+of height h (Humphreys, Introduction to Lie Algebras, 10.2), and in a
+simply laced system beta + alpha_i is a root iff <beta, alpha_i> = -1
+(the pairing rule, from the string lengths of 9.4).  One pass over the
+heights finds every root in O(R n^2) for R positive roots.  E_3
 through E_8 are the finite cases; anything past 8 has an infinite root
 system and is rejected up front.
 """
@@ -52,15 +52,22 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 def positive_roots(n: int) -> RootSet:
     """Enumerate the positive system for 3 <= n <= 8, one height at a time.
 
-    ``layer`` holds the roots of height h and ``have`` every root of
-    height <= h.  Height h+1 is built as the beta + alpha_i, beta in
-    ``layer``, with p - <beta, alpha_i^vee> > 0.  This is exact: the
-    roots beta - k alpha_i below beta on its alpha_i-string have lower
-    height, so they are all in ``have`` and p is the true string depth;
-    and every root of height h+1 arises this way from some root of
-    height h (Humphreys 10.2), so the layers miss nothing.  C beta is
-    computed once per root and strings in a simply laced system are
-    short, so the cost is O(R n^2) for R positive roots.
+    ``layer`` holds the roots of height h; height h+1 is the set of
+    beta + alpha_i, beta in ``layer``, with (C beta)_i = <beta, alpha_i>
+    = -1 (C is symmetric).  This is exact:
+
+    - Every root of height h+1 is beta + alpha_i for some root beta of
+      height h (Humphreys 10.2), so the layers miss nothing.
+    - The pairing rule (Humphreys 9.4).  Let beta != alpha_i be a
+      positive root and beta - r alpha_i, ..., beta + q alpha_i its
+      alpha_i-string, so r - q = <beta, alpha_i>.  Its top gamma =
+      beta + q alpha_i is not a multiple of alpha_i, and all roots have
+      one length, so <gamma, alpha_i> = r + q is at most 1.  Then
+      beta + alpha_i is a root (q = 1) iff r - q = -1.  For beta =
+      alpha_i the pairing is 2, and 2 alpha_i is no root.
+
+    C beta is computed once per root, so the cost is O(R n^2) for R
+    positive roots.
     """
     if n < 3:
         raise ValueError(f"root enumeration needs n >= 3, got {n}")
@@ -68,24 +75,16 @@ def positive_roots(n: int) -> RootSet:
         raise ValueError(f"infinite type: the rank-{n} diagram has no finite root system")
     cartan = cartan_matrix(n)
 
-    layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    have: set[tuple[int, ...]] = set(layer)
+    layer = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    have = set(layer)
     while layer:
-        above: set[tuple[int, ...]] = set()
-        for beta in layer:
-            c_beta = [sum(c * b for c, b in zip(row, beta)) for row in cartan]
-            for i in range(n):
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in have:
-                        break
-                    p += 1
-                if p - c_beta[i] > 0:
-                    above.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
-        have |= above
-        layer = above
+        layer = {
+            beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+            for beta in layer
+            for i, row in enumerate(cartan)
+            if sum(c * b for c, b in zip(row, beta)) == -1
+        }
+        have |= layer
 
     ordered = tuple(sorted(have, key=lambda r: (sum(r), r)))
     return RootSet(n=n, cartan=cartan, roots=ordered)

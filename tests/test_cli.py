@@ -470,15 +470,15 @@ print(json.dumps([code, sorted(sys.modules), dict(os.environ) == environ, thread
 """
 
 
-def start_as_module(argv, env):
+def start_as_module(argv, env, *flags):
     """Run the enspin entry on argv (or only import enspin.cli for None) in a fresh child.
 
-    Returns the exit code, the names in sys.modules at the end, whether
-    the environment came out unchanged, and the thread count (None
-    without /proc/self/task).
+    flags go to the interpreter.  Returns the exit code, the names in
+    sys.modules at the end, whether the environment came out unchanged,
+    and the thread count (None without /proc/self/task).
     """
-    proc = subprocess.run([sys.executable, "-c", START_AS_MODULE, json.dumps(argv)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *flags, "-c", START_AS_MODULE, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -545,21 +545,13 @@ def test_verify_and_delta_make_no_fraction(capsys, monkeypatch):
     assert run_cli(capsys, "delta", "--n", "2048")[0] == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ("closure", "--n", "6"),
-    ("delta", "--n", "7"),
-    ("classify", "--n", "5"),
-    ("verify", "--from", "3", "--to", "9"),
-    ("roots", "--n", "8"),
-    ("report", "--to", "9"),
-])
-def test_cli_never_reaches_the_float_gemm(capsys, monkeypatch, argv):
-    # the mod-p oracle's blocked elimination is the one float matrix product
-    def gemm(*args, **kwargs):
-        raise AssertionError("a CLI path reached the float GEMM")
-
-    monkeypatch.setattr("enspin.linalg._rank_mod_p_blocked", gemm)
-    assert run_cli(capsys, *argv)[0] == 0
+def test_verify_without_site_packages_leaves_random_unloaded():
+    # only the rank oracle draws random numbers, and it imports random when
+    # called; under -S no .pth start-up file has imported random already
+    env = {**os.environ, "PYTHONPATH": SRC}
+    code, loaded, _, _ = start_as_module(NUMPY_FREE["verify"], env, "-S")
+    assert code == 0
+    assert "random" not in loaded
 
 
 # -- benchmark tracer --------------------------------------------------------

@@ -217,7 +217,6 @@ def lemma_reference(n, basis):
         all_expected_present=not want - have,
         full_mask_present=full in have,
         full_mask_expected=full in want,
-        wrong_grade_masks=sum(1 for m in have if m.bit_count() % 4 in (0, 1)),
         missing_masks=len(want - have),
         extra_masks=len(have - want),
         exactly_predicted=have == want,
@@ -481,7 +480,6 @@ def test_lemma_containment_exact_match():
         rec = lemma_containment_check(n, basis)
         assert rec.passed, (n, rec)
         assert rec.all_expected_present
-        assert rec.wrong_grade_masks == 0
         assert rec.missing_masks == 0 and rec.extra_masks == 0
 
 
