@@ -9,7 +9,8 @@ mask -> Fraction mapping, so everything below is exact.
 
 from fractions import Fraction
 
-from enspin.clifford import Blade, Multivector, blade_product, bracket
+from enspin.clifford import Blade, blade_product
+from enspin.multivector import Multivector, bracket
 
 # products of basis blades pick up only a sign
 for left, right in [(0b011, 0b110), (0b011, 0b011), (0b101, 0b111)]:

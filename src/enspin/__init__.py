@@ -13,8 +13,11 @@ the package.  The names are the verifier's, and none of them imports
 numpy: a closure is one Python int of 2^n bits (2 MiB at n = 24), and
 every check reads it with int operations.  The independent test
 oracles (the dense blade table, the mod-p rank probe and the exact
-references over Q) are imported from enspin.analysis and
-enspin.linalg; the numpy ones import numpy when they are called.
+Killing test) are imported from enspin.oracles, which loads
+enspin.linalg; the numpy ones import numpy when they are called.  The
+multivector engine, with its Fraction coefficients, is
+enspin.multivector.  No command loads enspin.oracles,
+enspin.multivector or enspin.linalg.
 """
 
 import importlib
@@ -29,12 +32,10 @@ _EXPORTS = {
         "CompactTypeDescriptor", "MatrixAlgebraDescriptor", "bott_algebra",
         "closure_type", "max_compact",
     ),
-    "clifford": (
-        "Blade", "Multivector", "blade_product", "blades_anticommute", "bracket",
-        "format_multivector", "mv_product",
-    ),
+    "clifford": ("Blade", "blade_product", "blades_anticommute"),
     "closure": ("ClosureBasis", "blade_closure", "lemma_containment_check"),
     "deltas": ("delta_closed", "delta_identities", "delta_sum", "lower_bound_dim"),
+    "multivector": ("Multivector", "bracket", "format_multivector", "mv_product"),
     "report": ("VerificationReport", "algebra_table", "run_verification"),
     "roots": ("RootSet", "positive_roots", "theorem_b_check"),
     "spinrep": (
@@ -47,14 +48,26 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
-def __getattr__(name: str):
-    try:
-        module = _MODULE_OF[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def _forwarding_getattr(namespace: dict, module_of: dict[str, str]):
+    """A PEP 562 __getattr__ for the module whose globals are namespace.
+
+    It reads name from the enspin submodule module_of[name], importing
+    that on first use, and caches it in namespace.
+    """
+    def __getattr__(name: str):
+        try:
+            module = module_of[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _forwarding_getattr(globals(), _MODULE_OF)
 
 
 def __dir__() -> list[str]:

@@ -22,9 +22,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# bracket and mv_product stay importable here: the benchmark tracer
-# (perfbench/tracer.py) binds them under this module
-from .clifford import Blade, blade_product, blades_anticommute, bracket, mv_product
+from . import _forwarding_getattr
+from .clifford import Blade, blade_product, blades_anticommute
+
+# name -> defining module, for exactly the names that the benchmark tracer
+# (perfbench/tracer.py) binds here without this module defining them
+_FORWARDED = {"bracket": "multivector", "mv_product": "multivector"}
+__getattr__ = _forwarding_getattr(globals(), _FORWARDED)
 
 
 class EnDiagram(NamedTuple):

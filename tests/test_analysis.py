@@ -3,23 +3,21 @@ import random
 import numpy as np
 import pytest
 
-from enspin.analysis import (
+from enspin.analysis import analyze, classify, split_check
+from enspin.closure import ClosureBasis, blade_closure
+from enspin.linalg import is_negative_definite
+from enspin.multivector import Multivector, bracket
+from enspin.oracles import (
     StructureConstants,
     ad_matrix,
-    analyze,
     center_dim,
-    classify,
     derived_dim,
     killing_diagonal,
     killing_form,
     killing_negative_definite_check,
     rank_estimate,
-    split_check,
     structure_constants,
 )
-from enspin.clifford import Multivector, bracket
-from enspin.closure import ClosureBasis, blade_closure
-from enspin.linalg import is_negative_definite
 from enspin.spinrep import spin_generators
 
 

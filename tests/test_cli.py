@@ -1,5 +1,6 @@
 """Command line behaviour, exit codes, and output stability."""
 
+import ast
 import concurrent.futures
 import csv
 import fractions
@@ -432,8 +433,8 @@ def test_exports_are_defined_where_listed():
 
 
 ORACLES = {
-    "analysis": ("StructureConstants", "structure_constants", "center_dim", "derived_dim",
-                 "killing_form", "rank_estimate"),
+    "oracles": ("StructureConstants", "structure_constants", "center_dim", "derived_dim",
+                "killing_form", "rank_estimate"),
     "linalg": ("DEFAULT_PRIMES", "EchelonBasis", "is_negative_definite",
                "kernel_dimension", "kernel_dimension_mod_p"),
 }
@@ -483,6 +484,10 @@ def start_as_module(argv, env, *flags):
     return json.loads(proc.stdout)
 
 
+# the test oracles, the multivector engine and the Fraction arithmetic they
+# need: no command uses them, so no command start may load them
+ORACLE_MODULES = {"enspin.linalg", "enspin.oracles", "enspin.multivector", "fractions", "decimal"}
+
 NUMPY_FREE = {
     "closure": ["closure", "--n", "6"],
     "delta": ["delta", "--n", "7"],
@@ -510,7 +515,7 @@ def test_cli_never_imports_numpy(name):
         env["OPENBLAS_NUM_THREADS"] = "2"
     code, loaded, environ_unchanged, threads = start_as_module(argv, env)
     assert (code, environ_unchanged) == (0 if argv else None, True)
-    unwanted = {"numpy", "dataclasses", "inspect"}
+    unwanted = {"numpy", "dataclasses", "inspect", *ORACLE_MODULES}
     if "--jobs" not in (argv or ()):
         unwanted.add("concurrent.futures.process")
         assert threads in (None, 1)  # None: no /proc/self/task to count threads
@@ -529,9 +534,11 @@ def test_cli_needs_only_the_standard_library():
         assert proc.stdout == (DATA / golden).read_bytes(), golden
 
 
-def test_closure_imports_no_oracle_module():
-    # closure holds no oracle: the mask kernels need neither linalg nor Fraction
-    code = "import sys, enspin.closure; print(sorted({'enspin.linalg', 'fractions'} & set(sys.modules)))"
+@pytest.mark.parametrize("module", ["closure", "clifford", "spinrep", "analysis", "report", "cli"])
+def test_closure_imports_no_oracle_module(module):
+    # the verifier's modules hold no oracle: the mask kernels need neither
+    # linalg nor Fraction, and blades need no multivector
+    code = f"import sys, enspin.{module}; print(sorted(set(sys.modules) & {ORACLE_MODULES!r}))"
     assert run_python(code, child_env()) == "[]"
 
 
@@ -547,29 +554,64 @@ def test_verify_and_delta_make_no_fraction(capsys, monkeypatch):
 
 def test_verify_without_site_packages_leaves_random_unloaded():
     # only the rank oracle draws random numbers, and it imports random when
-    # called; under -S no .pth start-up file has imported random already
+    # called; under -S no .pth start-up file has imported random, fractions
+    # or decimal already
     env = {**os.environ, "PYTHONPATH": SRC}
     code, loaded, _, _ = start_as_module(NUMPY_FREE["verify"], env, "-S")
     assert code == 0
-    assert "random" not in loaded
+    assert {"random", *ORACLE_MODULES}.isdisjoint(loaded)
 
 
 # -- benchmark tracer --------------------------------------------------------
 
-def test_tracer_bindings_resolve():
-    """Every function the benchmark tracer rebinds still exists where it looks."""
-    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+ROOT = Path(__file__).parent.parent
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    missing = [(module, attr) for module, attr, _ in tracer.BINDINGS
+    return tracer
+
+
+def test_tracer_bindings_resolve():
+    """Every function the benchmark tracer rebinds still exists where it looks."""
+    missing = [(module, attr) for module, attr, _ in load_tracer().BINDINGS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing
 
 
+def top_level_names(path: Path) -> set[str]:
+    """The names a module binds itself: its defs, classes, imports and assignments."""
+    names = set()
+    for node in ast.parse(path.read_text("utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", ["analysis", "spinrep"])
+def test_forwarded_names_are_exactly_what_frozen_files_reach(module):
+    # the gate and the tracer are frozen, so each forwarding table holds the
+    # names they reach through the module and nothing more: it is no second API
+    gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text("utf-8"))
+    reached = {alias.name for node in ast.walk(gate)
+               if isinstance(node, ast.ImportFrom) and node.module == f"enspin.{module}"
+               for alias in node.names}
+    reached |= {attr for name, attr, _ in load_tracer().BINDINGS if name == f"enspin.{module}"}
+    mod = importlib.import_module(f"enspin.{module}")
+    assert set(mod._FORWARDED) == reached - top_level_names(Path(mod.__file__))
+    for name, source in mod._FORWARDED.items():
+        assert getattr(mod, name) is getattr(importlib.import_module(f"enspin.{source}"), name)
+
+
 # -- demos -------------------------------------------------------------------
 
-DEMO_DIR = Path(__file__).parent.parent / "demos"
+DEMO_DIR = ROOT / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 

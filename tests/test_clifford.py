@@ -4,16 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from enspin.clifford import (
-    Blade,
-    Multivector,
-    blade_product,
-    blades_anticommute,
-    bracket,
-    format_multivector,
-    mv_product,
-    reorder_swaps,
-)
+from enspin.clifford import Blade, blade_product, blades_anticommute, reorder_swaps
+from enspin.multivector import Multivector, bracket, format_multivector, mv_product
 
 
 def blade_product_oracle(a_mask, b_mask):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from enspin.analysis import central_blades, classify, greedy_torus
 from enspin.bott import max_compact
-from enspin.clifford import Multivector, blades_anticommute, bracket
+from enspin.clifford import blades_anticommute
 from enspin.closure import (
     ClosureBasis,
     LemmaContainment,
@@ -23,6 +23,7 @@ from enspin.closure import (
 )
 from enspin.deltas import drops_top_blade, lower_bound_dim
 from enspin.linalg import EchelonBasis
+from enspin.multivector import Multivector, bracket
 from enspin.report import algebra_table, run_verification
 from enspin.spinrep import spin_generators
 

@@ -8,19 +8,22 @@ from hypothesis import strategies as st
 from enspin.analysis import (
     SplitResult,
     analyze,
-    center_dim,
     central_blades,
-    derived_dim,
     greedy_torus,
     is_compact_basis,
-    killing_diagonal,
-    rank_estimate,
     split_check,
-    structure_constants,
 )
 from enspin.bott import closure_type
-from enspin.clifford import Blade, Multivector, blade_product, blades_anticommute, bracket, mv_product
+from enspin.clifford import Blade, blade_product, blades_anticommute
 from enspin.closure import ClosureBasis, _set_bits, blade_closure
+from enspin.multivector import Multivector, bracket, mv_product
+from enspin.oracles import (
+    center_dim,
+    derived_dim,
+    killing_diagonal,
+    rank_estimate,
+    structure_constants,
+)
 from enspin.spinrep import spin_generators
 from test_closure import (
     _anticommute,

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enspin import spinrep
-from enspin.clifford import Blade, Multivector, bracket, mv_product
+from enspin.clifford import Blade
+from enspin.multivector import Multivector, bracket, mv_product
 from enspin.spinrep import (
     en_adjacency,
     spin_generators,
