@@ -36,7 +36,7 @@ from .closure import (
     ClosureBasis,
     _anticommute_pattern,
     _grade_classes,
-    _low_halves,
+    _parity_pattern,
     _xor_translate,
     blade_closure,
     check_ambient,
@@ -188,23 +188,30 @@ def greedy_torus(bits: int, n: int) -> int:
         (Knapp, Lie Groups Beyond an Introduction, ch. IV), so the rank
         is |T|.
 
-    On the bitset the rule takes at most n pattern steps.  The
+    On the bitset the rule takes at most ceil(n/2) pattern steps.  The
     commutation exponent q is bilinear over F_2 (_anticommute_pattern),
     so a mask commutes with every kept mask iff it commutes with their
     F_2 span K, and a kept mask that lies in K filters out nothing.
     Hold the candidates C = bits & K^perp, kept and still to come alike.
     The lowest mask t of C outside K is the next one that filters: every
     lower mask of C lies in K and is kept.  Filtering C by the pattern
-    of t drops no mask of K, since t is in K^perp, and K + t, which is
-    K | (K ^ t) (_xor_translate), doubles K.  So after at most n steps C
-    lies inside K, every mask of C is kept, and T = C.
+    of t drops no mask of K, since t is in K^perp, and K + t doubles K.
+    When C lies inside K, every mask of C is kept, and T = C.  Each pick
+    commutes with the earlier ones, so K is isotropic for q, whose
+    matrix over F_2 is J + I (J all ones), with radical {0} for even n
+    ((J + I)^2 = I) and {0, 2^n - 1} for odd n.  So dim K <= (n + dim
+    radical)/2 = ceil(n/2) (Dehaene and De Moor, PRA 68, 042318): there
+    are at most ceil(n/2) picks, and K, a list of masks marked in one
+    bytearray of 2^n bits, holds at most 2^ceil(n/2) of them.
     """
-    low_halves = _low_halves(n)
-    candidates, span = bits, 1
-    while outside := candidates & ~span:
+    candidates, span, marks = bits, [0], bytearray(1 << n >> 3 or 1)
+    marks[0] = 1
+    while outside := candidates & ~int.from_bytes(marks, "little"):
         t = (outside & -outside).bit_length() - 1
         candidates &= ~_anticommute_pattern(t, n)
-        span |= _xor_translate(span, t, low_halves)
+        span += [x ^ t for x in span]
+        for x in span[len(span) // 2:]:
+            marks[x >> 3] |= 1 << (x & 7)
     return candidates
 
 
@@ -227,15 +234,16 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     blade_product; centrality as no generator anticommuting with the
     top blade, O(n), since ad(omega) is a derivation that then kills
     every bracket of generators (the rule of central_blades); and
-    closure under complement, O(n 2^n): the bitset flipped by
-    _xor_translate(bits, full) equals the bitset.  When it does not,
-    the largest mask y in just one of the two names the hole: y itself
-    when y is in the basis, and full ^ y otherwise, since then y is the
-    complement of a mask of the basis.  That is the first difference of
-    the complements and the masks, both in descending order.  When the
-    preconditions hold, the proof covers every pair of eigenvectors at
-    once.  seed is accepted for compatibility and ignored: nothing is
-    sampled.
+    closure under complement, O(n 2^n): the complement flip equals the
+    bitset.  The flip {m ^ full : m in bits} is n delta swaps
+    (_xor_translate), on the masks _parity_pattern(1 << b, n).  When it
+    differs, the largest mask y in just one of the two names the hole:
+    y itself when y is in the basis, and full ^ y otherwise, since then
+    y is the complement of a mask of the basis.  That is the first
+    difference of the complements and the masks, both in descending
+    order.  When the preconditions hold, the proof covers every pair of
+    eigenvectors at once.  seed is accepted for compatibility and
+    ignored: nothing is sampled.
     """
     n = basis.n
     if n % 2 == 0:
@@ -249,7 +257,7 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
         return SplitResult(n=n, applicable=True, omega_central=False, omega_square=omega_sq,
                            reason="top blade failed centrality or square check")
     bits = basis.bits
-    flipped = _xor_translate(bits, full, _low_halves(n))
+    flipped = _xor_translate(bits, full, [_parity_pattern(1 << b, n) for b in range(n)])
     if flipped != bits:
         y = (flipped ^ bits).bit_length() - 1
         m = y if bits >> y & 1 else y ^ full

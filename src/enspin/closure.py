@@ -8,10 +8,11 @@ bit x set iff mask x is in it, and relaxes it one generator step at a
 time, in tiles that stay in cache.  CPython works on an int word by
 word, so each step is a few passes over 2^n/8 bytes (2 MiB at n = 24),
 with no Python object per blade and no numpy.  Its proof certifies that
-the result is bracket-closed.  The bitset kernels here
-(_anticommute_pattern, _xor_translate, _grade_classes) serve every later
-stage as well.  One ceiling, MAX_AMBIENT, bounds n for every caller, and
-check_ambient tests it before anything is built.
+the result is bracket-closed.  Its kernels serve every later stage as
+well: _parity_pattern builds the anticommute patterns and the
+delta-swap masks of _xor_translate, and _grade_classes the grade
+classes mod 4.  One ceiling, MAX_AMBIENT, bounds n for every caller,
+and check_ambient tests it before anything is built.
 """
 
 from __future__ import annotations
@@ -88,39 +89,6 @@ def check_ambient(n: int) -> None:
 
 # --- bitset kernels: patterns of 2^n bits, one bit per mask --------------
 
-def _low_halves(n: int) -> list[int]:
-    """Entry b: the masks x < 2^n with bit b clear, as a pattern.
-
-    That is 2^b ones under 2^b zeros, doubled until it fills 2^n bits.
-    """
-    out = []
-    for b in range(n):
-        pattern, width = (1 << (1 << b)) - 1, 2 << b
-        while width < 1 << n:
-            pattern |= pattern << width
-            width <<= 1
-        out.append(pattern)
-    return out
-
-
-def _xor_translate(bits: int, g: int, low_halves: Sequence[int]) -> int:
-    """The bitset {x ^ g : x in bits}, for masks below 2^n, n = len(low_halves).
-
-    One delta swap per set bit b of g (Warren, Hacker's Delight, ch. 7):
-    XOR with 2^b swaps each mask x that has bit b clear with x + 2^b, so
-    the bits selected by low_halves[b] trade places with the bits 2^b
-    above them.
-    """
-    b = 0
-    while g:
-        if g & 1:
-            s, low = 1 << b, low_halves[b]
-            bits = ((bits >> s) & low) | ((bits & low) << s)
-        g >>= 1
-        b += 1
-    return bits
-
-
 def _parity_pattern(h: int, k: int) -> int:
     """The masks x < 2^k with |x & h| odd, as a pattern.
 
@@ -134,6 +102,24 @@ def _parity_pattern(h: int, k: int) -> int:
         pattern |= upper << width
         width <<= 1
     return pattern
+
+
+def _xor_translate(bits: int, g: int, highs: Sequence[int]) -> int:
+    """The bitset {x ^ g : x in bits}, for masks below 2^k, k = len(highs).
+
+    One delta swap per set bit b of g (Warren, Hacker's Delight, ch. 7):
+    XOR with 2^b swaps each mask x that has bit b set with x - 2^b, so
+    the bits selected by highs[b], the masks with bit b set
+    (_parity_pattern(1 << b, k)), trade places with the bits 2^b below.
+    """
+    b = 0
+    while g:
+        if g & 1:
+            s, high = 1 << b, highs[b]
+            bits = ((bits & high) >> s) | ((bits << s) & high)
+        g >>= 1
+        b += 1
+    return bits
 
 
 def _anticommute_pattern(g: int, n: int) -> int:
@@ -216,7 +202,7 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
 
     c = min(n, _TILE_LOG)
     low, tile_ones = (1 << c) - 1, (1 << (1 << c)) - 1
-    low_halves = _low_halves(c)
+    highs = [_parity_pattern(1 << b, c) for b in range(c)]
     steps = []
     for g in gens:
         h = _commutation_vector(g, n)
@@ -231,7 +217,7 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
             for i in range(len(tiles)):
                 hit = tiles[i] & anti[(i & h_high).bit_count() & 1]
                 if hit:
-                    tiles[i ^ g_high] |= _xor_translate(hit, g_low, low_halves)
+                    tiles[i ^ g_high] |= _xor_translate(hit, g_low, highs)
         if tiles == before:
             break
     size = (1 << c) // 8 or 1  # a tile of under 8 bits is the only tile

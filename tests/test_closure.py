@@ -14,7 +14,6 @@ from enspin.closure import (
     LemmaContainment,
     _anticommute_pattern,
     _grade_classes,
-    _low_halves,
     _parity_pattern,
     _set_bits,
     _xor_translate,
@@ -306,7 +305,11 @@ def test_bitset_kernels_match_their_definitions(n, data):
     g = data.draw(st.integers(0, (1 << n) - 1))
     members = data.draw(st.sets(st.integers(0, (1 << n) - 1)))
     bits = bits_of(sorted(members))
-    assert _xor_translate(bits, g, _low_halves(n)) == bits_of([x ^ g for x in members])
+    highs = [_parity_pattern(1 << b, n) for b in range(n)]
+    # the delta-swap mask of bit b is the masks with bit b set
+    assert [_set_bits(h) for h in highs] == [
+        tuple(x for x in range(1 << n) if x >> b & 1) for b in range(n)]
+    assert _xor_translate(bits, g, highs) == bits_of([x ^ g for x in members])
     assert _set_bits(_anticommute_pattern(g, n)) == tuple(
         x for x in range(1 << n) if blades_anticommute(x, g))
     assert _set_bits(_parity_pattern(g, n)) == tuple(

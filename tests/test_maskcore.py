@@ -1,5 +1,7 @@
 """The mask-native analysis core against the dense-table, integer pair and Fraction oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,16 +342,33 @@ def test_greedy_torus_matches_reference_on_any_set(n, data):
 
 
 def test_greedy_torus_takes_at_most_n_pattern_steps(monkeypatch):
-    # only masks outside the span of the kept ones filter, and each doubles the span
+    # only masks outside the span K of the kept ones filter, each doubles K,
+    # and K is isotropic, so there are at most ceil(n/2) of them
     import enspin.analysis
 
     steps = []
     pattern = enspin.analysis._anticommute_pattern
     monkeypatch.setattr(enspin.analysis, "_anticommute_pattern",
                         lambda t, n: steps.append(t) or pattern(t, n))
-    basis = blade_closure(16, spin_generators(16).masks)
-    torus = greedy_torus(basis.bits, 16)
-    assert torus.bit_count() == closure_type(16).rank() > 16 >= len(steps)
+    for n in range(3, 17):
+        steps.clear()
+        basis = blade_closure(n, spin_generators(n).masks)
+        assert greedy_torus(basis.bits, n).bit_count() == closure_type(n).rank()
+        assert len(steps) == (n + 1) // 2, n
+    assert closure_type(16).rank() > 16 and len(steps) <= 8
+
+
+def test_greedy_torus_holds_a_few_bitsets_at_n_20():
+    # the span is a list of at most 2^10 masks and one bytearray of 2^20
+    # bits, not a table of n delta-swap masks of 2^20 bits each
+    bits = blade_closure(20, spin_generators(20).masks).bits
+    tracemalloc.start()
+    try:
+        greedy_torus(bits, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * (1 << 20) // 8
 
 
 def assert_torus_is_maximal(masks) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ import pytest
 
 from enspin import spinrep
 from enspin.analysis import analyze, classify_bundle
-from enspin.bott import max_compact
+from enspin.bott import closure_type, max_compact
 from enspin.cli import main
 from enspin.clifford import Blade
 from enspin.closure import blade_closure
@@ -34,6 +34,15 @@ def test_report_small_rank_passes_everything():
     assert rep.expected_dim == 10
     assert all(c.status in ("pass", "skipped") for c in rep.checks.values())
     assert rep.checks["classify"].detail == "sp(2)"
+
+
+def test_report_at_twenty_one_passes_every_check():
+    # near the top of the range, and the last n where the split applies
+    rep = run_verification(21)
+    assert rep.verdict
+    assert rep.closure_dim == rep.expected_dim == lower_bound_dim(21)
+    assert rep.checks["split"].status == "pass"
+    assert rep.checks["classify"].detail == str(closure_type(21))
 
 
 def test_report_check_keys_follow_declared_order():
