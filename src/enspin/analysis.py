@@ -4,14 +4,14 @@ Every bracket of two basis blades is zero or +-2 times the XOR blade,
 so center, derived algebra, Killing form, rank and the two-ideal split
 are all mask combinatorics.  analyze runs only the mask-native core on
 the bitset of the closure that blade_closure proves bracket-closed: the
-central blades, which are the blades commuting with every generator
-(central_blades) and whose complement spans the derived algebra; the
-diagonal Killing form, negative exactly on the non-central blades of
-grade 2 or 3 mod 4; a greedy torus of commuting blades that is its own
-centralizer by construction (rank); and the central idempotents
-(1 +- omega)/2 for the split.  Each stage is a few operations on Python
-ints of 2^n bits (2 MiB each at n = 24), so no verify path imports
-numpy.  Each function of the core states its proof in its docstring.
+blades commuting with every generator, which are the center and whose
+complement spans the derived algebra (central_blades); the generators'
+grades, which decide compactness (is_compact_basis) and with it the
+Killing sign; a greedy torus of commuting blades that is its own
+centralizer (rank); and the central idempotents (1 +- omega)/2 for the
+split, whose complement flip is the bitset read backwards.  Each stage
+works on Python ints of 2^n bits (2 MiB at n = 24) or on the generator
+masks, so no verify path imports numpy.  Each docstring holds a proof.
 
 The dense structure table, the mod-p rank probe and the leading-minor
 Killing test are independent test oracles in enspin.oracles, and the
@@ -31,16 +31,8 @@ from typing import Iterator, NamedTuple
 
 from . import _forwarding_getattr
 from .bott import CompactTypeDescriptor, closure_type
-from .clifford import Blade, blade_product, blades_anticommute
-from .closure import (
-    ClosureBasis,
-    _anticommute_pattern,
-    _grade_classes,
-    _parity_pattern,
-    _xor_translate,
-    blade_closure,
-    check_ambient,
-)
+from .clifford import blades_anticommute
+from .closure import ClosureBasis, _anticommute_pattern, blade_closure, check_ambient
 from .spinrep import spin_generators
 
 # name -> defining module, for exactly the names that the acceptance gate
@@ -136,9 +128,10 @@ def central_blades(basis: ClosureBasis) -> int:
     a translation of the masks by a nonzero XOR, so no basis blade maps
     to itself and the trace is 0.  On the diagonal,
     [b_i, [b_i, b_k]] = 4 b_i^2 b_k when b_k anticommutes with b_i and
-    0 otherwise.  So K_ii < 0 iff b_i^2 = -1 (is_compact_basis) and
-    b_i is not central, and the form is negative definite exactly when
-    that holds for every blade.
+    0 otherwise.  So K_ii < 0 iff b_i^2 = -1 and b_i is not central,
+    and the form is negative definite exactly when no blade is central
+    and every blade squares to -1, which is_compact_basis reads off the
+    generators' grades.
     """
     anti = 0
     for g in basis.provenance:
@@ -146,24 +139,27 @@ def central_blades(basis: ClosureBasis) -> int:
     return basis.bits & ~anti
 
 
-def is_compact_basis(bits: int, n: int) -> bool:
-    """True when every blade of the bitset squares to -1, which makes the algebra compact.
+def is_compact_basis(basis: ClosureBasis) -> bool:
+    """True when every blade of the closure squares to -1, which makes the algebra compact.
 
-    That is, no mask below 2^n in bits has grade 0 or 1 mod 4
-    (_grade_classes).
+    Premise, as for central_blades: the basis is the bracket closure of
+    basis.provenance.  Reversing the k factors of a grade-k blade b
+    takes k(k-1)/2 swaps, and b reverse(b) = 1 because each v_i squares
+    to 1, so b^2 = (-1)^(k(k-1)/2) (Lawson and Michelsohn, Spin Geometry,
+    ch. I): -1 exactly for k == 2, 3 mod 4, when bit 1 of k is set.  By
+    the proof of blade_closure every blade of the closure is a generator
+    or +-xg, for a blade x of the closure and a generator g that
+    anticommutes with x, and then (xg)^2 = -x^2 g^2.  So by induction
+    every blade squares to -1 iff every generator does.
 
-    Reversing the k factors of a grade-k blade b takes k(k-1)/2 swaps,
-    and b reverse(b) = 1 because each v_i squares to 1, so
-    b^2 = (-1)^(k(k-1)/2) and reverse(b) = b^2 b, which is -b exactly
-    for k == 2, 3 mod 4.  Left multiplication x -> L_x is a faithful
-    representation of the algebra on C(R^n) (L_x 1 = x), and in the
-    orthonormal blade basis the transpose of L_b is L_{reverse(b)}.  So
-    every element acts as a skew-symmetric matrix and the algebra embeds
-    in so(2^n).  This holds at n = 3 as well, where the Killing form is
-    degenerate.
+    Then reverse(b) = b^2 b = -b for every blade.  Left multiplication
+    x -> L_x is a faithful representation of the algebra on C(R^n)
+    (L_x 1 = x), and in the orthonormal blade basis the transpose of L_b
+    is L_{reverse(b)}.  So every element acts as a skew-symmetric matrix
+    and the algebra embeds in so(2^n).  This holds at n = 3 as well,
+    where the Killing form is degenerate.
     """
-    grades = _grade_classes(n)
-    return not bits & (grades[0] | grades[1])
+    return all(g.bit_count() & 2 for g in basis.provenance)
 
 
 def greedy_torus(bits: int, n: int) -> int:
@@ -183,10 +179,10 @@ def greedy_torus(bits: int, n: int) -> int:
         injectivity argument of central_blades), so all those x_i are 0.
         Hence the centralizer of span(T) is span(T) itself, and T is
         maximal abelian.
-    (c) When is_compact_basis holds as well, a maximal abelian
-        subalgebra of the compact algebra is a Cartan subalgebra
-        (Knapp, Lie Groups Beyond an Introduction, ch. IV), so the rank
-        is |T|.
+    (c) When the bitset is a closure whose generators pass
+        is_compact_basis, the algebra is compact, and a maximal abelian
+        subalgebra of a compact algebra is a Cartan subalgebra (Knapp,
+        Lie Groups Beyond an Introduction, ch. IV), so the rank is |T|.
 
     On the bitset the rule takes at most ceil(n/2) pattern steps.  The
     commutation exponent q is bilinear over F_2 (_anticommute_pattern),
@@ -230,26 +226,27 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     the pairs e_m +- s_m e_{m ^ full}, one per complement pair, give both
     of them dimension d/2.
 
-    So the certificate is its three preconditions: omega^2 by
-    blade_product; centrality as no generator anticommuting with the
-    top blade, O(n), since ad(omega) is a derivation that then kills
-    every bracket of generators (the rule of central_blades); and
-    closure under complement, O(n 2^n): the complement flip equals the
-    bitset.  The flip {m ^ full : m in bits} is n delta swaps
-    (_xor_translate), on the masks _parity_pattern(1 << b, n).  When it
-    differs, the largest mask y in just one of the two names the hole:
-    y itself when y is in the basis, and full ^ y otherwise, since then
-    y is the complement of a mask of the basis.  That is the first
-    difference of the complements and the masks, both in descending
-    order.  When the preconditions hold, the proof covers every pair of
-    eigenvectors at once.  seed is accepted for compatibility and
-    ignored: nothing is sampled.
+    So the certificate is its three preconditions: omega^2 by the grade
+    rule of is_compact_basis, -1 iff bit 1 of n is set; centrality as no
+    generator anticommuting with the top blade, O(n), since ad(omega) is
+    a derivation that then kills every bracket of generators (the rule
+    of central_blades); and closure under complement, O(2^n): the
+    complement flip equals the bitset.  For m <= full, m ^ full =
+    full - m, so the flip {m ^ full : m in bits} is the mirror of the
+    bitset: its 2^n bits read backwards, one reversed binary string in
+    place of n delta swaps.  When it differs, the largest mask y in just
+    one of the two names the hole: y itself when y is in the basis, and
+    full ^ y otherwise, since then y is the complement of a mask of the
+    basis.  That is the first difference of the complements and the
+    masks, both in descending order.  When the preconditions hold, the
+    proof covers every pair of eigenvectors at once.  seed is accepted
+    for compatibility and ignored: nothing is sampled.
     """
     n = basis.n
     if n % 2 == 0:
         return SplitResult(n=n, applicable=False, reason="top blade is not central for even n")
     full = (1 << n) - 1
-    omega_sq = blade_product(Blade(full), Blade(full)).sign
+    omega_sq = -1 if n & 2 else 1
     if omega_sq != 1:
         return SplitResult(n=n, applicable=False, reason="top blade squares to -1 when n == 3 mod 4")
 
@@ -257,7 +254,7 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
         return SplitResult(n=n, applicable=True, omega_central=False, omega_square=omega_sq,
                            reason="top blade failed centrality or square check")
     bits = basis.bits
-    flipped = _xor_translate(bits, full, [_parity_pattern(1 << b, n) for b in range(n)])
+    flipped = int(f"{bits:0{1 << n}b}"[::-1], 2)
     if flipped != bits:
         y = (flipped ^ bits).bit_length() - 1
         m = y if bits >> y & 1 else y ^ full
@@ -328,7 +325,7 @@ def analyze(n: int, *, seed: int = 0, exact_killing: bool | None = None) -> Anal
     with stage(timings, "center"):
         center = central.bit_count()
     with stage(timings, "killing"):
-        compact = is_compact_basis(basis.bits, n)
+        compact = is_compact_basis(basis)
     with stage(timings, "rank"):
         torus = greedy_torus(basis.bits, n)
     with stage(timings, "split"):

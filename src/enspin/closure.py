@@ -8,11 +8,11 @@ bit x set iff mask x is in it, and relaxes it one generator step at a
 time, in tiles that stay in cache.  CPython works on an int word by
 word, so each step is a few passes over 2^n/8 bytes (2 MiB at n = 24),
 with no Python object per blade and no numpy.  Its proof certifies that
-the result is bracket-closed.  Its kernels serve every later stage as
-well: _parity_pattern builds the anticommute patterns and the
-delta-swap masks of _xor_translate, and _grade_classes the grade
-classes mod 4.  One ceiling, MAX_AMBIENT, bounds n for every caller,
-and check_ambient tests it before anything is built.
+the result is bracket-closed.  _parity_pattern builds the anticommute
+patterns and the delta-swap masks of _xor_translate, and _grade_classes
+the grade classes of the lemma check; later stages read only
+_anticommute_pattern.  One ceiling, MAX_AMBIENT, bounds n for every
+caller, and check_ambient tests it before anything is built.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
         n=n,
         all_expected_present=missing == 0,
         full_mask_present=bool(have >> full & 1),
-        full_mask_expected=not drop_full and n % 4 in (2, 3),
+        full_mask_expected=bool(predicted >> full & 1),
         missing_masks=missing,
         extra_masks=extra,
         exactly_predicted=missing == 0 and extra == 0,

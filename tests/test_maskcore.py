@@ -119,15 +119,16 @@ def centralizer_masks(masks, torus) -> tuple[int, ...]:
     return tuple(int(x) for x in m[free])
 
 
-def torus_is_cartan(n, masks, torus) -> bool:
+def torus_is_cartan(masks, torus) -> bool:
     """Certificate that span(torus) is a Cartan subalgebra, so rank = |torus|.
 
     If the centralizer of span(torus) is span(torus) itself, the torus is
     abelian and maximal abelian.  In a compact Lie algebra a maximal
     abelian subalgebra is a Cartan subalgebra (Knapp, Lie Groups Beyond
-    an Introduction, ch. IV), and is_compact_basis supplies compactness.
+    an Introduction, ch. IV).  Compactness is checked blade by blade: a
+    grade-k blade squares to -1 iff bit 1 of k is set.
     """
-    return is_compact_basis(bits_of(masks), n) and set(centralizer_masks(masks, torus)) == set(torus)
+    return all(m.bit_count() & 2 for m in masks) and set(centralizer_masks(masks, torus)) == set(torus)
 
 
 # --- integer pair oracle for the split certificate -------------------------
@@ -232,7 +233,7 @@ def test_mask_core_matches_table_oracles(n):
     assert np.array_equal(central_blades_reference(basis), killing_diagonal(sc) == 0)
     assert central == bits_of(mask_array(basis)[killing_diagonal(sc) == 0].tolist())
     torus = _set_bits(greedy_torus(basis.bits, n))
-    assert torus_is_cartan(n, basis.masks, torus)
+    assert torus_is_cartan(basis.masks, torus)
     assert len(torus) == rank_estimate(sc, trials=5, seed=0)
 
 
@@ -329,6 +330,20 @@ def test_split_names_the_hole_of_the_sorted_rule(n, data):
         assert res.reason == f"complement of {want:#x} missing from basis"
 
 
+def test_split_check_holds_few_bitsets_at_n_21():
+    # the complement flip is the bitset's binary string reversed, not n delta
+    # swaps over n parity patterns of 2^21 bits each
+    basis = blade_closure(21, spin_generators(21).masks)
+    tracemalloc.start()
+    try:
+        passed = split_check(basis).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak < 20 * (1 << 21) // 8
+
+
 @pytest.mark.parametrize("n", range(3, 17))
 def test_greedy_torus_matches_reference(n):
     basis = blade_closure(n, spin_generators(n).masks)
@@ -394,14 +409,22 @@ def test_torus_is_maximal_in_any_order(n, data, rnd):
 def test_certificates_reject_what_they_must():
     basis = CLOSURES[8]
     torus = _set_bits(greedy_torus(basis.bits, 8))
-    assert not torus_is_cartan(8, basis.masks, torus[:-1])
-    assert is_compact_basis(basis.bits, 8)
-    assert not is_compact_basis(basis.bits | bits_of([0b1]), 8)
+    assert not torus_is_cartan(basis.masks, torus[:-1])
+    assert is_compact_basis(basis)
+    assert not is_compact_basis(blade_closure(8, basis.provenance + (0b1,)))
     # v1v2 and v2v3 anticommute, so their bracket v1v3 is a target outside the set
     unclosed = np.zeros(8, dtype=np.int64)
     unclosed[[0b011, 0b110]] = 1
     counts, _ = anticommuting_pair_counts(unclosed)
     assert counts[0b101] > 0 and unclosed[0b101] == 0
+
+
+@given(n=st.integers(1, 10), data=st.data())
+def test_compactness_from_the_generators_matches_every_blade(n, data):
+    # a closure blade is a generator or +-xg with x, g anticommuting, and (xg)^2 = -x^2 g^2
+    gens = data.draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=n))
+    basis = blade_closure(n, gens)
+    assert is_compact_basis(basis) == all(m.bit_count() & 2 for m in basis.masks)
 
 
 def test_analyze_is_exact_at_every_n():
