@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -398,13 +399,91 @@ def run_python(code: str, env: dict[str, str]) -> str:
     return proc.stdout.strip()
 
 
-def test_module_invocation_round_trips():
-    proc = subprocess.run(
-        [sys.executable, "-m", "enspin", "closure", "--n", "3", "--format", "text"],
-        env=child_env(), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0
-    assert "dim 4" in proc.stdout
+def entry(argv, env, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m enspin`` on argv in a fresh child."""
+    return subprocess.run([sys.executable, "-m", "enspin", *argv], env=env, timeout=120, **kwargs)
+
+
+def buffered_env() -> dict[str, str]:
+    """child_env without PYTHONUNBUFFERED: stdout into a pipe is then block
+    buffered, so output the entry fails to flush before os._exit is lost."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_module_invocation_round_trips(capsys):
+    # the entry's bytes through a pipe are exactly what main prints
+    argv = ["closure", "--n", "14", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    proc = entry(argv, buffered_env(), capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected
+
+
+def test_entry_keeps_each_exit_code():
+    env = buffered_env()
+    usage = entry(["closure", "--n", "2"], env, capture_output=True, text=True)
+    assert usage.returncode == 2 and "error:" in usage.stderr
+    parse = entry(["closure", "--n", "x"], env, capture_output=True, text=True)  # argparse's SystemExit
+    assert parse.returncode == 2 and "invalid int value" in parse.stderr
+    failing = ("import sys, enspin.cli, enspin.__main__\n"
+               "enspin.cli.cmd_roots = lambda args: 1\n"
+               "sys.argv = ['enspin', 'roots', '--n', '8']\n"
+               "enspin.__main__.run()\n")
+    proc = subprocess.run([sys.executable, "-c", failing], env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_ends_quietly(unbuffered):
+    # as `enspin closure --n 14 --format text | head -1`: the output, about
+    # 300 KB, is more than a pipe holds, so a write fails once the reader is gone
+    env = buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "enspin", "closure", "--n", "14", "--format", "text"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"n 14\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+def test_closed_pipe_at_the_last_flush_ends_quietly():
+    # the reader is gone before the child starts, and the output fits in
+    # stdout's buffer: the write fails only at the entry's own flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = entry(["closure", "--n", "3", "--format", "text"], buffered_env(),
+                     stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_jobs_leave_no_process_behind():
+    # in a session of its own, the child's process group must empty once the
+    # child is reaped: a worker left running outlives the entry's os._exit.
+    # Under forkserver (the Linux default from Python 3.14) the server and the
+    # resource tracker leave only on reading end of file from the reaped
+    # child's pipes, so the group gets a few seconds to empty
+    argv = [sys.executable, "-m", "enspin", "verify", "--from", "3", "--to", "9", "--jobs", "2",
+            "--no-timings"]
+    with subprocess.Popen(argv, env=child_env(), stdout=subprocess.DEVNULL,
+                          start_new_session=True) as proc:
+        assert proc.wait(timeout=120) == 0
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process of the run outlived it by 5 s"
+        time.sleep(0.05)
 
 
 # -- start-up ----------------------------------------------------------------
@@ -457,6 +536,20 @@ import contextlib, io, json, os, runpy, sys
 environ = dict(os.environ)
 argv = json.loads(sys.argv[1])
 code = None
+fast_exits = []
+real_exit, pid = os._exit, os.getpid()
+
+
+def fast_exit(status):
+    # the entry ends through os._exit; here it raises instead, so the
+    # probe outlives it.  A forked --jobs worker leaves for real.
+    if os.getpid() != pid:
+        real_exit(status)
+    fast_exits.append(status)
+    raise SystemExit(status)
+
+
+os._exit = fast_exit
 if argv is None:
     import enspin.cli
 else:
@@ -467,7 +560,8 @@ else:
         except SystemExit as e:
             code = e.code
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([code, sorted(sys.modules), dict(os.environ) == environ, threads]))
+print(json.dumps([code, sorted(sys.modules), dict(os.environ) == environ, threads,
+                  fast_exits == [code]]))
 """
 
 
@@ -476,7 +570,8 @@ def start_as_module(argv, env, *flags):
 
     flags go to the interpreter.  Returns the exit code, the names in
     sys.modules at the end, whether the environment came out unchanged,
-    and the thread count (None without /proc/self/task).
+    the thread count (None without /proc/self/task), and whether the
+    entry ended through os._exit with that code.
     """
     proc = subprocess.run([sys.executable, *flags, "-c", START_AS_MODULE, json.dumps(argv)],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -513,8 +608,8 @@ def test_cli_never_imports_numpy(name):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if name == "closure":  # the one child that starts with a thread count of its own
         env["OPENBLAS_NUM_THREADS"] = "2"
-    code, loaded, environ_unchanged, threads = start_as_module(argv, env)
-    assert (code, environ_unchanged) == (0 if argv else None, True)
+    code, loaded, environ_unchanged, threads, fast_exit = start_as_module(argv, env)
+    assert (code, environ_unchanged, fast_exit) == (0 if argv else None, True, bool(argv))
     unwanted = {"numpy", "dataclasses", "inspect", *ORACLE_MODULES}
     if "--jobs" not in (argv or ()):
         unwanted.add("concurrent.futures.process")
@@ -557,8 +652,8 @@ def test_verify_without_site_packages_leaves_random_unloaded():
     # called; under -S no .pth start-up file has imported random, fractions
     # or decimal already
     env = {**os.environ, "PYTHONPATH": SRC}
-    code, loaded, _, _ = start_as_module(NUMPY_FREE["verify"], env, "-S")
-    assert code == 0
+    code, loaded, _, _, fast_exit = start_as_module(NUMPY_FREE["verify"], env, "-S")
+    assert (code, fast_exit) == (0, True)
     assert {"random", *ORACLE_MODULES}.isdisjoint(loaded)
 
 
