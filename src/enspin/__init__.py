@@ -1,11 +1,12 @@
 """Exact Clifford-algebra models of the compact spin subalgebras of the E series.
 
-The package constructs, entirely over the rationals, the Lie subalgebra
-generated inside a positive definite Clifford algebra by the bivector
-and trivector spin generators, and machine-checks every finite claim
-about it: closure bases, mod-4 binomial dimension counts, the period-8
-matrix-algebra tables, defining relations, Killing definiteness, rank
-certificates, the top-blade eigenspace split, and positive-root counts.
+The package constructs exactly the Lie subalgebra generated inside a
+positive definite Clifford algebra by the bivector and trivector spin
+generators, and machine-checks every finite claim about it: closure
+bases, mod-4 binomial dimension counts, the period-8 matrix-algebra
+tables, defining relations, Killing definiteness, rank certificates,
+the top-blade eigenspace split, and positive-root counts.  Every command
+works on ints and bitsets and makes no Fraction.
 
 ``import enspin`` loads no submodule: each public name below is
 imported from its submodule on first use (PEP 562) and then cached on

@@ -4,6 +4,8 @@ Subcommands: closure, delta, classify, verify, roots, report.  JSON is
 the default output format everywhere; verify and report additionally
 render Markdown and CSV, the small commands a plain text view.  Exit
 codes: 0 success, 1 a check failed, 2 usage or validation error.
+``python -m enspin.cli`` runs through the same entry as ``python -m
+enspin``, ``enspin.__main__.run``.
 """
 
 from __future__ import annotations
@@ -147,23 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_small_format(p: argparse.ArgumentParser) -> None:
+    def add_n_command(name: str, help: str, func) -> None:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--n", type=int, required=True)
         p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("closure", help="basis of the Lie closure of the spin generators")
-    p.add_argument("--n", type=int, required=True)
-    add_small_format(p)
-    p.set_defaults(func=cmd_closure)
-
-    p = sub.add_parser("delta", help="mod-4 binomial sums and their identities")
-    p.add_argument("--n", type=int, required=True)
-    add_small_format(p)
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser("classify", help="match the closure against its compact type")
-    p.add_argument("--n", type=int, required=True)
-    add_small_format(p)
-    p.set_defaults(func=cmd_classify)
+    add_n_command("closure", "basis of the Lie closure of the spin generators", cmd_closure)
+    add_n_command("delta", "mod-4 binomial sums and their identities", cmd_delta)
+    add_n_command("classify", "match the closure against its compact type", cmd_classify)
 
     p = sub.add_parser("verify", help="run every check over a range of n")
     p.add_argument("--from", dest="from_n", type=int, default=3)
@@ -176,10 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero out stage timings for byte-stable output")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("roots", help="positive roots of the rank-n diagram")
-    p.add_argument("--n", type=int, required=True)
-    add_small_format(p)
-    p.set_defaults(func=cmd_roots)
+    add_n_command("roots", "positive roots of the rank-n diagram", cmd_roots)
 
     p = sub.add_parser("report", help="algebra tables side by side with computed dimensions")
     p.add_argument("--to", dest="to_n", type=int, default=12)
@@ -204,4 +195,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from .__main__ import run
+
+    run()

@@ -53,7 +53,12 @@ def delta_identities(n: int) -> dict[str, bool]:
     """Evaluate the structural identities among the four counts at n.
 
     Returns one flag per identity: the total 2^n, the even/odd half sums
-    2^(n-1), and the complementation equalities for the class of n mod 4.
+    2^(n-1), and the complementation equalities d{k} == d{j}, j = (n - k) mod 4.
+    Complementing a subset of the n-set is a bijection that takes size i
+    to size n - i, and i == k (mod 4) iff n - i == n - k (mod 4), so
+    delta(k, n) = delta((n - k) mod 4, n).  Each pair with k < j is one
+    flag: (1, 3) for n == 0 (mod 4), (0, 1) and (2, 3) for 1, (0, 2) for 2,
+    (0, 3) and (1, 2) for 3; a k with j == k is its own complement.
     delta_sum's check raises ValueError for n < 1 before any sum.
     """
     d = [delta_sum(k, n) for k in range(4)]
@@ -61,17 +66,10 @@ def delta_identities(n: int) -> dict[str, bool]:
         "total_is_2n": sum(d) == 2 ** n,
         "half_sums_are_2n1": d[0] + d[2] == d[1] + d[3] == 2 ** (n - 1),
     }
-    r = n % 4
-    if r == 0:
-        out["d1_eq_d3"] = d[1] == d[3]
-    elif r == 1:
-        out["d0_eq_d1"] = d[0] == d[1]
-        out["d2_eq_d3"] = d[2] == d[3]
-    elif r == 2:
-        out["d0_eq_d2"] = d[0] == d[2]
-    else:
-        out["d0_eq_d3"] = d[0] == d[3]
-        out["d1_eq_d2"] = d[1] == d[2]
+    for k in range(4):
+        j = (n - k) % 4
+        if k < j:
+            out[f"d{k}_eq_d{j}"] = d[k] == d[j]
     return out
 
 

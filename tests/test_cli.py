@@ -436,14 +436,18 @@ def test_entry_keeps_each_exit_code():
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_pipe_ends_quietly(unbuffered):
+@pytest.mark.parametrize(
+    ("module", "unbuffered"),
+    [("enspin", False), ("enspin", True), ("enspin.cli", False), ("enspin.cli", True)],
+    ids=["buffered", "unbuffered", "cli-buffered", "cli-unbuffered"])
+def test_closed_pipe_ends_quietly(module, unbuffered):
     # as `enspin closure --n 14 --format text | head -1`: the output, about
-    # 300 KB, is more than a pipe holds, so a write fails once the reader is gone
+    # 300 KB, is more than a pipe holds, so a write fails once the reader is gone.
+    # `python -m enspin.cli` must end through the same entry
     env = buffered_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "enspin", "closure", "--n", "14", "--format", "text"]
+    argv = [sys.executable, "-m", module, "closure", "--n", "14", "--format", "text"]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"n 14\n"
         proc.stdout.close()

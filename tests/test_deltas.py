@@ -65,6 +65,10 @@ def test_residue_equalities_by_congruence_class():
             assert d[0] == d[2]
         else:
             assert d[0] == d[3] and d[1] == d[2]
+    # and delta_identities names exactly those pairs, in this order
+    pairs = (["d1_eq_d3"], ["d0_eq_d1", "d2_eq_d3"], ["d0_eq_d2"], ["d0_eq_d3", "d1_eq_d2"])
+    for n in range(1, 65):
+        assert list(delta_identities(n)) == ["total_is_2n", "half_sums_are_2n1", *pairs[n % 4]]
 
 
 def test_lower_bound_dim_values():
