@@ -411,7 +411,7 @@ def classify_bundle(bundle: AnalysisBundle) -> ClassificationResult:
         rank=bundle.rank,
         killing_negative_definite=bundle.killing_ok,
         killing_mode=bundle.killing_mode,
-        split_dims=bundle.split.dims if bundle.split.applicable else None,
+        split_dims=bundle.split.dims,
         matched_type=matched,
         verdict=not failures,
         failures=tuple(failures),

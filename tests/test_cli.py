@@ -623,14 +623,28 @@ def test_cli_never_imports_numpy(name):
     assert unwanted.isdisjoint(loaded)
 
 
+def site_free_env() -> dict[str, str]:
+    """The environment of a python -S child: it sees the standard library and src alone."""
+    return {**os.environ, "PYTHONPATH": SRC}
+
+
 def test_cli_needs_only_the_standard_library():
-    # python -S adds no site-packages, so the child sees the standard library and src alone
-    env = {**os.environ, "PYTHONPATH": SRC}
-    for golden in ("verify_3_9.md", "report_9.json"):
-        proc = subprocess.run([sys.executable, "-S", "-m", "enspin", *GOLDEN_TABLES[golden]],
+    # every command runs without site-packages, and the worker pool prints
+    # the golden bytes that one process prints
+    env = site_free_env()
+
+    def run(argv):
+        proc = subprocess.run([sys.executable, "-S", "-m", "enspin", *argv],
                               env=env, capture_output=True, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, b""), golden
-        assert proc.stdout == (DATA / golden).read_bytes(), golden
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        return proc.stdout
+
+    for argv in (["closure", "--n", "9", "--format", "text"], ["classify", "--n", "9"],
+                 ["roots", "--n", "8"], ["delta", "--n", "11"]):
+        assert run(argv), argv
+    for golden, extra in (("verify_3_9.md", ()), ("verify_3_9.md", ("--jobs", "2")),
+                          ("report_9.json", ())):
+        assert run([*GOLDEN_TABLES[golden], *extra]) == (DATA / golden).read_bytes(), (golden, extra)
 
 
 @pytest.mark.parametrize("module", ["closure", "clifford", "spinrep", "analysis", "report", "cli"])
@@ -655,8 +669,7 @@ def test_verify_without_site_packages_leaves_random_unloaded():
     # only the rank oracle draws random numbers, and it imports random when
     # called; under -S no .pth start-up file has imported random, fractions
     # or decimal already
-    env = {**os.environ, "PYTHONPATH": SRC}
-    code, loaded, _, _, fast_exit = start_as_module(NUMPY_FREE["verify"], env, "-S")
+    code, loaded, _, _, fast_exit = start_as_module(NUMPY_FREE["verify"], site_free_env(), "-S")
     assert (code, fast_exit) == (0, True)
     assert {"random", *ORACLE_MODULES}.isdisjoint(loaded)
 
@@ -715,7 +728,8 @@ DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
 def demo_stdout(demo: Path) -> str:
-    proc = subprocess.run([sys.executable, str(demo)], env=child_env(),
+    # without site-packages: a demo needs only the standard library and src
+    proc = subprocess.run([sys.executable, "-S", str(demo)], env=site_free_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
