@@ -3,15 +3,20 @@
 Every bracket of two basis blades is zero or +-2 times the XOR blade,
 so center, derived algebra, Killing form, rank and the two-ideal split
 are all mask combinatorics.  analyze runs only the mask-native core on
-the bitset of the closure that blade_closure proves bracket-closed: the
-blades commuting with every generator, which are the center and whose
-complement spans the derived algebra (central_blades); the generators'
-grades, which decide compactness (is_compact_basis) and with it the
-Killing sign; a greedy torus of commuting blades that is its own
-centralizer (rank); and the central idempotents (1 +- omega)/2 for the
-split, whose complement flip is the bitset read backwards.  Each stage
-works on Python ints of 2^n bits (2 MiB at n = 24) or on the generator
-masks, so no verify path imports numpy.  Each docstring holds a proof.
+the bitset of the closure that blade_closure proves bracket-closed.
+Two blades commute iff q(x, y) = |x||y| + |x & y| mod 2 is 0, and q is
+bilinear over F_2, so every commutation question is linear algebra on
+n-bit vectors, answered by one helper, _q_perp.  The blades commuting
+with every generator are the center, and their complement spans the
+derived algebra (central_blades); the generators' grades decide
+compactness (is_compact_basis) and with it the Killing sign; a torus of
+commuting blades that is its own centralizer gives the rank
+(greedy_torus); and the central idempotents (1 +- omega)/2 give the
+split, whose complement flip is the bitset read backwards.  The stages
+read the closure's 2^n bits (2 MiB at n = 24) but build nothing of that
+size beyond one byte view for the torus and the split's mirror.  All of
+it is Python ints and bytes, so no verify path imports numpy.  Each
+docstring holds a proof.
 
 The dense structure table, the mod-p rank probe and the leading-minor
 Killing test are independent test oracles in enspin.oracles, and the
@@ -27,12 +32,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import _forwarding_getattr
 from .bott import CompactTypeDescriptor, closure_type
-from .clifford import blades_anticommute
-from .closure import ClosureBasis, _anticommute_pattern, blade_closure, check_ambient
+from .closure import ClosureBasis, _commutation_vector, blade_closure, check_ambient
 from .spinrep import spin_generators
 
 # name -> defining module, for exactly the names that the acceptance gate
@@ -92,14 +96,50 @@ class SplitResult(NamedTuple):
 
 # --- the mask-native core: everything analyze runs ------------------------
 
+def _f2_span(vectors: Iterable[int]) -> list[int]:
+    """Every XOR of a subset of vectors: 2^k distinct masks for k independent vectors."""
+    span = [0]
+    for v in vectors:
+        span += [x ^ v for x in span]
+    return span
+
+
+def _q_perp(vectors: Iterable[int], n: int) -> list[int]:
+    """Every mask x < 2^n with q(x, v) = 0 for each v in vectors.
+
+    q(x, v) = |x & h_v| mod 2 with h_v = _commutation_vector(v, n), and
+    x -> |x & h_v| mod 2 is a linear form on F_2^n, so the answer is the
+    intersection of the kernels of these forms.  Hold a basis B of the
+    masks that pass the vectors so far, starting from the unit vectors.
+    For the next form, call a vector of B odd when the form is 1 on it.
+    If none is odd, all of span(B) passes.  Otherwise let b be the first
+    odd one: every other odd x becomes x ^ b, which is even, and b is
+    dropped.  The dim span(B) - 1 vectors left are independent (a change
+    of basis of span(B), less one vector) and even, so they span the
+    kernel of the form on span(B), which has that dimension because b
+    lies outside it.  That is O(n^2) bit operations per vector.  The
+    span of the final basis is listed by _f2_span, with nothing of size
+    2^n built on the way.
+    """
+    basis = [1 << b for b in range(n)]
+    for h in (_commutation_vector(v, n) for v in vectors):
+        odd = [x for x in basis if (x & h).bit_count() & 1]
+        basis = [x for x in basis if x not in odd] + [x ^ odd[0] for x in odd[1:]]
+    return _f2_span(basis)
+
+
 def central_blades(basis: ClosureBasis) -> int:
     """The central blades of the closure of basis.provenance, as a bitset.
 
     The rule: a blade of the closure L is central iff it commutes with
-    every generator.  So the center is basis.bits without the union of
-    the generators' anticommute patterns (_anticommute_pattern): one
-    pattern per generator, O(n 2^n) bits of work for the n spin
-    generators.
+    every generator, that is iff its mask lies in G^perp =
+    _q_perp(basis.provenance, n).  So the center is the closure's bits
+    at the masks of G^perp.  For the n spin generators, which span
+    F_2^n, G^perp is the radical of q: {0} for even n and {0, 2^n - 1}
+    for odd n (tests/test_maskcore.py checks this for n = 3..28).  The
+    mask 0 is never in a closure: blade_closure starts from nonzero
+    generators, and a step x -> x ^ g needs x and g to anticommute, so
+    x != g.  So the center costs at most one probe of the bitset.
 
     Center.  Say a blade x of the basis S is a partner of a when the
     two anticommute.  For a fixed t the map i -> i ^ t is injective, so
@@ -114,9 +154,9 @@ def central_blades(basis: ClosureBasis) -> int:
     Derived algebra: it is spanned by the brackets [b_x, b_y] = +-2 b_(x ^ y)
     of anticommuting pairs, and distinct blades are independent, so it
     is spanned by the blades c = x ^ y.  a and y commute up to
-    (-1)^q(a, y) with q(a, y) = p_a p_y + |a & y| mod 2 and p the grade
-    parity; q is bilinear over F_2 with q(a, a) = 0, so these are
-    exactly the blades of S with a partner:
+    (-1)^q(a, y), and q is bilinear over F_2 with q(a, a) = 0
+    (_commutation_vector), so these are exactly the blades of S with a
+    partner:
     - if c in S has a partner x, then y = x ^ c is in S by closure, and
       q(x, y) = q(x, x) + q(x, c) = 1, so c = x ^ y is a bracket;
     - if c = x ^ y with q(x, y) = 1, then c is in S by closure, and
@@ -133,10 +173,7 @@ def central_blades(basis: ClosureBasis) -> int:
     and every blade squares to -1, which is_compact_basis reads off the
     generators' grades.
     """
-    anti = 0
-    for g in basis.provenance:
-        anti |= _anticommute_pattern(g, basis.n)
-    return basis.bits & ~anti
+    return sum(1 << x for x in _q_perp(basis.provenance, basis.n) if x and basis.bits >> x & 1)
 
 
 def is_compact_basis(basis: ClosureBasis) -> bool:
@@ -162,53 +199,51 @@ def is_compact_basis(basis: ClosureBasis) -> bool:
     return all(g.bit_count() & 2 for g in basis.provenance)
 
 
-def greedy_torus(bits: int, n: int) -> int:
-    """A maximal abelian set of blades of the bitset, kept greedily in ascending order,
-    as a bitset; the rank is its bit count.
+def greedy_torus(bits: int, n: int) -> tuple[int, ...]:
+    """A maximal abelian set T of the masks of the bitset, ascending; the rank is len(T).
 
-    The greedy rule: go through the masks in ascending order and keep a
-    mask when it commutes with every mask kept so far.  Run in any order
-    on any set of distinct masks, the rule outputs a torus T:
+    Picks: the commuting pairs v1v2, v3v4, ... that lie in the bitset,
+    then, while the bitset holds a mask of K^perp outside K = span(picks),
+    the least such mask.  T is the bitset's part of K^perp when that
+    stops.  K^perp is _q_perp(picks, n), probed through one byte view of
+    the bitset.  Since q is bilinear (_commutation_vector), a mask
+    commutes with every pick iff it lies in K^perp.  On any set of masks:
 
-    (a) T is abelian: each kept blade survived the filter of every blade
-        kept before it, so it commutes with all of them.
-    (b) Every mask not in T was removed by a kept blade it anticommutes
-        with.  If x = sum x_i b_i commutes with span(T), then for each t
-        in T the terms of [x, b_t] = sum x_i [b_i, b_t] over the b_i
-        anticommuting with t land on distinct blades b_{i ^ t} (the
-        injectivity argument of central_blades), so all those x_i are 0.
-        Hence the centralizer of span(T) is span(T) itself, and T is
-        maximal abelian.
+    (a) T is abelian: the picks commute pairwise, so K is isotropic for
+        the alternating form q, and the loop stops only when T lies in
+        K.  Each pick lies in the bitset and in K, inside K^perp, so it
+        lies in T.
+    (b) Every mask of the bitset outside T lies outside K^perp, so it
+        anticommutes with some pick.  If x = sum x_i b_i commutes with
+        span(T), then for each pick t the terms of
+        [x, b_t] = sum x_i [b_i, b_t] over the b_i anticommuting with t
+        land on distinct blades b_{i ^ t} (the injectivity argument of
+        central_blades), so all those x_i are 0.  Hence the centralizer
+        of span(T) is span(T) itself, and T is maximal abelian.
     (c) When the bitset is a closure whose generators pass
         is_compact_basis, the algebra is compact, and a maximal abelian
         subalgebra of a compact algebra is a Cartan subalgebra (Knapp,
         Lie Groups Beyond an Introduction, ch. IV), so the rank is |T|.
 
-    On the bitset the rule takes at most ceil(n/2) pattern steps.  The
-    commutation exponent q is bilinear over F_2 (_anticommute_pattern),
-    so a mask commutes with every kept mask iff it commutes with their
-    F_2 span K, and a kept mask that lies in K filters out nothing.
-    Hold the candidates C = bits & K^perp, kept and still to come alike.
-    The lowest mask t of C outside K is the next one that filters: every
-    lower mask of C lies in K and is kept.  Filtering C by the pattern
-    of t drops no mask of K, since t is in K^perp, and K + t doubles K.
-    When C lies inside K, every mask of C is kept, and T = C.  Each pick
-    commutes with the earlier ones, so K is isotropic for q, whose
-    matrix over F_2 is J + I (J all ones), with radical {0} for even n
-    ((J + I)^2 = I) and {0, 2^n - 1} for odd n.  So dim K <= (n + dim
-    radical)/2 = ceil(n/2) (Dehaene and De Moor, PRA 68, 042318): there
-    are at most ceil(n/2) picks, and K, a list of masks marked in one
-    bytearray of 2^n bits, holds at most 2^ceil(n/2) of them.
+    The loop ends: each pick lies outside K, so it doubles K.  K is
+    isotropic for q, whose matrix over F_2 is J + I (J all ones), with
+    radical {0} for even n ((J + I)^2 = I) and {0, 2^n - 1} for odd n.
+    So dim K <= (n + dim radical)/2 = ceil(n/2) (Dehaene and De Moor,
+    PRA 68, 042318): there are at most ceil(n/2) picks, and each round
+    lists K and K^perp, of 2^k and at most 2^(n - k + 1) masks for k
+    picks.
     """
-    candidates, span, marks = bits, [0], bytearray(1 << n >> 3 or 1)
-    marks[0] = 1
-    while outside := candidates & ~int.from_bytes(marks, "little"):
-        t = (outside & -outside).bit_length() - 1
-        candidates &= ~_anticommute_pattern(t, n)
-        span += [x ^ t for x in span]
-        for x in span[len(span) // 2:]:
-            marks[x >> 3] |= 1 << (x & 7)
-    return candidates
+    view = bits.to_bytes(1 << n >> 3 or 1, "little")
+
+    def held(masks: Iterable[int]) -> list[int]:
+        return [x for x in masks if view[x >> 3] >> (x & 7) & 1]
+
+    picks = held(3 << b for b in range(0, n - 1, 2))
+    while True:
+        found, span = held(_q_perp(picks, n)), set(_f2_span(picks))
+        if not (outside := [x for x in found if x not in span]):
+            return tuple(sorted(found))
+        picks.append(min(outside))
 
 
 def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
@@ -218,23 +253,23 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     analyze passes the output of blade_closure, whose proof makes it so.
 
     Proof of the split: when omega = v1...vn is central with omega^2 = 1,
-    p = (1 + omega)/2 and q = (1 - omega)/2 are central idempotents with
-    p + q = 1 and pq = 0.  The basis is closed under m -> m ^ full, and
+    p = (1 + omega)/2 and p' = (1 - omega)/2 are central idempotents with
+    p + p' = 1 and pp' = 0.  The basis is closed under m -> m ^ full, and
     right multiplication by omega sends e_m to s_m e_{m ^ full}, so
-    x -> xp and x -> xq map the algebra onto the two eigenspaces, and
-    [xp, yq] = [x, y]pq = 0.  Each eigenspace is therefore an ideal, and
+    x -> xp and x -> xp' map the algebra onto the two eigenspaces, and
+    [xp, yp'] = [x, y]pp' = 0.  Each eigenspace is therefore an ideal, and
     the pairs e_m +- s_m e_{m ^ full}, one per complement pair, give both
     of them dimension d/2.
 
     So the certificate is its three preconditions: omega^2 by the grade
-    rule of is_compact_basis, -1 iff bit 1 of n is set; centrality as no
-    generator anticommuting with the top blade, O(n), since ad(omega) is
-    a derivation that then kills every bracket of generators (the rule
-    of central_blades); and closure under complement, O(2^n): the
-    complement flip equals the bitset.  For m <= full, m ^ full =
-    full - m, so the flip {m ^ full : m in bits} is the mirror of the
-    bitset: its 2^n bits read backwards, one reversed binary string in
-    place of n delta swaps.  When it differs, the largest mask y in just
+    rule of is_compact_basis, -1 iff bit 1 of n is set; centrality as the
+    top blade lying in G^perp = _q_perp(basis.provenance, n), O(n^3),
+    since ad(omega) is a derivation that then kills every bracket of
+    generators (the rule of central_blades); and closure under
+    complement, O(2^n): the complement flip equals the bitset.  For
+    m <= full, m ^ full = full - m, so the flip {m ^ full : m in bits}
+    is the mirror of the bitset: its 2^n bits read backwards, one
+    reversed binary string in place of n delta swaps.  When it differs, the largest mask y in just
     one of the two names the hole: y itself when y is in the basis, and
     full ^ y otherwise, since then y is the complement of a mask of the
     basis.  That is the first difference of the complements and the
@@ -250,7 +285,7 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     if omega_sq != 1:
         return SplitResult(n=n, applicable=False, reason="top blade squares to -1 when n == 3 mod 4")
 
-    if any(blades_anticommute(g, full) for g in basis.provenance):
+    if full not in _q_perp(basis.provenance, n):
         return SplitResult(n=n, applicable=True, omega_central=False, omega_square=omega_sq,
                            reason="top blade failed centrality or square check")
     bits = basis.bits
@@ -281,7 +316,7 @@ class AnalysisBundle(NamedTuple):
     center: int
     central: int
     compact: bool
-    torus: int
+    torus: tuple[int, ...]
     split: SplitResult
     timings_ms: dict[str, float]
 
@@ -296,7 +331,7 @@ class AnalysisBundle(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return self.torus.bit_count()
+        return len(self.torus)
 
     @property
     def killing_mode(self) -> str:

@@ -10,9 +10,10 @@ word, so each step is a few passes over 2^n/8 bytes (2 MiB at n = 24),
 with no Python object per blade and no numpy.  Its proof certifies that
 the result is bracket-closed.  _parity_pattern builds the anticommute
 patterns and the delta-swap masks of _xor_translate, and _grade_classes
-the grade classes of the lemma check; later stages read only
-_anticommute_pattern.  One ceiling, MAX_AMBIENT, bounds n for every
-caller, and check_ambient tests it before anything is built.
+the grade classes of the lemma check; the analysis reads only the
+n-bit rows _commutation_vector and builds no pattern.  One ceiling,
+MAX_AMBIENT, bounds n for every caller, and check_ambient tests it
+before anything is built.
 """
 
 from __future__ import annotations
@@ -122,21 +123,17 @@ def _xor_translate(bits: int, g: int, highs: Sequence[int]) -> int:
     return bits
 
 
-def _anticommute_pattern(g: int, n: int) -> int:
-    """The masks x < 2^n whose blades anticommute with the blade g.
+def _commutation_vector(g: int, n: int) -> int:
+    """h_g: the blade x anticommutes with the blade g iff |x & h_g| is odd.
 
     Moving a factor v of g across x passes |x| factors, and all but v
     itself (when v is in x) anticommute with it, so
     xg = (-1)^(|x||g| - |x & g|) gx.  For even |g| that is |x & g| odd;
-    for odd |g| it is |x| - |x & g| = |x & ~g| odd.  So the pattern is
-    the parity pattern of h_g = g or g ^ (2^n - 1).  The exponent
-    q(x, g) = |x||g| + |x & g| mod 2 is bilinear over F_2 and q(x, x) = 0.
+    for odd |g| it is |x| - |x & g| = |x & ~g| odd.  So h_g = g or
+    g ^ (2^n - 1), and _parity_pattern(h_g, n) is the anticommute
+    pattern of g.  The exponent q(x, g) = |x||g| + |x & g| mod 2 is
+    bilinear over F_2 and q(x, x) = 0.
     """
-    return _parity_pattern(_commutation_vector(g, n), n)
-
-
-def _commutation_vector(g: int, n: int) -> int:
-    """h_g of _anticommute_pattern: x anticommutes with g iff |x & h_g| is odd."""
     return g ^ ((1 << n) - 1) if g.bit_count() & 1 else g
 
 
@@ -174,7 +171,7 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
       such superset of G.  So R is the least one.
 
     The bitset P starts at G and relaxes P |= (P & A_g) ^ g, where A_g
-    is the anticommute pattern of g (_anticommute_pattern) and ^ g is
+    is the anticommute pattern of g (_commutation_vector) and ^ g is
     _xor_translate, for each generator in ascending order, until a whole
     sweep adds no bit.  Every bit it sets is one step of the walk, so P
     stays inside R; it stops only when P holds every step from every

@@ -1,5 +1,6 @@
 """The mask-native analysis core against the dense-table, integer pair and Fraction oracles."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from enspin.analysis import (
     SplitResult,
+    _q_perp,
     analyze,
     central_blades,
     greedy_torus,
@@ -17,7 +19,7 @@ from enspin.analysis import (
 )
 from enspin.bott import closure_type
 from enspin.clifford import Blade, blade_product, blades_anticommute
-from enspin.closure import ClosureBasis, _set_bits, blade_closure
+from enspin.closure import ClosureBasis, blade_closure
 from enspin.multivector import Multivector, bracket, mv_product
 from enspin.oracles import (
     center_dim,
@@ -90,7 +92,8 @@ def split_check_fractions(basis: ClosureBasis) -> SplitResult:
 def greedy_torus_reference(masks) -> tuple[int, ...]:
     """Blades taken in the given order, each kept when it commutes with all kept so far.
 
-    greedy_torus runs the same rule on the bitset, in ascending order.
+    A maximal abelian set by the proof of greedy_torus (a), (b); on a
+    spin closure its size is the rank, as is the size of greedy_torus.
     """
     m = np.asarray(masks, dtype=np.int64)
     free = np.ones(len(m), dtype=bool)
@@ -232,7 +235,7 @@ def test_mask_core_matches_table_oracles(n):
     assert central.bit_count() == center_dim(sc)
     assert np.array_equal(central_blades_reference(basis), killing_diagonal(sc) == 0)
     assert central == bits_of(mask_array(basis)[killing_diagonal(sc) == 0].tolist())
-    torus = _set_bits(greedy_torus(basis.bits, n))
+    torus = greedy_torus(basis.bits, n)
     assert torus_is_cartan(basis.masks, torus)
     assert len(torus) == rank_estimate(sc, trials=5, seed=0)
 
@@ -344,54 +347,83 @@ def test_split_check_holds_few_bitsets_at_n_21():
     assert peak < 20 * (1 << 21) // 8
 
 
+@given(n=st.integers(1, 10), data=st.data())
+def test_q_perp_matches_brute_force(n, data):
+    vectors = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
+    want = [x for x in range(1 << n) if not any(blades_anticommute(x, v) for v in vectors)]
+    assert sorted(_q_perp(vectors, n)) == want
+    # the zero mask and repeated vectors cut nothing
+    assert sorted(_q_perp(vectors + [0] + vectors, n)) == want
+
+
+@pytest.mark.parametrize("n", range(3, 29))
+def test_spin_generators_q_perp_is_the_radical(n):
+    # the generators span F_2^n, so only the radical of q commutes with all of them:
+    # the center is at most one probe, and the top blade is central iff n is odd
+    full = (1 << n) - 1
+    assert sorted(_q_perp(spin_generators(n).masks, n)) == ([0, full] if n % 2 else [0])
+
+
+def assert_torus_is_self_centralizing(masks, torus):
+    """torus is abelian and the blades of masks commuting with it are torus itself."""
+    assert not any(blades_anticommute(a, b) for a in torus for b in torus)
+    assert centralizer_masks(masks, torus) == torus
+
+
 @pytest.mark.parametrize("n", range(3, 17))
 def test_greedy_torus_matches_reference(n):
     basis = blade_closure(n, spin_generators(n).masks)
-    assert _set_bits(greedy_torus(basis.bits, n)) == greedy_torus_reference(basis.masks)
+    torus = greedy_torus(basis.bits, n)
+    assert_torus_is_self_centralizing(basis.masks, torus)
+    assert len(torus) == len(greedy_torus_reference(basis.masks)) == closure_type(n).rank()
 
 
 @given(n=st.integers(1, 10), data=st.data())
 def test_greedy_torus_matches_reference_on_any_set(n, data):
+    # maximal abelian, as the reference is; on an arbitrary set a maximal
+    # abelian set need not be a largest one, so the sizes may differ
     masks = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=256)))
-    assert _set_bits(greedy_torus(bits_of(masks), n)) == greedy_torus_reference(masks)
+    assert_torus_is_self_centralizing(masks, greedy_torus(bits_of(masks), n))
 
 
-def test_greedy_torus_takes_at_most_n_pattern_steps(monkeypatch):
-    # only masks outside the span K of the kept ones filter, each doubles K,
-    # and K is isotropic, so there are at most ceil(n/2) of them
+def test_greedy_torus_takes_ceil_half_n_picks(monkeypatch):
+    # each pick lies outside the span K of the earlier ones, so it doubles K,
+    # and K is isotropic, so there are at most ceil(n/2) picks; each round
+    # lists K^perp of the picks so far, the last round all of them
     import enspin.analysis
 
-    steps = []
-    pattern = enspin.analysis._anticommute_pattern
-    monkeypatch.setattr(enspin.analysis, "_anticommute_pattern",
-                        lambda t, n: steps.append(t) or pattern(t, n))
+    rounds = []
+    q_perp = enspin.analysis._q_perp
+    monkeypatch.setattr(enspin.analysis, "_q_perp",
+                        lambda vectors, n: rounds.append(len(vectors)) or q_perp(vectors, n))
     for n in range(3, 17):
-        steps.clear()
+        rounds.clear()
         basis = blade_closure(n, spin_generators(n).masks)
-        assert greedy_torus(basis.bits, n).bit_count() == closure_type(n).rank()
-        assert len(steps) == (n + 1) // 2, n
-    assert closure_type(16).rank() > 16 and len(steps) <= 8
+        assert len(greedy_torus(basis.bits, n)) == closure_type(n).rank()
+        assert rounds[-1] == (n + 1) // 2, n
+    assert closure_type(16).rank() > 16
+    rnd = random.Random(0)
+    for n in range(1, 11):
+        for _ in range(20):
+            rounds.clear()
+            masks = sorted(rnd.sample(range(1 << n), rnd.randint(0, 1 << n)))
+            assert_torus_is_self_centralizing(masks, greedy_torus(bits_of(masks), n))
+            assert rounds[-1] <= (n + 1) // 2, n
 
 
-def test_greedy_torus_holds_a_few_bitsets_at_n_20():
-    # the span is a list of at most 2^10 masks and one bytearray of 2^20
-    # bits, not a table of n delta-swap masks of 2^20 bits each
-    bits = blade_closure(20, spin_generators(20).masks).bits
+def test_center_and_torus_hold_a_few_bitsets_at_n_20():
+    # K and K^perp are lists of n-bit masks, probed through one byte view of
+    # 2^20 bits; the center probes at most the top bit.  Neither builds a
+    # pattern of 2^20 bits per generator or per pick
+    basis = blade_closure(20, spin_generators(20).masks)
     tracemalloc.start()
     try:
-        greedy_torus(bits, 20)
+        central_blades(basis)
+        greedy_torus(basis.bits, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * (1 << 20) // 8
-
-
-def assert_torus_is_maximal(masks) -> tuple[int, ...]:
-    """The greedy rule in the given order yields a maximal abelian set (greedy_torus (a), (b))."""
-    torus = greedy_torus_reference(masks)
-    assert not any(blades_anticommute(a, b) for a in torus for b in torus)
-    assert centralizer_masks(masks, torus) == torus
-    return torus
+    assert peak < 3 * (1 << 20) // 8
 
 
 @settings(max_examples=40)
@@ -399,16 +431,18 @@ def assert_torus_is_maximal(masks) -> tuple[int, ...]:
 def test_torus_is_maximal_in_any_order(n, data, rnd):
     masks = list(CLOSURES[n].masks)
     rnd.shuffle(masks)
-    torus = assert_torus_is_maximal(masks)
-    assert len(torus) == greedy_torus(CLOSURES[n].bits, n).bit_count() == closure_type(n).rank()
+    # the greedy rule in any order yields a maximal abelian set
+    torus = greedy_torus_reference(masks)
+    assert_torus_is_self_centralizing(masks, torus)
+    assert len(torus) == len(greedy_torus(CLOSURES[n].bits, n)) == closure_type(n).rank()
     arbitrary = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=256))
     rnd.shuffle(arbitrary)
-    assert_torus_is_maximal(arbitrary)
+    assert_torus_is_self_centralizing(arbitrary, greedy_torus_reference(arbitrary))
 
 
 def test_certificates_reject_what_they_must():
     basis = CLOSURES[8]
-    torus = _set_bits(greedy_torus(basis.bits, 8))
+    torus = greedy_torus(basis.bits, 8)
     assert not torus_is_cartan(basis.masks, torus[:-1])
     assert is_compact_basis(basis)
     assert not is_compact_basis(blade_closure(8, basis.provenance + (0b1,)))
@@ -437,9 +471,10 @@ def test_analyze_is_exact_at_every_n():
 
 
 def test_analyze_does_not_certify_a_noncompact_torus(monkeypatch):
-    # v1, v2 and v1v2 span sl(2, R): v1 squares to +1, so the algebra is not compact
+    # v1, v2 and v1v2 span sl(2, R): v1 squares to +1, so the algebra is not compact;
+    # the torus is the seed v1v2, which anticommutes with v1 and v2
     noncompact = blade_closure(3, (0b001, 0b010))
     monkeypatch.setattr("enspin.analysis.blade_closure", lambda n, gens, **kwargs: noncompact)
     bundle = analyze(3)
-    assert _set_bits(bundle.torus) == (0b001,)
+    assert bundle.torus == (0b011,)
     assert not bundle.compact
