@@ -12,7 +12,8 @@ derived algebra (central_blades); the generators' grades decide
 compactness (is_compact_basis) and with it the Killing sign; a torus of
 commuting blades that is its own centralizer gives the rank
 (greedy_torus); and the central idempotents (1 +- omega)/2 give the
-split, whose complement flip is the bitset read backwards.  The stages
+split, whose complement flip is the bitset read backwards: its bytes
+reversed, each through a 256-entry bit-reversal table.  The stages
 read the closure's 2^n bits (2 MiB at n = 24) but build nothing of that
 size beyond one byte view for the torus and the split's mirror.  All of
 it is Python ints and bytes, so no verify path imports numpy.  Each
@@ -246,6 +247,10 @@ def greedy_torus(bits: int, n: int) -> tuple[int, ...]:
         picks.append(min(outside))
 
 
+#: byte i bit-reversed, for the mirror of a bitset in split_check
+_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     """Certify the split of the closure into the two top-blade eigenspaces.
 
@@ -268,14 +273,16 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     generators (the rule of central_blades); and closure under
     complement, O(2^n): the complement flip equals the bitset.  For
     m <= full, m ^ full = full - m, so the flip {m ^ full : m in bits}
-    is the mirror of the bitset: its 2^n bits read backwards, one
-    reversed binary string in place of n delta swaps.  When it differs, the largest mask y in just
-    one of the two names the hole: y itself when y is in the basis, and
-    full ^ y otherwise, since then y is the complement of a mask of the
-    basis.  That is the first difference of the complements and the
-    masks, both in descending order.  When the preconditions hold, the
-    proof covers every pair of eigenvectors at once.  seed is accepted
-    for compatibility and ignored: nothing is sampled.
+    is the mirror of the bitset: its 2^n bits read backwards, which is
+    its bytes in reverse order, each byte bit-reversed by one table
+    lookup (_BIT_REVERSED), in place of n delta swaps.  When it differs,
+    the largest mask y in just one of the two names the hole: y itself
+    when y is in the basis, and full ^ y otherwise, since then y is the
+    complement of a mask of the basis.  That is the first difference of
+    the complements and the masks, both in descending order.  When the
+    preconditions hold, the proof covers every pair of eigenvectors at
+    once.  seed is accepted for compatibility and ignored: nothing is
+    sampled.
     """
     n = basis.n
     if n % 2 == 0:
@@ -289,7 +296,10 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
         return SplitResult(n=n, applicable=True, omega_central=False, omega_square=omega_sq,
                            reason="top blade failed centrality or square check")
     bits = basis.bits
-    flipped = int(f"{bits:0{1 << n}b}"[::-1], 2)
+    mirror = bits.to_bytes(1 << n >> 3 or 1, "little")[::-1].translate(_BIT_REVERSED)
+    flipped = int.from_bytes(mirror, "little")
+    if n < 3:  # the one byte held 2^n bits at its bottom, now at its top
+        flipped >>= 8 - (1 << n)
     if flipped != bits:
         y = (flipped ^ bits).bit_length() - 1
         m = y if bits >> y & 1 else y ^ full

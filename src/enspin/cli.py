@@ -38,8 +38,6 @@ def _usage_error(msg: str) -> int:
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
-    if args.n < 3:
-        return _usage_error(f"closure needs --n >= 3, got {args.n}")
     check_ambient(args.n)
     basis = blade_closure(args.n, spin_generators(args.n).masks)
     if args.format == "json":
@@ -53,8 +51,6 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_delta(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        return _usage_error(f"delta needs --n >= 1, got {args.n}")
     if args.n > MAX_DELTA_N:
         return _usage_error(f"delta needs --n <= {MAX_DELTA_N}, got {args.n}")
     values = {f"d{k}": delta_closed(k, args.n) for k in range(4)}
@@ -77,8 +73,6 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    if args.n < 3:
-        return _usage_error(f"classify needs --n >= 3, got {args.n}")
     result = classify(args.n)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))
@@ -119,8 +113,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
-    if args.n < 3:
-        return _usage_error(f"roots needs --n >= 3, got {args.n}")
     rs = positive_roots(args.n)
     if args.format == "json":
         print(json.dumps(rs.to_json(), indent=2))
@@ -149,15 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_n_command(name: str, help: str, func) -> None:
+    def add_n_command(name: str, help: str, func, n_floor: int) -> None:
         p = sub.add_parser(name, help=help)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, n_floor=n_floor)
 
-    add_n_command("closure", "basis of the Lie closure of the spin generators", cmd_closure)
-    add_n_command("delta", "mod-4 binomial sums and their identities", cmd_delta)
-    add_n_command("classify", "match the closure against its compact type", cmd_classify)
+    add_n_command("closure", "basis of the Lie closure of the spin generators", cmd_closure, 3)
+    add_n_command("delta", "mod-4 binomial sums and their identities", cmd_delta, 1)
+    add_n_command("classify", "match the closure against its compact type", cmd_classify, 3)
 
     p = sub.add_parser("verify", help="run every check over a range of n")
     p.add_argument("--from", dest="from_n", type=int, default=3)
@@ -170,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero out stage timings for byte-stable output")
     p.set_defaults(func=cmd_verify)
 
-    add_n_command("roots", "positive roots of the rank-n diagram", cmd_roots)
+    add_n_command("roots", "positive roots of the rank-n diagram", cmd_roots, 3)
 
     p = sub.add_parser("report", help="algebra tables side by side with computed dimensions")
     p.add_argument("--to", dest="to_n", type=int, default=12)
@@ -186,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     except (AttributeError, ValueError):
         pass
     args = build_parser().parse_args(argv)
+    # every --n command states its lower bound in build_parser
+    if "n_floor" in args and args.n < args.n_floor:
+        return _usage_error(f"{args.command} needs --n >= {args.n_floor}, got {args.n}")
     # the one error boundary: a ValueError from any layer (the ambient
     # ceiling, an infinite type) is a validation error, exit 2
     try:

@@ -8,12 +8,13 @@ bit x set iff mask x is in it, and relaxes it one generator step at a
 time, in tiles that stay in cache.  CPython works on an int word by
 word, so each step is a few passes over 2^n/8 bytes (2 MiB at n = 24),
 with no Python object per blade and no numpy.  Its proof certifies that
-the result is bracket-closed.  _parity_pattern builds the anticommute
-patterns and the delta-swap masks of _xor_translate, and _grade_classes
-the grade classes of the lemma check; the analysis reads only the
-n-bit rows _commutation_vector and builds no pattern.  One ceiling,
-MAX_AMBIENT, bounds n for every caller, and check_ambient tests it
-before anything is built.
+the result is bracket-closed.  _parity_pattern is the one pattern
+builder: it gives the anticommute patterns, the delta-swap masks of
+_xor_translate and, doubled once more by _negative_square_pattern, the
+lemma check's predicted set, the blades that square to -1; the
+analysis reads only the n-bit rows _commutation_vector and builds no
+pattern.  One ceiling, MAX_AMBIENT, bounds n for every caller, and
+check_ambient tests it before anything is built.
 """
 
 from __future__ import annotations
@@ -137,17 +138,21 @@ def _commutation_vector(g: int, n: int) -> int:
     return g ^ ((1 << n) - 1) if g.bit_count() & 1 else g
 
 
-def _grade_classes(k: int) -> tuple[int, int, int, int]:
-    """Entry r: the masks x < 2^k with |x| == r mod 4, as a pattern.
+def _negative_square_pattern(k: int) -> int:
+    """The masks x < 2^k whose blade squares to -1, |x| == 2, 3 mod 4, as a pattern.
 
-    Doubling again: above the masks below 2^b sit the same masks with
-    bit b set, one grade higher.
+    A grade-j blade squares to (-1)^(j(j-1)/2), which is -1 iff bit 1 of
+    j is set.  Doubling on _parity_pattern: the masks below 2^(b+1) are
+    those below 2^b and, above them, the same masks with bit b set, one
+    grade higher.  Bit 1 of |x| + 1 is bit 1 of |x|, flipped when |x| is
+    odd, so the upper half is the lower one XOR the odd-grade masks below
+    2^b, _parity_pattern(2^b - 1, b).
     """
-    classes, width = (1, 0, 0, 0), 1
-    for _ in range(k):
-        classes = tuple(c | (classes[r - 1] << width) for r, c in enumerate(classes))
+    pattern, width = 0, 1
+    for b in range(k):
+        pattern |= (pattern ^ _parity_pattern(width - 1, b)) << width
         width <<= 1
-    return classes
+    return pattern
 
 
 def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = False) -> ClosureBasis:
@@ -244,30 +249,30 @@ class LemmaContainment(NamedTuple):
 def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
     """Check a spin-generator closure against the predicted grade-(2,3 mod 4) span.
 
-    Popcounts of the bitset against the grade classes (_grade_classes),
-    in O(2^n): a mask is predicted when it has at most n bits, its grade
+    One popcount of the bitset against _negative_square_pattern(n), in
+    O(2^n): a mask is predicted when it has at most n bits, its grade
     is 2 or 3 mod 4, and it is not the full mask where drops_top_blade
-    excludes it.  The predicted set has lower_bound_dim(n) elements, so
-    missing = lower_bound_dim(n) - hits and extra = d - hits; a mask
-    beyond n bits is never a hit, so it counts as extra.
+    excludes it.  That happens only for n == 3 mod 4, where the full mask
+    lies in the pattern, so it is counted out of the hits; the full mask
+    is expected when bit 1 of its grade n is set and it is not dropped.
+    The predicted set has lower_bound_dim(n) elements, so missing =
+    lower_bound_dim(n) - hits and extra = d - hits; a mask beyond n bits
+    is never a hit, so it counts as extra.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     full = (1 << n) - 1
     drop_full = drops_top_blade(n)
     have = basis.bits
-    grades = _grade_classes(n)
-    predicted = grades[2] | grades[3]
-    if drop_full:
-        predicted &= ~(1 << full)
-    hits = (have & predicted).bit_count()
+    full_present = have >> full & 1
+    hits = (have & _negative_square_pattern(n)).bit_count() - (full_present if drop_full else 0)
     missing = lower_bound_dim(n) - hits
     extra = basis.dim - hits
     return LemmaContainment(
         n=n,
         all_expected_present=missing == 0,
-        full_mask_present=bool(have >> full & 1),
-        full_mask_expected=bool(predicted >> full & 1),
+        full_mask_present=bool(full_present),
+        full_mask_expected=bool(n & 2) and not drop_full,
         missing_masks=missing,
         extra_masks=extra,
         exactly_predicted=missing == 0 and extra == 0,

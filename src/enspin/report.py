@@ -77,8 +77,8 @@ def _killing_outcome(bundle: AnalysisBundle) -> CheckOutcome:
     """
     d = bundle.basis.dim
     full = (1 << bundle.n) - 1
-    top = bundle.basis.bits & (1 << full)
-    radical = top if closure_type(bundle.n).center_dim() > 0 else 0
+    top = bundle.basis.bits >> full & 1
+    radical = top << full if closure_type(bundle.n).center_dim() > 0 else 0
     if not bundle.compact:
         return _outcome(False, "a blade squares to +1, so the algebra is not compact")
     if bundle.central != radical:

@@ -51,7 +51,20 @@ def record_work(monkeypatch) -> list:
     # the spin generators alone are O(n^2) bits, so the refusal must come first
     monkeypatch.setattr("enspin.cli.spin_generators", lambda *a, **k: calls.append(a))
     monkeypatch.setattr("enspin.analysis.spin_generators", lambda *a, **k: calls.append(a))
+    for name in ("positive_roots", "delta_closed", "delta_sum", "delta_identities"):
+        monkeypatch.setattr(f"enspin.cli.{name}", lambda *a, **k: calls.append(a))
     return calls
+
+
+@pytest.mark.parametrize("command, floor, n", [
+    ("closure", 3, 2), ("classify", 3, 2), ("roots", 3, 2), ("delta", 1, 0), ("closure", 3, -1),
+])
+def test_n_below_its_floor_fails_before_any_work(capsys, monkeypatch, command, floor, n):
+    calls = record_work(monkeypatch)
+    code, out, err = run_cli(capsys, command, "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"error: {command} needs --n >= {floor}, got {n}\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

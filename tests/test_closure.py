@@ -13,7 +13,7 @@ from enspin.closure import (
     ClosureBasis,
     LemmaContainment,
     _commutation_vector,
-    _grade_classes,
+    _negative_square_pattern,
     _parity_pattern,
     _set_bits,
     _xor_translate,
@@ -314,8 +314,9 @@ def test_bitset_kernels_match_their_definitions(n, data):
         x for x in range(1 << n) if blades_anticommute(x, g))
     assert _set_bits(_parity_pattern(g, n)) == tuple(
         x for x in range(1 << n) if (x & g).bit_count() & 1)
-    assert [_set_bits(c) for c in _grade_classes(n)] == [
-        tuple(x for x in range(1 << n) if x.bit_count() % 4 == r) for r in range(4)]
+    # the lemma's predicted set: the blades that square to -1
+    assert _set_bits(_negative_square_pattern(n)) == tuple(
+        x for x in range(1 << n) if x.bit_count() % 4 in (2, 3))
 
 
 @settings(max_examples=60)

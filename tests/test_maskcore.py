@@ -19,7 +19,7 @@ from enspin.analysis import (
 )
 from enspin.bott import closure_type
 from enspin.clifford import Blade, blade_product, blades_anticommute
-from enspin.closure import ClosureBasis, blade_closure
+from enspin.closure import ClosureBasis, blade_closure, lemma_containment_check
 from enspin.multivector import Multivector, bracket, mv_product
 from enspin.oracles import (
     center_dim,
@@ -28,6 +28,7 @@ from enspin.oracles import (
     rank_estimate,
     structure_constants,
 )
+from enspin.report import _killing_outcome
 from enspin.spinrep import spin_generators
 from test_closure import (
     _anticommute,
@@ -333,18 +334,36 @@ def test_split_names_the_hole_of_the_sorted_rule(n, data):
         assert res.reason == f"complement of {want:#x} missing from basis"
 
 
-def test_split_check_holds_few_bitsets_at_n_21():
-    # the complement flip is the bitset's binary string reversed, not n delta
-    # swaps over n parity patterns of 2^21 bits each
-    basis = blade_closure(21, spin_generators(21).masks)
+@given(n=st.sampled_from([1, 5, 9]), data=st.data())
+def test_split_mirror_names_the_hole_on_any_set(n, data):
+    # with no generators the top blade is central, so any set reaches the
+    # complement flip: the byte-reversed bitset, or at n = 1 part of one byte
+    masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1))
+    res = split_check(ClosureBasis(n=n, bits=bits_of(masks), provenance=()))
+    want = complement_hole_reference(masks, n)
+    if want is None:
+        assert res.passed and res.dims == (len(masks) // 2,) * 2
+    else:
+        assert res.reason == f"complement of {want:#x} missing from basis"
+
+
+def traced_peak(f):
+    """f() and the peak of the memory that tracemalloc traces while it runs."""
     tracemalloc.start()
     try:
-        passed = split_check(basis).passed
-        peak = tracemalloc.get_traced_memory()[1]
+        return f(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_split_check_holds_few_bitsets_at_n_21():
+    # the complement flip is the bitset's bytes reversed, each through a
+    # bit-reversal table: one bytes copy and one int, not n delta swaps over
+    # n parity patterns of 2^21 bits each, nor a string of 2^21 characters
+    basis = blade_closure(21, spin_generators(21).masks)
+    passed, peak = traced_peak(lambda: split_check(basis).passed)
     assert passed
-    assert peak < 20 * (1 << 21) // 8
+    assert peak < 4 * (1 << 21) // 8
 
 
 @given(n=st.integers(1, 10), data=st.data())
@@ -413,17 +432,20 @@ def test_greedy_torus_takes_ceil_half_n_picks(monkeypatch):
 
 def test_center_and_torus_hold_a_few_bitsets_at_n_20():
     # K and K^perp are lists of n-bit masks, probed through one byte view of
-    # 2^20 bits; the center probes at most the top bit.  Neither builds a
-    # pattern of 2^20 bits per generator or per pick
-    basis = blade_closure(20, spin_generators(20).masks)
-    tracemalloc.start()
-    try:
-        central_blades(basis)
-        greedy_torus(basis.bits, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # 2^n bits; the center probes at most the top bit.  Neither builds a
+    # pattern of 2^n bits per generator or per pick.  The lemma holds one
+    # pattern of the blades squaring to -1 and counts the top blade out
+    # where it is dropped (n = 19); the Killing check reads one bit and
+    # builds nothing of 2^n bits
+    at20, at19 = analyze(20), analyze(19)
+    _, peak = traced_peak(lambda: (central_blades(at20.basis), greedy_torus(at20.basis.bits, 20)))
     assert peak < 3 * (1 << 20) // 8
+    for bundle in (at20, at19):
+        n = bundle.n
+        passed, peak = traced_peak(lambda: lemma_containment_check(n, bundle.basis).passed)
+        assert passed and peak < 3 * (1 << n) // 8, n
+        status, peak = traced_peak(lambda: _killing_outcome(bundle).status)
+        assert status == "pass" and peak < (1 << n) // 8 // 8, n
 
 
 @settings(max_examples=40)
