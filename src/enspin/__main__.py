@@ -17,11 +17,11 @@ output needs:
 - Both streams are flushed first.
 - What is skipped is module teardown and the freeing of objects.
 
-An exception out of ``main`` keeps the normal exit: argparse's
-``SystemExit`` for usage errors and ``--help``, or a traceback.  A reader
-that closes the pipe early ends the run quietly with exit 1.  ``cli.main``
-itself returns, so library callers and profilers that call it keep the
-full teardown.
+Usage errors and ``--help`` are return codes of ``main`` (2 and 0), so
+they leave through ``os._exit`` as well.  An exception out of ``main``
+keeps the normal exit with its traceback.  A reader that closes the pipe
+early ends the run quietly with exit 1.  ``cli.main`` itself returns, so
+library callers and profilers that call it keep the full teardown.
 """
 
 import os

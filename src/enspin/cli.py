@@ -4,15 +4,20 @@ Subcommands: closure, delta, classify, verify, roots, report.  JSON is
 the default output format everywhere; verify and report additionally
 render Markdown and CSV, the small commands a plain text view.  Exit
 codes: 0 success, 1 a check failed, 2 usage or validation error.
+Every command's flags are read from one table, ``_COMMANDS``, which
+also writes ``--help``; argparse is not imported, since with the gettext
+and locale modules it loads it was the largest start-up cost of enspin's
+own choosing.
 ``python -m enspin.cli`` runs through the same entry as ``python -m
 enspin``, ``enspin.__main__.run``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .analysis import classify
 from .clifford import Blade
@@ -37,7 +42,7 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def cmd_closure(args: argparse.Namespace) -> int:
+def cmd_closure(args: SimpleNamespace) -> int:
     check_ambient(args.n)
     basis = blade_closure(args.n, spin_generators(args.n).masks)
     if args.format == "json":
@@ -50,7 +55,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_delta(args: argparse.Namespace) -> int:
+def cmd_delta(args: SimpleNamespace) -> int:
     if args.n > MAX_DELTA_N:
         return _usage_error(f"delta needs --n <= {MAX_DELTA_N}, got {args.n}")
     values = {f"d{k}": delta_closed(k, args.n) for k in range(4)}
@@ -72,7 +77,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     return 0 if all(identities.values()) else 1
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: SimpleNamespace) -> int:
     result = classify(args.n)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))
@@ -85,7 +90,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0 if result.verdict else 1
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     lo, hi = args.from_n, args.to_n
     if lo < 3:
         return _usage_error(f"verify needs --from >= 3, got {lo}")
@@ -112,7 +117,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.verdict for r in reports) else 1
 
 
-def cmd_roots(args: argparse.Namespace) -> int:
+def cmd_roots(args: SimpleNamespace) -> int:
     rs = positive_roots(args.n)
     if args.format == "json":
         print(json.dumps(rs.to_json(), indent=2))
@@ -124,7 +129,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: SimpleNamespace) -> int:
     if args.to_n < 2:
         return _usage_error(f"report needs --to >= 2, got {args.to_n}")
     rows = algebra_table(args.to_n)
@@ -133,43 +138,139 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="enspin",
-        description="exact Clifford-algebra construction and verification of "
-        "the compact spin subalgebras attached to the E-series diagrams",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Flag(NamedTuple):
+    """One flag of a command: a flag without a default is required."""
 
-    def add_n_command(name: str, help: str, func, n_floor: int) -> None:
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.set_defaults(func=func, n_floor=n_floor)
+    dest: str
+    kind: type | tuple[str, ...]  # int, bool for a flag that takes no value, or its choices
+    default: object = None
+    help: str = ""
 
-    add_n_command("closure", "basis of the Lie closure of the spin generators", cmd_closure, 3)
-    add_n_command("delta", "mod-4 binomial sums and their identities", cmd_delta, 1)
-    add_n_command("classify", "match the closure against its compact type", cmd_classify, 3)
 
-    p = sub.add_parser("verify", help="run every check over a range of n")
-    p.add_argument("--from", dest="from_n", type=int, default=3)
-    p.add_argument("--to", dest="to_n", type=int, default=8)
-    p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for the benchmark, which forwards one; every check is deterministic")
-    p.add_argument("--no-timings", action="store_true",
-                   help="zero out stage timings for byte-stable output")
-    p.set_defaults(func=cmd_verify)
+class _Command(NamedTuple):
+    help: str
+    flags: dict[str, _Flag]
+    n_floor: int | None = None  # the least --n the command accepts
 
-    add_n_command("roots", "positive roots of the rank-n diagram", cmd_roots, 3)
 
-    p = sub.add_parser("report", help="algebra tables side by side with computed dimensions")
-    p.add_argument("--to", dest="to_n", type=int, default=12)
-    p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
-    p.set_defaults(func=cmd_report)
+_N_FLAGS = {"--n": _Flag("n", int), "--format": _Flag("format", ("json", "text"), "json")}
+_TABLES = ("json", "markdown", "csv")
 
-    return parser
+# Each command runs cmd_<name>, looked up when it runs, so that a rebinding
+# of that name is seen.
+_COMMANDS = {
+    "closure": _Command("basis of the Lie closure of the spin generators", _N_FLAGS, 3),
+    "delta": _Command("mod-4 binomial sums and their identities", _N_FLAGS, 1),
+    "classify": _Command("match the closure against its compact type", _N_FLAGS, 3),
+    "verify": _Command("run every check over a range of n", {
+        "--from": _Flag("from_n", int, 3),
+        "--to": _Flag("to_n", int, 8),
+        "--format": _Flag("format", _TABLES, "json"),
+        "--jobs": _Flag("jobs", int, 1),
+        "--seed": _Flag("seed", int, 0,
+                        "accepted for the benchmark, which forwards one; every check is deterministic"),
+        "--no-timings": _Flag("no_timings", bool, False,
+                              "zero out stage timings for byte-stable output"),
+    }),
+    "roots": _Command("positive roots of the rank-n diagram", _N_FLAGS, 3),
+    "report": _Command("algebra tables side by side with computed dimensions", {
+        "--to": _Flag("to_n", int, 12),
+        "--format": _Flag("format", _TABLES, "json"),
+    }),
+}
+
+
+def _usage(name: str | None) -> str:
+    """The --help text of one command, or of enspin for None, read from _COMMANDS."""
+    if name is None:
+        width = max(map(len, _COMMANDS))
+        return "\n".join([
+            "usage: enspin <command> [flags]", "",
+            "exact Clifford-algebra construction and verification of the compact spin",
+            "subalgebras attached to the E-series diagrams", "",
+            *(f"  {c:<{width}}  {command.help}" for c, command in _COMMANDS.items()), "",
+            "enspin <command> --help names the flags of one command", ""])
+    command = _COMMANDS[name]
+    usage, rows = ["usage: enspin", name], []
+    for f, flag in command.flags.items():
+        if flag.kind is bool:
+            shape = f
+        elif flag.kind is int:
+            shape = f"{f} INT"
+        else:
+            shape = f"{f} {{{','.join(flag.kind)}}}"
+        if flag.default is None:
+            usage.append(shape)
+            note = f"required, at least {command.n_floor}" if f == "--n" else "required"
+        else:
+            usage.append(f"[{shape}]")
+            note = flag.help or f"default {flag.default}"
+        rows.append((shape, note))
+    width = max(len(shape) for shape, _ in rows)
+    return "\n".join([" ".join(usage), "", command.help, "",
+                      *(f"  {shape:<{width}}  {note}" for shape, note in rows), ""])
+
+
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace] | str:
+    """The command and its flag values read from argv, or the usage text for -h or --help.
+
+    Flags are read as argparse reads them: ``--flag value``, ``--flag=value``
+    or a unique prefix of the flag; a value may be a negative number, and
+    the last repeat of a flag wins.  Every usage error, the --n floor among
+    them, raises ValueError in argparse's words.
+    """
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    name, *rest = argv
+    if name in ("-h", "--help"):
+        return _usage(None)
+    if name not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise ValueError(f"argument command: invalid choice: {name!r} (choose from {choices})")
+    command = _COMMANDS[name]
+    values = {flag.dest: flag.default for flag in command.flags.values()}
+    unknown = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _usage(name)
+        option, eq, value = token.partition("=")
+        matches = [option] if option in command.flags else [
+            f for f in command.flags if option.startswith("--") and f.startswith(option)]
+        if not matches:
+            unknown.append(token)
+            continue
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous option: {option} could match {', '.join(matches)}")
+        flag = command.flags[matches[0]]
+        where = f"argument {matches[0]}"
+        if flag.kind is bool:
+            if eq:
+                raise ValueError(f"{where}: ignored explicit argument {value!r}")
+            values[flag.dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            # a token that looks like a flag is no value, but a negative number is
+            if value is None or (value.startswith("-") and not value[1:].isdigit()):
+                raise ValueError(f"{where}: expected one argument")
+        if flag.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{where}: invalid int value: {value!r}") from None
+        elif value not in flag.kind:
+            choices = ", ".join(map(repr, flag.kind))
+            raise ValueError(f"{where}: invalid choice: {value!r} (choose from {choices})")
+        values[flag.dest] = value
+    missing = [f for f, flag in command.flags.items() if values[flag.dest] is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    if command.n_floor is not None and values["n"] < command.n_floor:
+        raise ValueError(f"{name} needs --n >= {command.n_floor}, got {values['n']}")
+    return name, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,14 +278,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(encoding="utf-8")
     except (AttributeError, ValueError):
         pass
-    args = build_parser().parse_args(argv)
-    # every --n command states its lower bound in build_parser
-    if "n_floor" in args and args.n < args.n_floor:
-        return _usage_error(f"{args.command} needs --n >= {args.n_floor}, got {args.n}")
-    # the one error boundary: a ValueError from any layer (the ambient
-    # ceiling, an infinite type) is a validation error, exit 2
+    # the one error boundary: a ValueError from the parser or from any layer
+    # (the ambient ceiling, an infinite type) is a usage or validation
+    # error, exit 2
     try:
-        return args.func(args)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(parsed, str):
+            sys.stdout.write(parsed)
+            return 0
+        name, args = parsed
+        return globals()[f"cmd_{name}"](args)
     except ValueError as e:
         return _usage_error(str(e))
 

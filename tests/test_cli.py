@@ -81,21 +81,56 @@ def test_over_cap_range_fails_before_any_work(capsys, monkeypatch, argv):
     assert calls == []
 
 
-@pytest.mark.parametrize("argv", [
-    ("closure", "--n", "3", "--allow-large"),
-    ("classify", "--n", "3", "--allow-large"),
-    ("verify", "--from", "3", "--to", "3", "--allow-large"),
-    ("report", "--to", "3", "--allow-large"),
-    ("classify", "--n", "3", "--seed", "0"),
-])
+# each usage error with argparse's words for it: the removed flags first,
+# then a bad choice, a missing --n, an unknown command, none at all, an
+# ambiguous prefix, a flag without its value and a value for --no-timings
+USAGE_ERRORS = {
+    ("closure", "--n", "3", "--allow-large"): "unrecognized arguments: --allow-large",
+    ("classify", "--n", "3", "--allow-large"): "unrecognized arguments: --allow-large",
+    ("verify", "--from", "3", "--to", "3", "--allow-large"): "unrecognized arguments: --allow-large",
+    ("report", "--to", "3", "--allow-large"): "unrecognized arguments: --allow-large",
+    ("classify", "--n", "3", "--seed", "0"): "unrecognized arguments: --seed 0",
+    ("verify", "--format", "xml"): "argument --format: invalid choice: 'xml'",
+    ("closure",): "the following arguments are required: --n",
+    ("bogus", "--n", "3"): "argument command: invalid choice: 'bogus'",
+    (): "the following arguments are required: command",
+    ("verify", "--f", "csv"): "ambiguous option: --f could match --from, --format",
+    ("closure", "--n", "--format", "text"): "argument --n: expected one argument",
+    ("verify", "--no-timings=1"): "argument --no-timings: ignored explicit argument '1'",
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS))
 def test_removed_flags_exit_two_before_any_work(capsys, monkeypatch, argv):
     calls = record_work(monkeypatch)
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in captured.err and captured.out == ""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and USAGE_ERRORS[argv] in err
     assert calls == []
+
+
+@pytest.mark.parametrize("short, full", [
+    (("closure", "--n=8"), ("closure", "--n", "8")),
+    (("closure", "--n", "3", "--n=8"), ("closure", "--n", "8")),
+    (("verify", "--from", "3", "--to", "3", "--no-t"),
+     ("verify", "--from", "3", "--to", "3", "--no-timings")),
+])
+def test_flag_spellings_print_the_same_bytes(capsys, short, full):
+    # --flag=value and a unique prefix of a flag read as the full spelling,
+    # and the last repeat of a flag wins
+    assert run_cli(capsys, *short) == run_cli(capsys, *full)
+
+
+def test_help_names_every_command_and_flag(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    for command in ("closure", "delta", "classify", "verify", "roots", "report"):
+        assert command in out, command
+    code, out, err = run_cli(capsys, "verify", "--help")
+    assert (code, err) == (0, "")
+    for word in ("--from", "--to", "--format {json,markdown,csv}", "--jobs", "--seed",
+                 "--no-timings"):
+        assert word in out, word
 
 
 @pytest.mark.parametrize("argv", [
@@ -439,7 +474,7 @@ def test_entry_keeps_each_exit_code():
     env = buffered_env()
     usage = entry(["closure", "--n", "2"], env, capture_output=True, text=True)
     assert usage.returncode == 2 and "error:" in usage.stderr
-    parse = entry(["closure", "--n", "x"], env, capture_output=True, text=True)  # argparse's SystemExit
+    parse = entry(["closure", "--n", "x"], env, capture_output=True, text=True)
     assert parse.returncode == 2 and "invalid int value" in parse.stderr
     failing = ("import sys, enspin.cli, enspin.__main__\n"
                "enspin.cli.cmd_roots = lambda args: 1\n"
@@ -619,7 +654,8 @@ def test_cli_never_imports_numpy(name):
     # one.  The records are named tuples: dataclasses would import inspect,
     # ast, dis and tokenize at each start.  The entry sets no environment
     # variable of its own, so a user's OPENBLAS_NUM_THREADS reaches --jobs
-    # workers as given, and only --jobs loads the process pool.
+    # workers as given, and only --jobs loads the process pool.  The command
+    # table is read without argparse, whose gettext lookups import locale.
     argv = NUMPY_FREE[name]
     env = child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
@@ -627,9 +663,10 @@ def test_cli_never_imports_numpy(name):
         env["OPENBLAS_NUM_THREADS"] = "2"
     code, loaded, environ_unchanged, threads, fast_exit = start_as_module(argv, env)
     assert (code, environ_unchanged, fast_exit) == (0 if argv else None, True, bool(argv))
-    unwanted = {"numpy", "dataclasses", "inspect", *ORACLE_MODULES}
+    unwanted = {"numpy", "dataclasses", "inspect", "argparse", "gettext", *ORACLE_MODULES}
     if "--jobs" not in (argv or ()):
-        unwanted.add("concurrent.futures.process")
+        # the pool's multiprocessing imports subprocess, and subprocess locale
+        unwanted |= {"concurrent.futures.process", "locale"}
         assert threads in (None, 1)  # None: no /proc/self/task to count threads
     if name == "verify":
         unwanted.add("csv")  # a JSON run writes no CSV
@@ -642,17 +679,22 @@ def site_free_env() -> dict[str, str]:
 
 
 def test_cli_needs_only_the_standard_library():
-    # every command runs without site-packages, and the worker pool prints
-    # the golden bytes that one process prints
+    # every command and the parser run without site-packages, and the
+    # worker pool prints the golden bytes that one process prints
     env = site_free_env()
 
-    def run(argv):
-        proc = subprocess.run([sys.executable, "-S", "-m", "enspin", *argv],
+    def start(argv):
+        return subprocess.run([sys.executable, "-S", "-m", "enspin", *argv],
                               env=env, capture_output=True, timeout=120)
+
+    def run(argv):
+        proc = start(argv)
         assert (proc.returncode, proc.stderr) == (0, b""), argv
         return proc.stdout
 
-    for argv in (["closure", "--n", "9", "--format", "text"], ["classify", "--n", "9"],
+    parse = start(["closure", "--n", "x"])
+    assert parse.returncode == 2 and b"invalid int value" in parse.stderr
+    for argv in (["--help"], ["closure", "--n", "9", "--format", "text"], ["classify", "--n", "9"],
                  ["roots", "--n", "8"], ["delta", "--n", "11"]):
         assert run(argv), argv
     for golden, extra in (("verify_3_9.md", ()), ("verify_3_9.md", ("--jobs", "2")),
