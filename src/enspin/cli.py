@@ -8,6 +8,17 @@ Every command's flags are read from one table, ``_COMMANDS``, which
 also writes ``--help``; argparse is not imported, since with the gettext
 and locale modules it loads it was the largest start-up cost of enspin's
 own choosing.
+
+Importing this module imports no enspin layer.  Each handler imports the
+layers it runs when it first reads one of their names, so no command
+compiles a layer it never calls: ``report`` loads bott, closure, deltas,
+spinrep and clifford, but not analysis or roots; ``verify`` loads roots
+only when its range reaches n <= 8; ``delta`` loads deltas alone; and
+``--help`` and the parser's usage errors load no layer at all.  Handlers
+read those names through this module (``_layers.<name>``), never as bare
+globals: a PEP 562 ``__getattr__`` serves the attribute read but not a
+global lookup, and a name that a test or the benchmark tracer has
+rebound here is then the one that runs.
 ``python -m enspin.cli`` runs through the same entry as ``python -m
 enspin``, ``enspin.__main__.run``.
 """
@@ -19,22 +30,25 @@ import sys
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .analysis import classify
-from .clifford import Blade
-from .closure import blade_closure, check_ambient
-from .deltas import MAX_DELTA_N, delta_closed, delta_identities, delta_sum
-from .report import (
-    algebra_table,
-    reports_to_csv,
-    reports_to_json,
-    reports_to_markdown,
-    run_verification,
-    table_to_csv,
-    table_to_json,
-    table_to_markdown,
-)
-from .roots import positive_roots
-from .spinrep import spin_generators
+from . import _forwarding_getattr
+
+# name -> the enspin layer it comes from, for every name a handler reads
+# from another module; the first read imports the layer and caches the name
+_LAYER_OF = {
+    "classify": "analysis",
+    "Blade": "clifford",
+    **dict.fromkeys(("blade_closure", "check_ambient"), "closure"),
+    **dict.fromkeys(("MAX_DELTA_N", "delta_closed", "delta_identities", "delta_sum"), "deltas"),
+    **dict.fromkeys(
+        ("algebra_table", "run_verification", "reports_to_csv", "reports_to_json",
+         "reports_to_markdown", "table_to_csv", "table_to_json", "table_to_markdown"),
+        "report",
+    ),
+    "positive_roots": "roots",
+    "spin_generators": "spinrep",
+}
+__getattr__ = _forwarding_getattr(globals(), _LAYER_OF)
+_layers = sys.modules[__name__]
 
 
 def _usage_error(msg: str) -> int:
@@ -43,27 +57,27 @@ def _usage_error(msg: str) -> int:
 
 
 def cmd_closure(args: SimpleNamespace) -> int:
-    check_ambient(args.n)
-    basis = blade_closure(args.n, spin_generators(args.n).masks)
+    _layers.check_ambient(args.n)
+    basis = _layers.blade_closure(args.n, _layers.spin_generators(args.n).masks)
     if args.format == "json":
         print(json.dumps(basis.to_json(), indent=2))
     else:
         print(f"n {basis.n}")
         print(f"dim {basis.dim}")
         for m in basis.masks:
-            print(f"{m:#x} {Blade(m)}")
+            print(f"{m:#x} {_layers.Blade(m)}")
     return 0
 
 
 def cmd_delta(args: SimpleNamespace) -> int:
-    if args.n > MAX_DELTA_N:
-        return _usage_error(f"delta needs --n <= {MAX_DELTA_N}, got {args.n}")
-    values = {f"d{k}": delta_closed(k, args.n) for k in range(4)}
-    sums = {f"d{k}": delta_sum(k, args.n) for k in range(4)}
+    if args.n > _layers.MAX_DELTA_N:
+        return _usage_error(f"delta needs --n <= {_layers.MAX_DELTA_N}, got {args.n}")
+    values = {f"d{k}": _layers.delta_closed(k, args.n) for k in range(4)}
+    sums = {f"d{k}": _layers.delta_sum(k, args.n) for k in range(4)}
     if values != sums:
         print(f"FAIL closed forms {values} disagree with direct sums {sums}", file=sys.stderr)
         return 1
-    identities = delta_identities(args.n)
+    identities = _layers.delta_identities(args.n)
     out = {"n": args.n, "delta": values, "total": sum(values.values()), "identities": identities}
     if args.format == "json":
         print(json.dumps(out, indent=2))
@@ -78,7 +92,7 @@ def cmd_delta(args: SimpleNamespace) -> int:
 
 
 def cmd_classify(args: SimpleNamespace) -> int:
-    result = classify(args.n)
+    result = _layers.classify(args.n)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))
     else:
@@ -99,26 +113,24 @@ def cmd_verify(args: SimpleNamespace) -> int:
     if args.jobs < 1:
         return _usage_error(f"verify needs --jobs >= 1, got {args.jobs}")
     ns = range(lo, hi + 1)
-    check_ambient(hi)
+    _layers.check_ambient(hi)
     if args.jobs > 1 and len(ns) > 1:
         # imported only here: concurrent.futures.process pulls in
         # multiprocessing, which a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(ns))) as pool:
-            reports = list(pool.map(run_verification, ns))
+            reports = list(pool.map(_layers.run_verification, ns))
     else:
-        reports = [run_verification(n) for n in ns]
+        reports = [_layers.run_verification(n) for n in ns]
     if args.no_timings:
         reports = [r._replace(timings_ms=dict.fromkeys(r.timings_ms, 0.0)) for r in reports]
-    # built per call, so the benchmark tracer's rebinding of these names is seen
-    writers = {"json": reports_to_json, "markdown": reports_to_markdown, "csv": reports_to_csv}
-    sys.stdout.write(writers[args.format](reports))
+    sys.stdout.write(getattr(_layers, f"reports_to_{args.format}")(reports))
     return 0 if all(r.verdict for r in reports) else 1
 
 
 def cmd_roots(args: SimpleNamespace) -> int:
-    rs = positive_roots(args.n)
+    rs = _layers.positive_roots(args.n)
     if args.format == "json":
         print(json.dumps(rs.to_json(), indent=2))
     else:
@@ -132,9 +144,8 @@ def cmd_roots(args: SimpleNamespace) -> int:
 def cmd_report(args: SimpleNamespace) -> int:
     if args.to_n < 2:
         return _usage_error(f"report needs --to >= 2, got {args.to_n}")
-    rows = algebra_table(args.to_n)
-    writers = {"json": table_to_json, "markdown": table_to_markdown, "csv": table_to_csv}
-    sys.stdout.write(writers[args.format](rows))
+    rows = _layers.algebra_table(args.to_n)
+    sys.stdout.write(getattr(_layers, f"table_to_{args.format}")(rows))
     return 0
 
 

@@ -10,14 +10,28 @@ JSON, Markdown, or CSV with a stable column set.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+import sys
+from typing import TYPE_CHECKING, NamedTuple
 
-from .analysis import AnalysisBundle, analyze, classify_bundle, stage
+from . import _forwarding_getattr, closure
 from .bott import bott_algebra, closure_type, max_compact
 from .closure import check_ambient, lemma_containment_check
 from .deltas import delta_closed, delta_identities, lower_bound_dim
-from .roots import positive_roots
-from .spinrep import verify_relations
+from .spinrep import spin_generators, verify_relations
+
+if TYPE_CHECKING:
+    from .analysis import AnalysisBundle
+
+# name -> the layer it comes from, for the names that only run_verification
+# reads, so that algebra_table loads neither layer; they are read as
+# _layers.<name>, which imports the layer on first use (PEP 562) and runs a
+# rebound name as rebound.  positive_roots is read for n <= 8 alone.
+_LAYER_OF = {
+    **dict.fromkeys(("analyze", "classify_bundle", "stage"), "analysis"),
+    "positive_roots": "roots",
+}
+__getattr__ = _forwarding_getattr(globals(), _LAYER_OF)
+_layers = sys.modules[__name__]
 
 CHECK_ORDER = ("relations", "lemma", "identities", "killing", "rank", "split", "roots", "classify")
 
@@ -103,17 +117,17 @@ def run_verification(n: int) -> VerificationReport:
     timings: dict[str, float] = {}
     checks: dict[str, CheckOutcome] = {}
 
-    with stage(timings, "relations"):
+    with _layers.stage(timings, "relations"):
         rel = verify_relations(n)
     detail = f"{len(rel.pairs)} ordered pairs, squares and half-scaled variant included"
     if rel.failures:
         detail = "; ".join(rel.failures)
     checks["relations"] = _outcome(rel.all_pass, detail)
 
-    bundle = analyze(n)
+    bundle = _layers.analyze(n)
     timings.update(bundle.timings_ms)
 
-    with stage(timings, "lemma"):
+    with _layers.stage(timings, "lemma"):
         lemma = lemma_containment_check(n, bundle.basis)
     detail = (
         f"all expected masks present={lemma.all_expected_present}, "
@@ -127,7 +141,7 @@ def run_verification(n: int) -> VerificationReport:
         )
     checks["lemma"] = _outcome(lemma.passed, detail)
 
-    with stage(timings, "deltas"):
+    with _layers.stage(timings, "deltas"):
         ident = delta_identities(n)
     dvals = tuple(delta_closed(k, n) for k in range(4))
     checks["identities"] = _outcome(
@@ -137,7 +151,7 @@ def run_verification(n: int) -> VerificationReport:
 
     checks["killing"] = _killing_outcome(bundle)
 
-    cls = classify_bundle(bundle)
+    cls = _layers.classify_bundle(bundle)
     r, expected_rank = bundle.rank, cls.matched_type.rank()
     certified = "is self-centralizing" if bundle.compact else "is not a certified Cartan subalgebra"
     checks["rank"] = _outcome(
@@ -155,9 +169,9 @@ def run_verification(n: int) -> VerificationReport:
     else:
         checks["split"] = _skipped(bundle.split.reason)
 
-    with stage(timings, "roots"):
+    with _layers.stage(timings, "roots"):
         if n <= 8:
-            rs = positive_roots(n)
+            rs = _layers.positive_roots(n)
             checks["roots"] = _outcome(
                 rs.count == bundle.basis.dim,
                 f"{rs.count} positive roots vs closure dim {bundle.basis.dim}",
@@ -230,9 +244,6 @@ def reports_to_csv(reports: list[VerificationReport]) -> str:
 def algebra_table(to_n: int) -> list[dict]:
     """Clifford and compact-type descriptors next to computed closure dims,
     one JSON row per n; closure_dim and match are None where nothing is compared."""
-    from .closure import blade_closure
-    from .spinrep import spin_generators
-
     if to_n < 2:
         raise ValueError(f"table needs to_n >= 2, got {to_n}")
     check_ambient(to_n)
@@ -243,7 +254,8 @@ def algebra_table(to_n: int) -> list[dict]:
                "max_compact": str(typ), "type_dim": typ.dimension(),
                "closure_dim": None, "match": None, "note": ""}
         if n >= 3:
-            row["closure_dim"] = dim = blade_closure(n, spin_generators(n).masks).dim
+            # read through its module, where the benchmark tracer binds it
+            row["closure_dim"] = dim = closure.blade_closure(n, spin_generators(n).masks).dim
             image = closure_type(n)
             if image == typ:
                 row["match"] = dim == typ.dimension()

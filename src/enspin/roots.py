@@ -13,6 +13,7 @@ system and is rejected up front.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .spinrep import en_adjacency
@@ -52,9 +53,9 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 def positive_roots(n: int) -> RootSet:
     """Enumerate the positive system for 3 <= n <= 8, one height at a time.
 
-    ``layer`` holds the roots of height h; height h+1 is the set of
-    beta + alpha_i, beta in ``layer``, with (C beta)_i = <beta, alpha_i>
-    = -1 (C is symmetric).  This is exact:
+    ``layer`` maps each root beta of height h to its pairings C beta;
+    height h+1 is the set of beta + alpha_i, beta in ``layer``, with
+    (C beta)_i = <beta, alpha_i> = -1 (C is symmetric).  This is exact:
 
     - Every root of height h+1 is beta + alpha_i for some root beta of
       height h (Humphreys 10.2), so the layers miss nothing.
@@ -66,8 +67,10 @@ def positive_roots(n: int) -> RootSet:
       beta + alpha_i is a root (q = 1) iff r - q = -1.  For beta =
       alpha_i the pairing is 2, and 2 alpha_i is no root.
 
-    C beta is computed once per root, so the cost is O(R n^2) for R
-    positive roots.
+    No inner product is taken: C(beta + alpha_i) = C beta + C alpha_i is
+    the parent's pairings plus row i of C.  The rule is tested in O(1) per
+    (root, i), and a new root costs O(n) per parent it is reached from,
+    so the cost is O(R n^2) for R positive roots.
     """
     if n < 3:
         raise ValueError(f"root enumeration needs n >= 3, got {n}")
@@ -75,16 +78,16 @@ def positive_roots(n: int) -> RootSet:
         raise ValueError(f"infinite type: the rank-{n} diagram has no finite root system")
     cartan = cartan_matrix(n)
 
-    layer = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    layer = {tuple(int(j == i) for j in range(n)): row for i, row in enumerate(cartan)}
     have = set(layer)
     while layer:
         layer = {
-            beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-            for beta in layer
-            for i, row in enumerate(cartan)
-            if sum(c * b for c, b in zip(row, beta)) == -1
+            beta[:i] + (beta[i] + 1,) + beta[i + 1:]: tuple(map(add, pairing, cartan[i]))
+            for beta, pairing in layer.items()
+            for i, c in enumerate(pairing)
+            if c == -1
         }
-        have |= layer
+        have.update(layer)
 
     ordered = tuple(sorted(have, key=lambda r: (sum(r), r)))
     return RootSet(n=n, cartan=cartan, roots=ordered)

@@ -643,8 +643,18 @@ NUMPY_FREE = {
     "roots": ["roots", "--n", "8"],
     "report": ["report", "--to", "9"],
     "verify-jobs-2": ["verify", "--from", "3", "--to", "9", "--jobs", "2"],
+    "verify-10-12": ["verify", "--from", "10", "--to", "12", "--no-timings"],
+    "help": ["--help"],
     "import-cli": None,
 }
+# the layers a command never calls, so its start must not load them
+LAYERS_NOT_RUN = {
+    "report": {"enspin.analysis", "enspin.roots"},
+    "verify-10-12": {"enspin.roots"},  # the roots check runs for n <= 8 alone
+}
+# the starts that load no layer: enspin.cli is their one enspin submodule
+# (the entry itself runs as __main__)
+NO_LAYER = {"help", "import-cli"}
 
 
 @pytest.mark.parametrize("name", list(NUMPY_FREE))
@@ -671,6 +681,25 @@ def test_cli_never_imports_numpy(name):
     if name == "verify":
         unwanted.add("csv")  # a JSON run writes no CSV
     assert unwanted.isdisjoint(loaded)
+    assert LAYERS_NOT_RUN.get(name, set()).isdisjoint(loaded)
+    if name in NO_LAYER:
+        assert {m for m in loaded if m.partition(".")[0] == "enspin"} == {"enspin", "enspin.cli"}
+
+
+def test_a_rebound_name_is_what_runs():
+    # rebound before the layer each comes from is loaded, as the benchmark
+    # tracer rebinds them: the CLI and run_verification read these names
+    # through their own module, so the rebound function is what runs
+    code = ("import sys, types, enspin.cli\n"
+            "enspin.cli.algebra_table = lambda to_n: [{'rebound': to_n}]\n"
+            "assert enspin.cli.main(['report', '--to', '3']) == 0\n"
+            "import enspin.report\n"
+            "assert not {'enspin.analysis', 'enspin.roots'} & set(sys.modules)\n"
+            "enspin.report.positive_roots = lambda n: types.SimpleNamespace(count=0)\n"
+            "print(enspin.report.run_verification(5).checks['roots'].status)\n")
+    out = run_python(code, child_env()).splitlines()
+    assert json.loads("\n".join(out[:-1])) == [{"rebound": 3}]
+    assert out[-1] == "fail"
 
 
 def site_free_env() -> dict[str, str]:
@@ -694,8 +723,11 @@ def test_cli_needs_only_the_standard_library():
 
     parse = start(["closure", "--n", "x"])
     assert parse.returncode == 2 and b"invalid int value" in parse.stderr
+    # the lazy layer imports among them: verify past 8 loads no roots, and
+    # report no analysis
     for argv in (["--help"], ["closure", "--n", "9", "--format", "text"], ["classify", "--n", "9"],
-                 ["roots", "--n", "8"], ["delta", "--n", "11"]):
+                 ["roots", "--n", "8"], ["delta", "--n", "11"], ["verify", "--from", "10", "--to", "10"],
+                 ["report", "--to", "9", "--format", "markdown"]):
         assert run(argv), argv
     for golden, extra in (("verify_3_9.md", ()), ("verify_3_9.md", ("--jobs", "2")),
                           ("report_9.json", ())):
