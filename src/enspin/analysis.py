@@ -5,8 +5,9 @@ so center, derived algebra, Killing form, rank and the two-ideal split
 are all mask combinatorics.  analyze runs only the mask-native core on
 the bitset of the closure that blade_closure proves bracket-closed.
 Two blades commute iff q(x, y) = |x||y| + |x & y| mod 2 is 0, and q is
-bilinear over F_2, so every commutation question is linear algebra on
-n-bit vectors, answered by one helper, _q_perp.  The blades commuting
+bilinear over F_2 (enspin.clifford, which also states the square rule),
+so every commutation question is linear algebra on n-bit vectors,
+answered by one helper, _q_perp.  The blades commuting
 with every generator are the center, and their complement spans the
 derived algebra (central_blades); the generators' grades decide
 compactness (is_compact_basis) and with it the Killing sign; a torus of
@@ -37,7 +38,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import _forwarding_getattr
 from .bott import CompactTypeDescriptor, closure_type
-from .closure import ClosureBasis, _commutation_vector, blade_closure, check_ambient
+from .clifford import _commutation_vector, squares_to_minus_one
+from .closure import ClosureBasis, blade_closure, check_ambient
 from .spinrep import spin_generators
 
 # name -> defining module, for exactly the names that the acceptance gate
@@ -181,23 +183,22 @@ def is_compact_basis(basis: ClosureBasis) -> bool:
     """True when every blade of the closure squares to -1, which makes the algebra compact.
 
     Premise, as for central_blades: the basis is the bracket closure of
-    basis.provenance.  Reversing the k factors of a grade-k blade b
-    takes k(k-1)/2 swaps, and b reverse(b) = 1 because each v_i squares
-    to 1, so b^2 = (-1)^(k(k-1)/2) (Lawson and Michelsohn, Spin Geometry,
-    ch. I): -1 exactly for k == 2, 3 mod 4, when bit 1 of k is set.  By
-    the proof of blade_closure every blade of the closure is a generator
+    basis.provenance.  A blade squares to -1 or to 1, to -1 exactly when
+    squares_to_minus_one holds for its mask (the grade rule).  By the
+    proof of blade_closure every blade of the closure is a generator
     or +-xg, for a blade x of the closure and a generator g that
     anticommutes with x, and then (xg)^2 = -x^2 g^2.  So by induction
     every blade squares to -1 iff every generator does.
 
-    Then reverse(b) = b^2 b = -b for every blade.  Left multiplication
-    x -> L_x is a faithful representation of the algebra on C(R^n)
-    (L_x 1 = x), and in the orthonormal blade basis the transpose of L_b
-    is L_{reverse(b)}.  So every element acts as a skew-symmetric matrix
-    and the algebra embeds in so(2^n).  This holds at n = 3 as well,
-    where the Killing form is degenerate.
+    Then reverse(b) = b^-1 = b^2 b = -b for every blade, since
+    b reverse(b) = 1 (the proof of squares_to_minus_one).  Left
+    multiplication x -> L_x is a faithful representation of the algebra
+    on C(R^n) (L_x 1 = x), and in the orthonormal blade basis the
+    transpose of L_b is L_{reverse(b)}.  So every element acts as a
+    skew-symmetric matrix and the algebra embeds in so(2^n).  This holds
+    at n = 3 as well, where the Killing form is degenerate.
     """
-    return all(g.bit_count() & 2 for g in basis.provenance)
+    return all(map(squares_to_minus_one, basis.provenance))
 
 
 def greedy_torus(bits: int, n: int) -> tuple[int, ...]:
@@ -267,7 +268,7 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     of them dimension d/2.
 
     So the certificate is its three preconditions: omega^2 by the grade
-    rule of is_compact_basis, -1 iff bit 1 of n is set; centrality as the
+    rule, squares_to_minus_one of the full mask; centrality as the
     top blade lying in G^perp = _q_perp(basis.provenance, n), O(n^3),
     since ad(omega) is a derivation that then kills every bracket of
     generators (the rule of central_blades); and closure under
@@ -288,7 +289,7 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     if n % 2 == 0:
         return SplitResult(n=n, applicable=False, reason="top blade is not central for even n")
     full = (1 << n) - 1
-    omega_sq = -1 if n & 2 else 1
+    omega_sq = -1 if squares_to_minus_one(full) else 1
     if omega_sq != 1:
         return SplitResult(n=n, applicable=False, reason="top blade squares to -1 when n == 3 mod 4")
 

@@ -106,12 +106,8 @@ def cmd_classify(args: SimpleNamespace) -> int:
 
 def cmd_verify(args: SimpleNamespace) -> int:
     lo, hi = args.from_n, args.to_n
-    if lo < 3:
-        return _usage_error(f"verify needs --from >= 3, got {lo}")
     if hi < lo:
         return _usage_error(f"--to {hi} is below --from {lo}")
-    if args.jobs < 1:
-        return _usage_error(f"verify needs --jobs >= 1, got {args.jobs}")
     ns = range(lo, hi + 1)
     _layers.check_ambient(hi)
     if args.jobs > 1 and len(ns) > 1:
@@ -142,8 +138,6 @@ def cmd_roots(args: SimpleNamespace) -> int:
 
 
 def cmd_report(args: SimpleNamespace) -> int:
-    if args.to_n < 2:
-        return _usage_error(f"report needs --to >= 2, got {args.to_n}")
     rows = _layers.algebra_table(args.to_n)
     sys.stdout.write(getattr(_layers, f"table_to_{args.format}")(rows))
     return 0
@@ -156,36 +150,41 @@ class _Flag(NamedTuple):
     kind: type | tuple[str, ...]  # int, bool for a flag that takes no value, or its choices
     default: object = None
     help: str = ""
+    floor: int | None = None  # the least value an int flag accepts
 
 
 class _Command(NamedTuple):
     help: str
     flags: dict[str, _Flag]
-    n_floor: int | None = None  # the least --n the command accepts
 
 
-_N_FLAGS = {"--n": _Flag("n", int), "--format": _Flag("format", ("json", "text"), "json")}
+def _n_flags(floor: int) -> dict[str, _Flag]:
+    """The flags of a command on one n: --n, at least floor, and --format."""
+    return {"--n": _Flag("n", int, floor=floor),
+            "--format": _Flag("format", ("json", "text"), "json")}
+
+
 _TABLES = ("json", "markdown", "csv")
 
 # Each command runs cmd_<name>, looked up when it runs, so that a rebinding
 # of that name is seen.
 _COMMANDS = {
-    "closure": _Command("basis of the Lie closure of the spin generators", _N_FLAGS, 3),
-    "delta": _Command("mod-4 binomial sums and their identities", _N_FLAGS, 1),
-    "classify": _Command("match the closure against its compact type", _N_FLAGS, 3),
+    "closure": _Command("basis of the Lie closure of the spin generators", _n_flags(3)),
+    "delta": _Command("mod-4 binomial sums and their identities", _n_flags(1)),
+    "classify": _Command("match the closure against its compact type", _n_flags(3)),
     "verify": _Command("run every check over a range of n", {
-        "--from": _Flag("from_n", int, 3),
+        "--from": _Flag("from_n", int, 3, floor=3),
         "--to": _Flag("to_n", int, 8),
         "--format": _Flag("format", _TABLES, "json"),
-        "--jobs": _Flag("jobs", int, 1),
+        "--jobs": _Flag("jobs", int, 1, floor=1),
         "--seed": _Flag("seed", int, 0,
                         "accepted for the benchmark, which forwards one; every check is deterministic"),
         "--no-timings": _Flag("no_timings", bool, False,
                               "zero out stage timings for byte-stable output"),
     }),
-    "roots": _Command("positive roots of the rank-n diagram", _N_FLAGS, 3),
+    "roots": _Command("positive roots of the rank-n diagram", _n_flags(3)),
     "report": _Command("algebra tables side by side with computed dimensions", {
-        "--to": _Flag("to_n", int, 12),
+        "--to": _Flag("to_n", int, 12, floor=2),
         "--format": _Flag("format", _TABLES, "json"),
     }),
 }
@@ -212,10 +211,12 @@ def _usage(name: str | None) -> str:
             shape = f"{f} {{{','.join(flag.kind)}}}"
         if flag.default is None:
             usage.append(shape)
-            note = f"required, at least {command.n_floor}" if f == "--n" else "required"
+            note = "required"
         else:
             usage.append(f"[{shape}]")
             note = flag.help or f"default {flag.default}"
+        if flag.floor is not None:
+            note += f", at least {flag.floor}"
         rows.append((shape, note))
     width = max(len(shape) for shape, _ in rows)
     return "\n".join([" ".join(usage), "", command.help, "",
@@ -227,8 +228,9 @@ def _parse(argv: list[str]) -> tuple[str, SimpleNamespace] | str:
 
     Flags are read as argparse reads them: ``--flag value``, ``--flag=value``
     or a unique prefix of the flag; a value may be a negative number, and
-    the last repeat of a flag wins.  Every usage error, the --n floor among
-    them, raises ValueError in argparse's words.
+    the last repeat of a flag wins.  Every usage error raises ValueError in
+    argparse's words, and then each int flag's floor is checked, before
+    any command runs.
     """
     if not argv:
         raise ValueError("the following arguments are required: command")
@@ -279,8 +281,9 @@ def _parse(argv: list[str]) -> tuple[str, SimpleNamespace] | str:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     if unknown:
         raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-    if command.n_floor is not None and values["n"] < command.n_floor:
-        raise ValueError(f"{name} needs --n >= {command.n_floor}, got {values['n']}")
+    for f, flag in command.flags.items():
+        if flag.floor is not None and values[flag.dest] < flag.floor:
+            raise ValueError(f"{name} needs {f} >= {flag.floor}, got {values[flag.dest]}")
     return name, SimpleNamespace(**values)
 
 

@@ -11,8 +11,10 @@ with no Python object per blade and no numpy.  Its proof certifies that
 the result is bracket-closed.  _parity_pattern is the one pattern
 builder: it gives the anticommute patterns, the delta-swap masks of
 _xor_translate and, doubled once more by _negative_square_pattern, the
-lemma check's predicted set, the blades that square to -1; the
-analysis reads only the n-bit rows _commutation_vector and builds no
+lemma check's predicted set, the blades that square to -1.  The rules
+behind the patterns, the commutation form q in its row form
+_commutation_vector and the square rule squares_to_minus_one, live in
+enspin.clifford; the analysis reads only those n-bit rows and builds no
 pattern.  One ceiling, MAX_AMBIENT, bounds n for every caller, and
 check_ambient tests it before anything is built.
 """
@@ -23,6 +25,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
+from .clifford import _commutation_vector, squares_to_minus_one
 from .deltas import drops_top_blade, lower_bound_dim
 
 #: The one ceiling on the ambient dimension.  A bitset of 2^n bits is
@@ -124,29 +127,15 @@ def _xor_translate(bits: int, g: int, highs: Sequence[int]) -> int:
     return bits
 
 
-def _commutation_vector(g: int, n: int) -> int:
-    """h_g: the blade x anticommutes with the blade g iff |x & h_g| is odd.
-
-    Moving a factor v of g across x passes |x| factors, and all but v
-    itself (when v is in x) anticommute with it, so
-    xg = (-1)^(|x||g| - |x & g|) gx.  For even |g| that is |x & g| odd;
-    for odd |g| it is |x| - |x & g| = |x & ~g| odd.  So h_g = g or
-    g ^ (2^n - 1), and _parity_pattern(h_g, n) is the anticommute
-    pattern of g.  The exponent q(x, g) = |x||g| + |x & g| mod 2 is
-    bilinear over F_2 and q(x, x) = 0.
-    """
-    return g ^ ((1 << n) - 1) if g.bit_count() & 1 else g
-
-
 def _negative_square_pattern(k: int) -> int:
     """The masks x < 2^k whose blade squares to -1, |x| == 2, 3 mod 4, as a pattern.
 
-    A grade-j blade squares to (-1)^(j(j-1)/2), which is -1 iff bit 1 of
-    j is set.  Doubling on _parity_pattern: the masks below 2^(b+1) are
-    those below 2^b and, above them, the same masks with bit b set, one
-    grade higher.  Bit 1 of |x| + 1 is bit 1 of |x|, flipped when |x| is
-    odd, so the upper half is the lower one XOR the odd-grade masks below
-    2^b, _parity_pattern(2^b - 1, b).
+    A grade-j blade squares to -1 iff bit 1 of j is set
+    (squares_to_minus_one).  Doubling on _parity_pattern: the masks
+    below 2^(b+1) are those below 2^b and, above them, the same masks
+    with bit b set, one grade higher.  Bit 1 of |x| + 1 is bit 1 of |x|,
+    flipped when |x| is odd, so the upper half is the lower one XOR the
+    odd-grade masks below 2^b, _parity_pattern(2^b - 1, b).
     """
     pattern, width = 0, 1
     for b in range(k):
@@ -176,13 +165,14 @@ def blade_closure(n: int, generators: Iterable[int], *, allow_large: bool = Fals
       such superset of G.  So R is the least one.
 
     The bitset P starts at G and relaxes P |= (P & A_g) ^ g, where A_g
-    is the anticommute pattern of g (_commutation_vector) and ^ g is
-    _xor_translate, for each generator in ascending order, until a whole
-    sweep adds no bit.  Every bit it sets is one step of the walk, so P
-    stays inside R; it stops only when P holds every step from every
-    member, and then R, the least such superset of G, lies inside P.
-    So P = R.  Each sweep only sets bits, so the loop ends; for the n
-    spin generators it takes n - 1 or n sweeps of n steps each.
+    is the anticommute pattern of g, _parity_pattern(h_g, n) for its
+    row h_g = _commutation_vector(g, n), and ^ g is _xor_translate, for
+    each generator in ascending order, until a whole sweep adds no bit.
+    Every bit it sets is one step of the walk, so P stays inside R; it
+    stops only when P holds every step from every member, and then R,
+    the least such superset of G, lies inside P.  So P = R.  Each sweep
+    only sets bits, so the loop ends; for the n spin generators it takes
+    n - 1 or n sweeps of n steps each.
 
     Tiles: P is relaxed as 2^(n - c) tiles of 2^c bits, c = min(n,
     _TILE_LOG), so every pass stays in cache.  Tile i holds the masks
@@ -254,7 +244,8 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
     is 2 or 3 mod 4, and it is not the full mask where drops_top_blade
     excludes it.  That happens only for n == 3 mod 4, where the full mask
     lies in the pattern, so it is counted out of the hits; the full mask
-    is expected when bit 1 of its grade n is set and it is not dropped.
+    is expected when it squares to -1 (squares_to_minus_one) and it is
+    not dropped.
     The predicted set has lower_bound_dim(n) elements, so missing =
     lower_bound_dim(n) - hits and extra = d - hits; a mask beyond n bits
     is never a hit, so it counts as extra.
@@ -272,7 +263,7 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
         n=n,
         all_expected_present=missing == 0,
         full_mask_present=bool(full_present),
-        full_mask_expected=bool(n & 2) and not drop_full,
+        full_mask_expected=squares_to_minus_one(full) and not drop_full,
         missing_masks=missing,
         extra_masks=extra,
         exactly_predicted=missing == 0 and extra == 0,

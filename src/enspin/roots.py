@@ -18,6 +18,10 @@ from typing import NamedTuple
 
 from .spinrep import en_adjacency
 
+#: The height of the highest root of E_8, the largest of E_3..E_8 (2, 4,
+#: 7, 11, 17 and 29), so no positive root of a finite E_n lies above it.
+_MAX_HEIGHT = 29
+
 
 class RootSet(NamedTuple):
     """Positive system of one diagram, roots sorted by (height, lex)."""
@@ -71,6 +75,12 @@ def positive_roots(n: int) -> RootSet:
     the parent's pairings plus row i of C.  The rule is tested in O(1) per
     (root, i), and a new root costs O(n) per parent it is reached from,
     so the cost is O(R n^2) for R positive roots.
+
+    The walk is bounded: no root of E_3..E_8 lies above _MAX_HEIGHT, so
+    it builds the layers up to height _MAX_HEIGHT + 1, each empty once
+    the top is passed, and a root there means the pairings are not those
+    of a finite E_n (a wrong Cartan matrix can make every layer
+    nonempty): it raises RuntimeError rather than walking on without end.
     """
     if n < 3:
         raise ValueError(f"root enumeration needs n >= 3, got {n}")
@@ -80,7 +90,7 @@ def positive_roots(n: int) -> RootSet:
 
     layer = {tuple(int(j == i) for j in range(n)): row for i, row in enumerate(cartan)}
     have = set(layer)
-    while layer:
+    for _ in range(_MAX_HEIGHT):  # heights 2 .. _MAX_HEIGHT + 1
         layer = {
             beta[:i] + (beta[i] + 1,) + beta[i + 1:]: tuple(map(add, pairing, cartan[i]))
             for beta, pairing in layer.items()
@@ -88,6 +98,8 @@ def positive_roots(n: int) -> RootSet:
             if c == -1
         }
         have.update(layer)
+    if layer:
+        raise RuntimeError(f"root walk reached height {_MAX_HEIGHT + 1}, above E_8's highest root")
 
     ordered = tuple(sorted(have, key=lambda r: (sum(r), r)))
     return RootSet(n=n, cartan=cartan, roots=ordered)

@@ -4,10 +4,12 @@ The generators sit inside the Clifford algebra on n generators:
 
     A_1 = v1 v2,   A_2 = v1 v2 v3,   A_j = v_{j-1} v_j   (3 <= j <= n)
 
-Two generators are adjacent in the E_n diagram exactly when their index
+Each is an unsigned blade, so SpinGenerators holds its mask alone.  Two
+generators are adjacent in the E_n diagram exactly when their index
 sets share one element; adjacency makes them anticommute, disjoint or
 doubly-overlapping index sets make them commute.  The machine check
-verifies the Berman-style presentation, read off the masks
+verifies the Berman-style presentation, read off the masks by the
+square rule and the commutation form of enspin.clifford
 (verify_relations):
 
     A_i^2 = -1
@@ -23,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import _forwarding_getattr
-from .clifford import Blade, blade_product, blades_anticommute
+from .clifford import blades_anticommute, squares_to_minus_one
 
 # name -> defining module, for exactly the names that the benchmark tracer
 # (perfbench/tracer.py) binds here without this module defining them
@@ -56,21 +58,17 @@ def en_adjacency(n: int) -> EnDiagram:
 
 
 class SpinGenerators(NamedTuple):
-    n: int
-    blades: tuple[Blade, ...]
+    """The masks of A_1, ..., A_n, in that order."""
 
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(b.mask for b in self.blades)
+    n: int
+    masks: tuple[int, ...]
 
 
 def spin_generators(n: int) -> SpinGenerators:
     if n < 3:
         raise ValueError(f"spin generators need n >= 3, got {n}")
-    blades = [Blade(0b11), Blade(0b111)]
-    for j in range(3, n + 1):
-        blades.append(Blade((1 << (j - 2)) | (1 << (j - 1))))
-    return SpinGenerators(n=n, blades=tuple(blades))
+    masks = (0b11, 0b111, *(0b11 << (j - 2) for j in range(3, n + 1)))  # v_{j-1} v_j
+    return SpinGenerators(n=n, masks=masks)
 
 
 class RelationReport(NamedTuple):
@@ -100,10 +98,10 @@ class RelationReport(NamedTuple):
 def verify_relations(n: int) -> RelationReport:
     """Machine-check the presentation for every generator and ordered pair, on the masks.
 
-    Each generator is a blade a, so a^2 = +-1 is the sign of
-    blade_product(a, a).  Two blades either commute, and then [a, b] = 0,
-    or anticommute, and then [a, b] = 2ab and
-    [a, [a, b]] = 2a(ab) - 2(ab)a = 2a^2 b + 2a^2 b = 4a^2 b.  So on an
+    Each generator is a blade a, so a^2 = +-1, and it is -1 exactly when
+    squares_to_minus_one(a) holds.  Two blades either commute, and then
+    [a, b] = 0, or anticommute (blades_anticommute), and then [a, b] = 2ab
+    and [a, [a, b]] = 2a(ab) - 2(ab)a = 2a^2 b + 2a^2 b = 4a^2 b.  So on an
     edge [A_i, [A_i, A_j]] = -4 A_j iff the two anticommute and
     A_i^2 = -1 (when they commute the left side is 0, and A_j is not);
     off an edge [A_i, A_j] = 0 iff they commute.
@@ -119,16 +117,16 @@ def verify_relations(n: int) -> RelationReport:
     pairs: dict[tuple[int, int], bool] = {}
     failures: list[str] = []
 
-    for i, a in enumerate(gens.blades, start=1):
-        squares[i] = blade_product(a, a).sign == -1
+    for i, a in enumerate(gens.masks, start=1):
+        squares[i] = squares_to_minus_one(a)
         if not squares[i]:
             failures.append(f"A_{i}^2 != -1")
 
-    for i, a in enumerate(gens.blades, start=1):
-        for j, b in enumerate(gens.blades, start=1):
+    for i, a in enumerate(gens.masks, start=1):
+        for j, b in enumerate(gens.masks, start=1):
             if i == j:
                 continue
-            anticommute = blades_anticommute(a.mask, b.mask)
+            anticommute = blades_anticommute(a, b)
             if diagram.adjacent(i, j):
                 ok = anticommute and squares[i]
                 if not ok:

@@ -19,6 +19,7 @@ import pytest
 import enspin
 from enspin import deltas
 from enspin.cli import main
+from enspin.clifford import Blade
 from enspin.deltas import MAX_DELTA_N
 
 DATA = Path(__file__).parent / "data"
@@ -46,24 +47,30 @@ def test_verify_rejects_bad_range(capsys):
 def record_work(monkeypatch) -> list:
     """Replace every entry into the pipeline by a recorder and return its calls."""
     calls = []
+    # first, so that enspin.analysis, imported here, binds the true blade_closure:
+    # a later test that runs the analysis then runs the real one
+    monkeypatch.setattr("enspin.analysis.spin_generators", lambda *a, **k: calls.append(a))
     monkeypatch.setattr("enspin.cli.run_verification", lambda *a, **k: calls.append(a))
     monkeypatch.setattr("enspin.closure.blade_closure", lambda *a, **k: calls.append(a))
     # the spin generators alone are O(n^2) bits, so the refusal must come first
     monkeypatch.setattr("enspin.cli.spin_generators", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr("enspin.analysis.spin_generators", lambda *a, **k: calls.append(a))
     for name in ("positive_roots", "delta_closed", "delta_sum", "delta_identities"):
         monkeypatch.setattr(f"enspin.cli.{name}", lambda *a, **k: calls.append(a))
     return calls
 
 
+# each int flag's floor, from the command table: a command alone names --n
 @pytest.mark.parametrize("command, floor, n", [
     ("closure", 3, 2), ("classify", 3, 2), ("roots", 3, 2), ("delta", 1, 0), ("closure", 3, -1),
+    ("verify --from", 3, 2), ("verify --jobs", 1, 0), ("report --to", 2, 1),
 ])
 def test_n_below_its_floor_fails_before_any_work(capsys, monkeypatch, command, floor, n):
     calls = record_work(monkeypatch)
-    code, out, err = run_cli(capsys, command, "--n", str(n))
+    name, _, flag = command.partition(" ")
+    flag = flag or "--n"
+    code, out, err = run_cli(capsys, name, flag, str(n))
     assert (code, out) == (2, "")
-    assert err == f"error: {command} needs --n >= {floor}, got {n}\n"
+    assert err == f"error: {name} needs {flag} >= {floor}, got {n}\n"
     assert calls == []
 
 
@@ -650,6 +657,8 @@ NUMPY_FREE = {
 # the layers a command never calls, so its start must not load them
 LAYERS_NOT_RUN = {
     "report": {"enspin.analysis", "enspin.roots"},
+    # q lives in clifford, so the pairings need no closure
+    "roots": {"enspin.closure", "enspin.analysis", "enspin.report"},
     "verify-10-12": {"enspin.roots"},  # the roots check runs for n <= 8 alone
 }
 # the starts that load no layer: enspin.cli is their one enspin submodule
@@ -743,12 +752,19 @@ def test_closure_imports_no_oracle_module(module):
 
 
 def test_verify_and_delta_make_no_fraction(capsys, monkeypatch):
-    # Fraction arithmetic is left to the test oracles: every count here is an int
-    def no_fraction(*args, **kwargs):
-        raise RuntimeError("a Fraction was made")
+    # Fraction arithmetic is left to the test oracles: every count here is an int.
+    # Nor is a Blade made: the checks read the generator masks by the rules of
+    # enspin.clifford, and only closure --format text prints blades
+    def refuse(kind):
+        def new(*args, **kwargs):
+            raise RuntimeError(f"a {kind} was made")
+        return new
 
-    monkeypatch.setattr(fractions.Fraction, "__new__", no_fraction)
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse("Fraction"))
+    monkeypatch.setattr(Blade, "__new__", refuse("Blade"))
     assert run_cli(capsys, "verify", "--from", "3", "--to", "12", "--no-timings")[0] == 0
+    assert run_cli(capsys, "classify", "--n", "9")[0] == 0
+    assert run_cli(capsys, "report", "--to", "12")[0] == 0
     assert run_cli(capsys, "delta", "--n", "2048")[0] == 0
 
 

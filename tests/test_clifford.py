@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from enspin.clifford import Blade, blade_product, blades_anticommute, reorder_swaps
+from enspin.clifford import (
+    Blade,
+    blade_product,
+    blades_anticommute,
+    reorder_swaps,
+    squares_to_minus_one,
+)
 from enspin.multivector import Multivector, bracket, format_multivector, mv_product
 
 
@@ -59,6 +65,12 @@ def test_anticommute_predicate_agrees_with_products():
             ba = blade_product(Blade(b), Blade(a))
             anti = ab.sign == -ba.sign
             assert blades_anticommute(a, b) == anti, (a, b)
+
+
+def test_square_rule_agrees_with_products():
+    # the signed product is the independent oracle of the grade rule
+    for m in range(1 << 12):
+        assert squares_to_minus_one(m) == (blade_product(Blade(m), Blade(m)).sign == -1), m
 
 
 def test_reorder_swaps_zero_for_disjoint_sorted():

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from enspin.analysis import central_blades, classify, greedy_torus
 from enspin.bott import max_compact
-from enspin.clifford import blades_anticommute
+from enspin.clifford import _commutation_vector, blades_anticommute
 from enspin.closure import (
     ClosureBasis,
     LemmaContainment,
-    _commutation_vector,
     _negative_square_pattern,
     _parity_pattern,
     _set_bits,
@@ -55,7 +54,7 @@ def _anticommute(a, b) -> np.ndarray:
     """Boolean array: the blades a and b anticommute (|a||b| - |a & b| odd).
 
     For even |b| that is |a & b| odd, for odd |b| it is |a & ~b| odd (the
-    rule of enspin.closure._commutation_vector), so one popcount of
+    rule of enspin.clifford._commutation_vector), so one popcount of
     a & h_b decides, with h_b = b or ~b.
     """
     h = np.where(np.bitwise_count(b) & 1, ~b, b)

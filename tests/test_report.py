@@ -10,7 +10,6 @@ from enspin import spinrep
 from enspin.analysis import analyze, classify_bundle
 from enspin.bott import closure_type, max_compact
 from enspin.cli import main
-from enspin.clifford import Blade
 from enspin.closure import blade_closure
 from enspin.deltas import lower_bound_dim
 from enspin.report import (
@@ -154,7 +153,7 @@ def test_relations_check_fails_on_a_wrong_generator(monkeypatch):
 
     def wrong_first(n):
         gens = true_generators(n)
-        return gens._replace(blades=(Blade(0b1),) + gens.blades[1:])
+        return gens._replace(masks=(0b1,) + gens.masks[1:])
 
     monkeypatch.setattr("enspin.spinrep.spin_generators", wrong_first)
     rel = spinrep.verify_relations(5)

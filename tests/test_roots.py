@@ -134,6 +134,15 @@ def test_known_highest_root_heights():
     rs = positive_roots(8)
     top = maximal_roots(rs)[0]
     assert sum(top) == 29  # E_8 Coxeter number 30
+    # the highest of every rank: the walk stops above height 29
+    assert [max(map(sum, positive_roots(n).roots)) for n in range(3, 9)] == [2, 4, 7, 11, 17, 29]
+
+
+def test_a_wrong_pairing_stops_the_walk(monkeypatch):
+    # with zero diagonal every layer stays nonempty, so an unbounded walk never ends
+    monkeypatch.setattr("enspin.roots.cartan_matrix", lambda n: ((0, -1, 0), (-1, 0, -1), (0, -1, 0)))
+    with pytest.raises(RuntimeError, match="height 30"):
+        positive_roots(3)
 
 
 def test_count_matches_closure_dimension():

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enspin import spinrep
-from enspin.clifford import Blade
 from enspin.multivector import Multivector, bracket, mv_product
 from enspin.spinrep import (
     en_adjacency,
@@ -21,7 +20,7 @@ def edge_list(diagram) -> list[tuple[int, int]]:
 
 def multivectors(gens) -> list[Multivector]:
     """The generator blades as multivectors of the ambient dimension."""
-    return [Multivector.from_blade(b, gens.n) for b in gens.blades]
+    return [Multivector({m: 1}, gens.n) for m in gens.masks]
 
 
 def shared_index_adjacency_ok(n: int) -> bool:
@@ -61,12 +60,13 @@ def test_adjacency_edge_count_and_branch():
 
 def test_generator_blades():
     gens = spin_generators(5)
-    assert gens.blades[0] == Blade(0b00011)
-    assert gens.blades[1] == Blade(0b00111)
-    assert gens.blades[2] == Blade(0b00110)
-    assert gens.blades[3] == Blade(0b01100)
-    assert gens.blades[4] == Blade(0b11000)
-    assert len(gens.blades) == 5
+    assert gens.masks[0] == 0b00011
+    assert gens.masks[1] == 0b00111
+    assert gens.masks[2] == 0b00110
+    assert gens.masks[3] == 0b01100
+    assert gens.masks[4] == 0b11000
+    assert len(gens.masks) == 5
+    assert spinrep.SpinGenerators._fields == ("n", "masks")
 
 
 def test_generators_need_three_dimensions():
@@ -131,13 +131,13 @@ def test_nonadjacent_generators_commute_spot_check():
 
 @given(n=st.integers(3, 6), data=st.data())
 def test_relations_read_off_masks_match_brackets_on_any_blades(n, data):
-    # each generator kept or swapped for an arbitrary signed blade, so one relation can fail alone
+    # each generator kept or swapped for an arbitrary blade, so one relation can fail alone;
+    # a blade's sign changes neither its square nor whether it commutes, so masks suffice
     true_generators = spin_generators
-    signed_blades = st.builds(Blade, st.integers(0, (1 << n) - 1), st.sampled_from((1, -1)))
-    blades = tuple(data.draw(st.one_of(st.just(b), signed_blades))
-                   for b in true_generators(n).blades)
+    any_mask = st.integers(0, (1 << n) - 1)
+    masks = tuple(data.draw(st.one_of(st.just(g), any_mask)) for g in true_generators(n).masks)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(spinrep, "spin_generators",
-                  lambda k: true_generators(k)._replace(blades=blades))
+                  lambda k: true_generators(k)._replace(masks=masks))
         report = verify_relations(n)
         assert (report.squares, report.pairs, report.scaled_ok) == relations_reference(n)
