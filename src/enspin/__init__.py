@@ -10,7 +10,9 @@ works on ints and bitsets and makes no Fraction.
 
 ``import enspin`` loads no submodule: each public name below is
 imported from its submodule on first use (PEP 562) and then cached on
-the package.  The names are the verifier's, and none of them imports
+the package.  run_verification is enspin.report's and algebra_table
+enspin.table's, so the summary table loads none of the verify
+pipeline.  The names are the verifier's, and none of them imports
 numpy: a closure is one Python int of 2^n bits (2 MiB at n = 24), and
 every check reads it with int operations.  The independent test
 oracles (the dense blade table, the mod-p rank probe and the exact
@@ -37,12 +39,13 @@ _EXPORTS = {
     "closure": ("ClosureBasis", "blade_closure", "lemma_containment_check"),
     "deltas": ("delta_closed", "delta_identities", "delta_sum", "lower_bound_dim"),
     "multivector": ("Multivector", "bracket", "format_multivector", "mv_product"),
-    "report": ("VerificationReport", "algebra_table", "run_verification"),
+    "report": ("VerificationReport", "run_verification"),
     "roots": ("RootSet", "positive_roots", "theorem_b_check"),
     "spinrep": (
         "EnDiagram", "SpinGenerators", "en_adjacency", "spin_generators",
         "verify_relations",
     ),
+    "table": ("algebra_table",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

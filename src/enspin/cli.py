@@ -11,14 +11,16 @@ own choosing.
 
 Importing this module imports no enspin layer.  Each handler imports the
 layers it runs when it first reads one of their names, so no command
-compiles a layer it never calls: ``report`` loads bott, closure, deltas,
-spinrep and clifford, but not analysis or roots; ``verify`` loads roots
-only when its range reaches n <= 8; ``delta`` loads deltas alone; and
-``--help`` and the parser's usage errors load no layer at all.  Handlers
-read those names through this module (``_layers.<name>``), never as bare
-globals: a PEP 562 ``__getattr__`` serves the attribute read but not a
-global lookup, and a name that a test or the benchmark tracer has
-rebound here is then the one that runs.
+compiles a layer it never calls: ``report`` loads table, closure, bott,
+spinrep and clifford, but not the verify pipeline (report), analysis,
+roots or deltas; ``verify`` loads roots only when its range reaches
+n <= 8, and table only for Markdown or CSV; ``closure`` and ``classify``
+load no deltas; ``delta`` loads deltas alone; and ``--help`` and the
+parser's usage errors load no layer at all.  Handlers read those names
+through this module (``_layers.<name>``), never as bare globals: a PEP
+562 ``__getattr__`` serves the attribute read but not a global lookup,
+and a name that a test or the benchmark tracer has rebound here is then
+the one that runs.
 ``python -m enspin.cli`` runs through the same entry as ``python -m
 enspin``, ``enspin.__main__.run``.
 """
@@ -40,10 +42,11 @@ _LAYER_OF = {
     **dict.fromkeys(("blade_closure", "check_ambient"), "closure"),
     **dict.fromkeys(("MAX_DELTA_N", "delta_closed", "delta_identities", "delta_sum"), "deltas"),
     **dict.fromkeys(
-        ("algebra_table", "run_verification", "reports_to_csv", "reports_to_json",
-         "reports_to_markdown", "table_to_csv", "table_to_json", "table_to_markdown"),
+        ("run_verification", "reports_to_csv", "reports_to_json", "reports_to_markdown"),
         "report",
     ),
+    **dict.fromkeys(("algebra_table", "table_to_csv", "table_to_json", "table_to_markdown"),
+                    "table"),
     "positive_roots": "roots",
     "spin_generators": "spinrep",
 }

@@ -1,10 +1,13 @@
-"""Per-n verification pipeline and tabular report assembly.
+"""Per-n verification pipeline and its records.
 
 run_verification drives every check for one ambient dimension and
 returns a flat record: computed closure dimension, the expected count,
 delta values, algebra descriptors, and one pass/fail/skipped outcome
 per named check.  The serialization helpers render lists of records as
-JSON, Markdown, or CSV with a stable column set.
+JSON, Markdown, or CSV with a stable column set; the Markdown and CSV
+writers are enspin.table's, imported when called, so a JSON run never
+loads that module.  The algebra table of ``enspin report`` lives in
+enspin.table, which loads no part of this pipeline.
 """
 
 from __future__ import annotations
@@ -13,17 +16,17 @@ import json
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import _forwarding_getattr, closure
+from . import _forwarding_getattr
 from .bott import bott_algebra, closure_type, max_compact
 from .closure import check_ambient, lemma_containment_check
 from .deltas import delta_closed, delta_identities, lower_bound_dim
-from .spinrep import spin_generators, verify_relations
+from .spinrep import verify_relations
 
 if TYPE_CHECKING:
     from .analysis import AnalysisBundle
 
 # name -> the layer it comes from, for the names that only run_verification
-# reads, so that algebra_table loads neither layer; they are read as
+# reads, so that importing this module loads neither layer; they are read as
 # _layers.<name>, which imports the layer on first use (PEP 562) and runs a
 # rebound name as rebound.  positive_roots is read for n <= 8 alone.
 _LAYER_OF = {
@@ -201,26 +204,6 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.to_json() for r in ordered], indent=2) + "\n"
 
 
-def _markdown(cols: list[str], rows: list[list]) -> str:
-    lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    # None, a cell with nothing to compare, reads "--" here and blank in CSV
-    cells = (("--" if v is None else str(v) for v in row) for row in rows)
-    lines += ["| " + " | ".join(row) + " |" for row in cells]
-    return "\n".join(lines) + "\n"
-
-
-def _csv(cols: list[str], rows: list[list]) -> str:
-    # imported here, so JSON and Markdown runs never load csv
-    import csv
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
 def _status_rows(reports: list[VerificationReport]) -> list[list]:
     return [
         [r.n, r.closure_dim, r.expected_dim, r.max_compact]
@@ -231,55 +214,16 @@ def _status_rows(reports: list[VerificationReport]) -> list[list]:
 
 
 def reports_to_markdown(reports: list[VerificationReport]) -> str:
+    # imported here, so a JSON run never loads enspin.table
+    from .table import _markdown
+
     cols = ["n", "dim", "expected", "type", *CHECK_ORDER, "verdict"]
     return _markdown(cols, _status_rows(reports))
 
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:
+    from .table import _csv
+
     checks = [f"check_{name}" for name in CHECK_ORDER]
     cols = ["n", "closure_dim", "expected_dim", "max_compact", *checks, "verdict"]
     return _csv(cols, _status_rows(reports))
-
-
-def algebra_table(to_n: int) -> list[dict]:
-    """Clifford and compact-type descriptors next to computed closure dims,
-    one JSON row per n; closure_dim and match are None where nothing is compared."""
-    if to_n < 2:
-        raise ValueError(f"table needs to_n >= 2, got {to_n}")
-    check_ambient(to_n)
-    rows: list[dict] = []
-    for n in range(2, to_n + 1):
-        alg, typ = bott_algebra(n), max_compact(n)
-        row = {"n": n, "clifford": str(alg), "clifford_dim": alg.real_dimension(),
-               "max_compact": str(typ), "type_dim": typ.dimension(),
-               "closure_dim": None, "match": None, "note": ""}
-        if n >= 3:
-            # read through its module, where the benchmark tracer binds it
-            row["closure_dim"] = dim = closure.blade_closure(n, spin_generators(n).masks).dim
-            image = closure_type(n)
-            if image == typ:
-                row["match"] = dim == typ.dimension()
-            else:
-                row["note"] = f"image is {image}, one dimension above the listed type"
-        rows.append(row)
-    return rows
-
-
-def table_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def _table_cells(rows: list[dict]) -> list[list]:
-    yes_no = {None: None, True: "yes", False: "no"}
-    return [list({**row, "match": yes_no[row["match"]]}.values()) for row in rows]
-
-
-def table_to_markdown(rows: list[dict]) -> str:
-    cols = ["n", "clifford", "dim C", "max compact", "type dim", "closure dim", "match", "note"]
-    return _markdown(cols, _table_cells(rows))
-
-
-def table_to_csv(rows: list[dict]) -> str:
-    cols = ["n", "clifford", "clifford_dim", "max_compact",
-            "type_dim", "closure_dim", "match", "note"]
-    return _csv(cols, _table_cells(rows))

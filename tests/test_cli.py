@@ -4,6 +4,7 @@ import ast
 import concurrent.futures
 import csv
 import fractions
+import hashlib
 import importlib.util
 import io
 import json
@@ -435,6 +436,20 @@ def test_tables_match_golden_bytes(capsys, golden):
     assert out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
+# the sha256 of each command's stdout, keyed by its argv; "ci" holds the
+# 3..24 run that the CI facts step makes and hashes
+DIGESTS = json.loads((DATA / "digests.json").read_text("utf-8"))
+
+
+def test_outputs_match_their_digests(capsys):
+    changed = []
+    for argv, digest in DIGESTS["tier1"].items():
+        code, out, err = run_cli(capsys, *argv.split())
+        if (code, err) != (0, "") or hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
+            changed.append(argv)
+    assert not changed
+
+
 # -- module entry point ------------------------------------------------------
 
 SRC = str(Path(enspin.__file__).resolve().parent.parent)
@@ -656,7 +671,9 @@ NUMPY_FREE = {
 }
 # the layers a command never calls, so its start must not load them
 LAYERS_NOT_RUN = {
-    "report": {"enspin.analysis", "enspin.roots"},
+    # the algebra table is enspin.table's, and the lemma alone reads deltas
+    "report": {"enspin.report", "enspin.analysis", "enspin.roots", "enspin.deltas"},
+    "verify": {"enspin.table"},  # the Markdown and CSV writers alone are table's
     # q lives in clifford, so the pairings need no closure
     "roots": {"enspin.closure", "enspin.analysis", "enspin.report"},
     "verify-10-12": {"enspin.roots"},  # the roots check runs for n <= 8 alone
@@ -733,7 +750,7 @@ def test_cli_needs_only_the_standard_library():
     parse = start(["closure", "--n", "x"])
     assert parse.returncode == 2 and b"invalid int value" in parse.stderr
     # the lazy layer imports among them: verify past 8 loads no roots, and
-    # report no analysis
+    # report neither the verify pipeline nor analysis nor deltas
     for argv in (["--help"], ["closure", "--n", "9", "--format", "text"], ["classify", "--n", "9"],
                  ["roots", "--n", "8"], ["delta", "--n", "11"], ["verify", "--from", "10", "--to", "10"],
                  ["report", "--to", "9", "--format", "markdown"]):
@@ -743,7 +760,8 @@ def test_cli_needs_only_the_standard_library():
         assert run([*GOLDEN_TABLES[golden], *extra]) == (DATA / golden).read_bytes(), (golden, extra)
 
 
-@pytest.mark.parametrize("module", ["closure", "clifford", "spinrep", "analysis", "report", "cli"])
+@pytest.mark.parametrize(
+    "module", ["closure", "clifford", "spinrep", "analysis", "report", "table", "cli"])
 def test_closure_imports_no_oracle_module(module):
     # the verifier's modules hold no oracle: the mask kernels need neither
     # linalg nor Fraction, and blades need no multivector

@@ -22,8 +22,9 @@ from enspin.closure import (
 from enspin.deltas import drops_top_blade, lower_bound_dim
 from enspin.linalg import EchelonBasis
 from enspin.multivector import Multivector, bracket
-from enspin.report import algebra_table, run_verification
+from enspin.report import run_verification
 from enspin.spinrep import spin_generators
+from enspin.table import algebra_table
 
 EXPECTED_DIMS = {
     3: 4, 4: 10, 5: 20, 6: 36, 7: 63, 8: 120, 9: 240, 10: 496, 11: 1023, 12: 2080,

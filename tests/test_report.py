@@ -15,15 +15,12 @@ from enspin.deltas import lower_bound_dim
 from enspin.report import (
     CHECK_ORDER,
     _killing_outcome,
-    algebra_table,
     reports_to_csv,
     reports_to_json,
     reports_to_markdown,
     run_verification,
-    table_to_csv,
-    table_to_json,
-    table_to_markdown,
 )
+from enspin.table import algebra_table, table_to_csv, table_to_json, table_to_markdown
 
 
 def test_report_small_rank_passes_everything():
