@@ -17,27 +17,16 @@ _commutation_vector and the square rule squares_to_minus_one, live in
 enspin.clifford; the analysis reads only those n-bit rows and builds no
 pattern.  One ceiling, MAX_AMBIENT, bounds n for every caller, and
 check_ambient tests it before anything is built.  The lemma check's
-counts come from enspin.deltas, which it imports when first run, so
-``closure``, ``classify`` and ``report`` load no deltas.
+counts come from enspin.deltas.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
-from . import _forwarding_getattr
 from .clifford import _commutation_vector, squares_to_minus_one
-
-# name -> the layer it comes from, for the names that only
-# lemma_containment_check reads, so that a closure alone loads no deltas;
-# they are read as _layers.<name>, which imports the layer on first use
-# (PEP 562) and runs a rebound name as rebound.
-_LAYER_OF = dict.fromkeys(("drops_top_blade", "lower_bound_dim"), "deltas")
-__getattr__ = _forwarding_getattr(globals(), _LAYER_OF)
-_layers = sys.modules[__name__]
 
 #: The one ceiling on the ambient dimension.  A bitset of 2^n bits is
 #: 2 MiB at n = 24, and no stage holds more than a few dozen of them.
@@ -261,14 +250,16 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
     lower_bound_dim(n) - hits and extra = d - hits; a mask beyond n bits
     is never a hit, so it counts as extra.
     """
+    from .deltas import drops_top_blade, lower_bound_dim
+
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     full = (1 << n) - 1
-    drop_full = _layers.drops_top_blade(n)
+    drop_full = drops_top_blade(n)
     have = basis.bits
     full_present = have >> full & 1
     hits = (have & _negative_square_pattern(n)).bit_count() - (full_present if drop_full else 0)
-    missing = _layers.lower_bound_dim(n) - hits
+    missing = lower_bound_dim(n) - hits
     extra = basis.dim - hits
     return LemmaContainment(
         n=n,

@@ -5,35 +5,29 @@ returns a flat record: computed closure dimension, the expected count,
 delta values, algebra descriptors, and one pass/fail/skipped outcome
 per named check.  The serialization helpers render lists of records as
 JSON, Markdown, or CSV with a stable column set; the Markdown and CSV
-writers are enspin.table's, imported when called, so a JSON run never
-loads that module.  The algebra table of ``enspin report`` lives in
-enspin.table, which loads no part of this pipeline.
+writers are enspin.table's, imported when called.  The algebra table of
+``enspin report`` lives in enspin.table, which loads no part of this
+pipeline.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import _forwarding_getattr
+from .analysis import AnalysisBundle, analyze, classify_bundle, stage
 from .bott import bott_algebra, closure_type, max_compact
 from .closure import check_ambient, lemma_containment_check
 from .deltas import delta_closed, delta_identities, lower_bound_dim
 from .spinrep import verify_relations
 
-if TYPE_CHECKING:
-    from .analysis import AnalysisBundle
-
-# name -> the layer it comes from, for the names that only run_verification
-# reads, so that importing this module loads neither layer; they are read as
-# _layers.<name>, which imports the layer on first use (PEP 562) and runs a
-# rebound name as rebound.  positive_roots is read for n <= 8 alone.
-_LAYER_OF = {
-    **dict.fromkeys(("analyze", "classify_bundle", "stage"), "analysis"),
-    "positive_roots": "roots",
-}
-__getattr__ = _forwarding_getattr(globals(), _LAYER_OF)
+# name -> defining module, for exactly the name that the benchmark tracer
+# binds here without this module defining it; it is read as
+# _layers.positive_roots, for n <= 8 alone
+_FORWARDED = {"positive_roots": "roots"}
+__getattr__ = _forwarding_getattr(globals(), _FORWARDED)
 _layers = sys.modules[__name__]
 
 CHECK_ORDER = ("relations", "lemma", "identities", "killing", "rank", "split", "roots", "classify")
@@ -120,17 +114,17 @@ def run_verification(n: int) -> VerificationReport:
     timings: dict[str, float] = {}
     checks: dict[str, CheckOutcome] = {}
 
-    with _layers.stage(timings, "relations"):
+    with stage(timings, "relations"):
         rel = verify_relations(n)
     detail = f"{len(rel.pairs)} ordered pairs, squares and half-scaled variant included"
     if rel.failures:
         detail = "; ".join(rel.failures)
     checks["relations"] = _outcome(rel.all_pass, detail)
 
-    bundle = _layers.analyze(n)
+    bundle = analyze(n)
     timings.update(bundle.timings_ms)
 
-    with _layers.stage(timings, "lemma"):
+    with stage(timings, "lemma"):
         lemma = lemma_containment_check(n, bundle.basis)
     detail = (
         f"all expected masks present={lemma.all_expected_present}, "
@@ -144,7 +138,7 @@ def run_verification(n: int) -> VerificationReport:
         )
     checks["lemma"] = _outcome(lemma.passed, detail)
 
-    with _layers.stage(timings, "deltas"):
+    with stage(timings, "deltas"):
         ident = delta_identities(n)
     dvals = tuple(delta_closed(k, n) for k in range(4))
     checks["identities"] = _outcome(
@@ -154,7 +148,7 @@ def run_verification(n: int) -> VerificationReport:
 
     checks["killing"] = _killing_outcome(bundle)
 
-    cls = _layers.classify_bundle(bundle)
+    cls = classify_bundle(bundle)
     r, expected_rank = bundle.rank, cls.matched_type.rank()
     certified = "is self-centralizing" if bundle.compact else "is not a certified Cartan subalgebra"
     checks["rank"] = _outcome(
@@ -162,17 +156,18 @@ def run_verification(n: int) -> VerificationReport:
         f"torus of {r} commuting blades {certified}; rank {r} vs expected {expected_rank}",
     )
 
-    if bundle.split.applicable:
-        dims = bundle.split.dims
+    split = bundle.split
+    if split.applicable:
+        # a failing split names its hole in reason; a passing one has none
         checks["split"] = _outcome(
-            bundle.split.passed,
-            f"eigenspace dims {dims}, cross brackets vanish={bundle.split.cross_vanishes}, "
-            f"exhaustive={bundle.split.exhaustive}",
+            split.passed,
+            split.reason or f"eigenspace dims {split.dims}, cross brackets "
+            f"vanish={split.cross_vanishes}, exhaustive={split.exhaustive}",
         )
     else:
-        checks["split"] = _skipped(bundle.split.reason)
+        checks["split"] = _skipped(split.reason)
 
-    with _layers.stage(timings, "roots"):
+    with stage(timings, "roots"):
         if n <= 8:
             rs = _layers.positive_roots(n)
             checks["roots"] = _outcome(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .spinrep import en_adjacency
+from .spinrep import en_adjacency, spin_generators
 
 #: The height of the highest root of E_8, the largest of E_3..E_8 (2, 4,
 #: 7, 11, 17 and 29), so no positive root of a finite E_n lies above it.
@@ -108,7 +108,6 @@ def positive_roots(n: int) -> RootSet:
 def theorem_b_check(n: int) -> bool:
     """Positive-root count equals the closure dimension of the spin generators."""
     from .closure import blade_closure
-    from .spinrep import spin_generators
 
     rs = positive_roots(n)
     basis = blade_closure(n, spin_generators(n).masks)

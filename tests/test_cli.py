@@ -671,6 +671,10 @@ NUMPY_FREE = {
 }
 # the layers a command never calls, so its start must not load them
 LAYERS_NOT_RUN = {
+    # the closure alone needs clifford and the generators; the lemma alone reads deltas
+    "closure": {"enspin.deltas", "enspin.bott", "enspin.analysis", "enspin.report",
+                "enspin.roots", "enspin.table"},
+    "classify": {"enspin.deltas", "enspin.report", "enspin.roots", "enspin.table"},
     # the algebra table is enspin.table's, and the lemma alone reads deltas
     "report": {"enspin.report", "enspin.analysis", "enspin.roots", "enspin.deltas"},
     "verify": {"enspin.table"},  # the Markdown and CSV writers alone are table's
@@ -678,9 +682,17 @@ LAYERS_NOT_RUN = {
     "roots": {"enspin.closure", "enspin.analysis", "enspin.report"},
     "verify-10-12": {"enspin.roots"},  # the roots check runs for n <= 8 alone
 }
-# the starts that load no layer: enspin.cli is their one enspin submodule
-# (the entry itself runs as __main__)
-NO_LAYER = {"help", "import-cli"}
+# the starts whose enspin modules are exactly these: help and a bare import
+# load no layer, and delta loads deltas alone (the entry itself runs as __main__)
+ENSPIN_LOADED = {
+    "help": {"enspin", "enspin.cli"},
+    "import-cli": {"enspin", "enspin.cli"},
+    "delta": {"enspin", "enspin.cli", "enspin.deltas"},
+}
+
+
+def enspin_modules(loaded: list[str]) -> set[str]:
+    return {m for m in loaded if m.partition(".")[0] == "enspin"}
 
 
 @pytest.mark.parametrize("name", list(NUMPY_FREE))
@@ -708,8 +720,35 @@ def test_cli_never_imports_numpy(name):
         unwanted.add("csv")  # a JSON run writes no CSV
     assert unwanted.isdisjoint(loaded)
     assert LAYERS_NOT_RUN.get(name, set()).isdisjoint(loaded)
-    if name in NO_LAYER:
-        assert {m for m in loaded if m.partition(".")[0] == "enspin"} == {"enspin", "enspin.cli"}
+    if name in ENSPIN_LOADED:
+        assert enspin_modules(loaded) == ENSPIN_LOADED[name]
+
+
+def test_usage_error_loads_no_layer():
+    # the parser rejects the flag value before any handler reads a layer
+    code, loaded, _, _, fast_exit = start_as_module(["closure", "--n", "x"], child_env())
+    assert (code, fast_exit) == (2, True)
+    assert enspin_modules(loaded) == {"enspin", "enspin.cli"}
+
+
+def test_cli_layer_table_has_no_dead_entry():
+    # every name of the table is read by a handler, as _layers.<name> or as
+    # getattr(_layers, f"<prefix>{args.format}") for each table format, and
+    # every name read so has an entry
+    import enspin.cli as cli
+
+    def is_layers(node):
+        return isinstance(node, ast.Name) and node.id == "_layers"
+
+    reads = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text("utf-8"))):
+        if isinstance(node, ast.Attribute) and is_layers(node.value):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and is_layers(node.args[0])):
+            prefix = node.args[1].values[0].value
+            reads.update(prefix + f for f in cli._TABLES)
+    assert set(cli._LAYER_OF) == reads
 
 
 def test_a_rebound_name_is_what_runs():
@@ -720,7 +759,7 @@ def test_a_rebound_name_is_what_runs():
             "enspin.cli.algebra_table = lambda to_n: [{'rebound': to_n}]\n"
             "assert enspin.cli.main(['report', '--to', '3']) == 0\n"
             "import enspin.report\n"
-            "assert not {'enspin.analysis', 'enspin.roots'} & set(sys.modules)\n"
+            "assert 'enspin.roots' not in sys.modules\n"
             "enspin.report.positive_roots = lambda n: types.SimpleNamespace(count=0)\n"
             "print(enspin.report.run_verification(5).checks['roots'].status)\n")
     out = run_python(code, child_env()).splitlines()
@@ -827,7 +866,7 @@ def top_level_names(path: Path) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", ["analysis", "spinrep"])
+@pytest.mark.parametrize("module", ["analysis", "spinrep", "report"])
 def test_forwarded_names_are_exactly_what_frozen_files_reach(module):
     # the gate and the tracer are frozen, so each forwarding table holds the
     # names they reach through the module and nothing more: it is no second API

@@ -10,7 +10,7 @@ from enspin import spinrep
 from enspin.analysis import analyze, classify_bundle
 from enspin.bott import closure_type, max_compact
 from enspin.cli import main
-from enspin.closure import blade_closure
+from enspin.closure import ClosureBasis, blade_closure
 from enspin.deltas import lower_bound_dim
 from enspin.report import (
     CHECK_ORDER,
@@ -94,6 +94,16 @@ def test_noncompact_closure_fails_killing_and_classify(monkeypatch):
     cls = classify_bundle(bundle)
     assert not cls.verdict
     assert "torus is not a certified Cartan subalgebra" in cls.failures
+
+
+def test_failing_split_names_its_hole(monkeypatch):
+    # without v3v4v5 the n = 5 closure has no mirror for v1v2, and the split
+    # detail says so rather than printing dims it never measured
+    real = blade_closure(5, spinrep.spin_generators(5).masks)
+    holed = ClosureBasis(5, real.bits & ~(1 << 0x1c), real.provenance)
+    monkeypatch.setattr("enspin.analysis.blade_closure", lambda n, gens, **kwargs: holed)
+    split = run_verification(5).checks["split"]
+    assert split == ("fail", "complement of 0x3 missing from basis")
 
 
 def test_report_split_skipped_off_the_residues():
