@@ -9,8 +9,8 @@ the isomorphism argument.
 """
 
 from enspin.closure import blade_closure
-from enspin.roots import cartan_matrix, positive_roots, theorem_b_check
-from enspin.spinrep import spin_generators
+from enspin.roots import positive_roots, theorem_b_check
+from enspin.spinrep import cartan_matrix, spin_generators
 
 for n in range(3, 9):
     rs = positive_roots(n)

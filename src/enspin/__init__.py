@@ -42,8 +42,7 @@ _EXPORTS = {
     "report": ("VerificationReport", "run_verification"),
     "roots": ("RootSet", "positive_roots", "theorem_b_check"),
     "spinrep": (
-        "EnDiagram", "SpinGenerators", "en_adjacency", "spin_generators",
-        "verify_relations",
+        "SpinGenerators", "cartan_matrix", "spin_generators", "verify_relations",
     ),
     "table": ("algebra_table",),
 }

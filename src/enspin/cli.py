@@ -59,16 +59,38 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
+#: closure writes its masks this many at a time
+_CHUNK = 1 << 16
+
+
 def cmd_closure(args: SimpleNamespace) -> int:
+    """Print n, dim and the closure's masks, ascending, _CHUNK lines per write.
+
+    JSON is the bytes of json.dumps(indent=2) on {"n", "dim", "masks"},
+    the masks as hex strings, and a newline.  A text line names its blade
+    by two tables of str(Blade(x)), "" at 0: one over the low h = n // 2
+    bits and one over the high bits.  The indices ascend, so the name of
+    mask m is low[m & (2^h - 1)] + high[m >> h], and 2^h + 2^(n - h)
+    blades are built, not one per mask.
+    """
     _layers.check_ambient(args.n)
     basis = _layers.blade_closure(args.n, _layers.spin_generators(args.n).masks)
+    masks, write = basis.masks, sys.stdout.write
+    chunks = (masks[k:k + _CHUNK] for k in range(0, len(masks), _CHUNK))
     if args.format == "json":
-        print(json.dumps(basis.to_json(), indent=2))
+        write(f'{{\n  "n": {basis.n},\n  "dim": {basis.dim},\n  "masks": [\n    "')
+        sep = '",\n    "'
+        for k, chunk in enumerate(chunks):
+            write((sep if k else "") + sep.join(map(hex, chunk)))
+        write('"\n  ]\n}\n')
     else:
-        print(f"n {basis.n}")
-        print(f"dim {basis.dim}")
-        for m in basis.masks:
-            print(f"{m:#x} {_layers.Blade(m)}")
+        h = args.n // 2
+        bottom = (1 << h) - 1
+        low = [str(_layers.Blade(x)) if x else "" for x in range(1 << h)]
+        high = [str(_layers.Blade(x << h)) if x else "" for x in range(1 << (args.n - h))]
+        write(f"n {basis.n}\ndim {basis.dim}\n")
+        for chunk in chunks:
+            write("".join(f"{m:#x} {low[m & bottom]}{high[m >> h]}\n" for m in chunk))
     return 0
 
 

@@ -72,13 +72,6 @@ class ClosureBasis:
     def masks(self) -> tuple[int, ...]:
         return _set_bits(self.bits)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "dim": self.dim,
-            "masks": [f"{m:#x}" for m in self.masks],
-        }
-
 
 def check_ambient(n: int) -> None:
     """Raise ValueError unless a closure in ambient dimension n may be built.

@@ -1,14 +1,16 @@
 """Positive root enumeration for the finite E-series diagrams.
 
-Roots are integer coordinate vectors in the simple-root basis.  The
-enumeration walks the heights upward from the simple roots: every
-positive root of height h+1 is beta + alpha_i for a positive root beta
-of height h (Humphreys, Introduction to Lie Algebras, 10.2), and in a
-simply laced system beta + alpha_i is a root iff <beta, alpha_i> = -1
-(the pairing rule, from the string lengths of 9.4).  One pass over the
-heights finds every root in O(R n^2) for R positive roots.  E_3
-through E_8 are the finite cases; anything past 8 has an infinite root
-system and is rejected up front.
+Roots are integer coordinate vectors in the simple-root basis, and the
+Cartan matrix is enspin.spinrep's cartan_matrix, the one statement of
+the E_n diagram, which verify_relations also reads.  The enumeration
+walks the heights upward from the simple roots: every positive root of
+height h+1 is beta + alpha_i for a positive root beta of height h
+(Humphreys, Introduction to Lie Algebras, 10.2), and in a simply laced
+system beta + alpha_i is a root iff <beta, alpha_i> = -1 (the pairing
+rule, from the string lengths of 9.4).  One pass over the heights finds
+every root in O(R n^2) for R positive roots.  E_3 through E_8 are the
+finite cases; anything past 8 has an infinite root system and is
+rejected up front.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .spinrep import en_adjacency, spin_generators
+from .spinrep import cartan_matrix, spin_generators
 
 #: The height of the highest root of E_8, the largest of E_3..E_8 (2, 4,
 #: 7, 11, 17 and 29), so no positive root of a finite E_n lies above it.
@@ -40,18 +42,6 @@ class RootSet(NamedTuple):
             "count": self.count,
             "roots": [list(r) for r in self.roots],
         }
-
-
-def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Symmetric simply laced Cartan matrix of the E_n diagram."""
-    diagram = en_adjacency(n)
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(tuple(
-            2 if i == j else (-1 if diagram.adjacent(i, j) else 0)
-            for j in range(1, n + 1)
-        ))
-    return tuple(rows)
 
 
 def positive_roots(n: int) -> RootSet:

@@ -4,13 +4,15 @@ The generators sit inside the Clifford algebra on n generators:
 
     A_1 = v1 v2,   A_2 = v1 v2 v3,   A_j = v_{j-1} v_j   (3 <= j <= n)
 
-Each is an unsigned blade, so SpinGenerators holds its mask alone.  Two
-generators are adjacent in the E_n diagram exactly when their index
-sets share one element; adjacency makes them anticommute, disjoint or
-doubly-overlapping index sets make them commute.  The machine check
-verifies the Berman-style presentation, read off the masks by the
-square rule and the commutation form of enspin.clifford
-(verify_relations):
+Each is an unsigned blade, so SpinGenerators holds its mask alone.  The
+E_n diagram is stated once, as its Cartan matrix (cartan_matrix), which
+both verify_relations and the root walk of enspin.roots read: i and j
+are adjacent when entry (i, j) is -1.  Two generators are adjacent
+exactly when their index sets share one element; adjacency makes them
+anticommute, disjoint or doubly-overlapping index sets make them
+commute.  The machine check verifies the Berman-style presentation,
+read off the masks by the square rule and the commutation form of
+enspin.clifford (verify_relations):
 
     A_i^2 = -1
     [A_i, A_j] = 0                 when i, j not adjacent
@@ -33,28 +35,20 @@ _FORWARDED = {"bracket": "multivector", "mv_product": "multivector"}
 __getattr__ = _forwarding_getattr(globals(), _FORWARDED)
 
 
-class EnDiagram(NamedTuple):
-    """E_n Dynkin graph on nodes 1..n (Bourbaki branch node convention)."""
+def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """The symmetric simply laced Cartan matrix of E_n, the one statement of its diagram.
 
-    n: int
-    edges: frozenset[frozenset[int]]
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return frozenset((i, j)) in self.edges
-
-
-def en_adjacency(n: int) -> EnDiagram:
-    """Edges {1,3}, {i,i+1} for 3 <= i < n, and {2,4} once n >= 4."""
+    Nodes 1..n in the Bourbaki branch node convention; the -1 entries are
+    the edges {1,3}, {i,i+1} for 3 <= i < n, and {2,4}, each kept where
+    both ends are nodes.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    edges: set[frozenset[int]] = set()
-    if n >= 3:
-        edges.add(frozenset((1, 3)))
-    for i in range(3, n):
-        edges.add(frozenset((i, i + 1)))
-    if n >= 4:
-        edges.add(frozenset((2, 4)))
-    return EnDiagram(n=n, edges=frozenset(edges))
+    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in ((1, 3), (2, 4), *((i, i + 1) for i in range(3, n))):
+        if j <= n:
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = -1
+    return tuple(map(tuple, rows))
 
 
 class SpinGenerators(NamedTuple):
@@ -112,7 +106,7 @@ def verify_relations(n: int) -> RelationReport:
     squares and edge relations hold.
     """
     gens = spin_generators(n)
-    diagram = en_adjacency(n)
+    cartan = cartan_matrix(n)
     squares: dict[int, bool] = {}
     pairs: dict[tuple[int, int], bool] = {}
     failures: list[str] = []
@@ -127,7 +121,7 @@ def verify_relations(n: int) -> RelationReport:
             if i == j:
                 continue
             anticommute = blades_anticommute(a, b)
-            if diagram.adjacent(i, j):
+            if cartan[i - 1][j - 1] == -1:
                 ok = anticommute and squares[i]
                 if not ok:
                     failures.append(f"[A_{i},[A_{i},A_{j}]] != -4 A_{j}")
@@ -138,7 +132,7 @@ def verify_relations(n: int) -> RelationReport:
             pairs[(i, j)] = ok
 
     scaled_ok = all(squares.values()) and all(
-        ok for (i, j), ok in pairs.items() if diagram.adjacent(i, j)
+        ok for (i, j), ok in pairs.items() if cartan[i - 1][j - 1] == -1
     )
     if not scaled_ok:
         failures.append("half-scaled presentation failed")

@@ -183,6 +183,32 @@ def test_closure_eight_dimension(capsys):
     assert json.loads(out)["dim"] == 120
 
 
+# Runs argv under os.wait4 and prints its exit code, stdout's "dim" and its
+# peak RSS in MiB.  Linux carries the spawning process's peak RSS into the
+# child's ru_maxrss across exec, so the child is started from this small
+# python -S process, not from the test process, whose own peak would show.
+PEAK_RSS = """
+import json, os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+out = child.stdout.read()
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps([child.returncode, json.loads(out)["dim"], usage.ru_maxrss / 1024]))
+"""
+
+
+def test_closure_json_at_twenty_stays_small():
+    # the masks are written 2^16 at a time, with no list of d hex strings and no
+    # json.dumps over it: the child read 113 MiB when they were, about 40 now
+    argv = [sys.executable, "-S", "-m", "enspin", "closure", "--n", "20"]
+    proc = subprocess.run([sys.executable, "-S", "-c", PEAK_RSS, *argv], env=site_free_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, dim, peak_mib = json.loads(proc.stdout)
+    assert (code, dim) == (0, deltas.lower_bound_dim(20))
+    assert peak_mib <= 64
+
+
 # -- delta -------------------------------------------------------------------
 
 def test_delta_eleven_json(capsys):
@@ -437,7 +463,7 @@ def test_tables_match_golden_bytes(capsys, golden):
 
 
 # the sha256 of each command's stdout, keyed by its argv; "ci" holds the
-# 3..24 run that the CI facts step makes and hashes
+# runs that the CI facts step makes and hashes: verify 3..24 and closure at 22
 DIGESTS = json.loads((DATA / "digests.json").read_text("utf-8"))
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from typing import Sequence
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from enspin.analysis import central_blades, classify, greedy_torus
 from enspin.bott import max_compact
+from enspin.cli import main
 from enspin.clifford import _commutation_vector, blades_anticommute
 from enspin.closure import (
     ClosureBasis,
@@ -541,9 +543,10 @@ def test_provenance_records_sorted_generators():
     assert basis.provenance == (0b0011, 0b1100)
 
 
-def test_json_serialization_round_trips_masks():
+def test_json_serialization_round_trips_masks(capsys):
     basis = spin_closure(5)
-    blob = basis.to_json()
+    assert main(["closure", "--n", "5"]) == 0
+    blob = json.loads(capsys.readouterr().out)
     assert blob["n"] == 5 and blob["dim"] == 20
     assert [int(s, 16) for s in blob["masks"]] == list(basis.masks)
 

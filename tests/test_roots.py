@@ -1,6 +1,7 @@
 import pytest
 
-from enspin.roots import cartan_matrix, positive_roots, theorem_b_check
+from enspin.roots import positive_roots, theorem_b_check
+from enspin.spinrep import cartan_matrix
 
 EXPECTED_COUNTS = {3: 4, 4: 10, 5: 20, 6: 36, 7: 63, 8: 120}
 

@@ -5,17 +5,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enspin import spinrep
+from enspin.bott import closure_type
+from enspin.clifford import squares_to_minus_one
+from enspin.deltas import drops_top_blade
 from enspin.multivector import Multivector, bracket, mv_product
 from enspin.spinrep import (
-    en_adjacency,
+    cartan_matrix,
     spin_generators,
     verify_relations,
 )
 
 
-def edge_list(diagram) -> list[tuple[int, int]]:
-    """The edges of a diagram as sorted pairs, in ascending order."""
-    return sorted(tuple(sorted(e)) for e in diagram.edges)
+def adjacent(cartan, i: int, j: int) -> bool:
+    """Nodes i and j (1-based) share an edge of the diagram."""
+    return cartan[i - 1][j - 1] == -1
+
+
+def edge_list(cartan) -> list[tuple[int, int]]:
+    """The edges of the diagram of a Cartan matrix as pairs i < j, in ascending order."""
+    n = len(cartan)
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if adjacent(cartan, i, j)]
 
 
 def multivectors(gens) -> list[Multivector]:
@@ -26,36 +35,122 @@ def multivectors(gens) -> list[Multivector]:
 def shared_index_adjacency_ok(n: int) -> bool:
     """Adjacency coincides with sharing exactly one Clifford index."""
     gens = spin_generators(n)
-    diagram = en_adjacency(n)
+    cartan = cartan_matrix(n)
     masks = gens.masks
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             shared = (masks[i - 1] & masks[j - 1]).bit_count()
-            if diagram.adjacent(i, j) != (shared == 1):
+            if adjacent(cartan, i, j) != (shared == 1):
                 return False
     return True
 
 
 def test_adjacency_small_cases():
-    assert edge_list(en_adjacency(1)) == []
-    assert edge_list(en_adjacency(2)) == []
-    assert edge_list(en_adjacency(3)) == [(1, 3)]
-    assert edge_list(en_adjacency(4)) == [(1, 3), (2, 4), (3, 4)]
-    assert edge_list(en_adjacency(5)) == [(1, 3), (2, 4), (3, 4), (4, 5)]
+    assert edge_list(cartan_matrix(1)) == []
+    assert edge_list(cartan_matrix(2)) == []
+    assert edge_list(cartan_matrix(3)) == [(1, 3)]
+    assert edge_list(cartan_matrix(4)) == [(1, 3), (2, 4), (3, 4)]
+    assert edge_list(cartan_matrix(5)) == [(1, 3), (2, 4), (3, 4), (4, 5)]
 
 
 def test_adjacency_edge_count_and_branch():
     for n in range(4, 15):
-        diagram = en_adjacency(n)
-        assert len(edge_list(diagram)) == n - 1
-        assert diagram.adjacent(2, 4) and not diagram.adjacent(2, 3)
-        assert diagram.adjacent(1, 3) and not diagram.adjacent(1, 2)
+        cartan = cartan_matrix(n)
+        assert len(edge_list(cartan)) == n - 1
+        assert adjacent(cartan, 2, 4) and not adjacent(cartan, 2, 3)
+        assert adjacent(cartan, 1, 3) and not adjacent(cartan, 1, 2)
         degrees = {i: 0 for i in range(1, n + 1)}
-        for a, b in edge_list(diagram):
+        for a, b in edge_list(cartan):
             degrees[a] += 1
             degrees[b] += 1
         branch = [i for i, d in degrees.items() if d == 3]
         assert branch == ([4] if n >= 5 else [])
+
+
+def bareiss_det(matrix) -> int:
+    """The determinant of an integer matrix, exactly, by fraction-free elimination (Bareiss)."""
+    m = [list(row) for row in matrix]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def kernel_mod_2(matrix) -> list[int]:
+    """A basis of the kernel of an integer matrix over F_2, bit i - 1 of a vector for node i.
+
+    Start from the unit vectors; for each row, keep the vectors it is
+    even on and, when some are odd, the XOR of the first odd one with
+    each other odd one.
+    """
+    basis = [1 << i for i in range(len(matrix))]
+    for row in matrix:
+        h = sum(1 << j for j, c in enumerate(row) if c % 2)
+        even = [x for x in basis if not (x & h).bit_count() & 1]
+        odd = [x for x in basis if (x & h).bit_count() & 1]
+        basis = even + [x ^ odd[0] for x in odd[1:]]
+    return basis
+
+
+def generator_image(x: int, masks) -> int:
+    """phi(x): the mask of the product of the generators over the set bits of x."""
+    image = 0
+    for i, g in enumerate(masks):
+        if x >> i & 1:
+            image ^= g
+    return image
+
+
+def omega_facts(n: int) -> tuple[bool, bool, bool]:
+    """Whether omega = v1...vn is central, squares to -1 and is a generator, from C mod 2.
+
+    phi is an isometry from C mod 2 to the commutation form q, so the
+    generators' common commutant is phi(ker C mod 2).
+    """
+    full = (1 << n) - 1
+    masks = spin_generators(n).masks
+    central = any(generator_image(rho, masks) == full for rho in kernel_mod_2(cartan_matrix(n)))
+    return central, squares_to_minus_one(full), full in masks
+
+
+def test_cartan_determinant_is_nine_minus_n():
+    # the chain extension: det C(E_n) = 2 det C(E_{n-1}) - det C(E_{n-2}), from 6 and 5
+    for n in range(3, 65):
+        assert bareiss_det(cartan_matrix(n)) == 9 - n, n
+
+
+def test_cartan_kernel_mod_two_is_the_top_blade_for_odd_n():
+    # 9 - n is odd for even n, so C mod 2 is singular exactly for odd n; then its
+    # kernel is one vector rho_n, since deleting node n leaves det 10 - n, odd, and
+    # the generators over rho_n's nodes multiply to the top blade
+    for n in range(3, 129):
+        kernel = kernel_mod_2(cartan_matrix(n))
+        assert len(kernel) == n % 2, n
+        assert all(generator_image(rho, spin_generators(n).masks) == (1 << n) - 1
+                   for rho in kernel), n
+
+
+def test_residue_rules_follow_from_the_lattice():
+    # a step x -> x ^ g of the closure walk needs x to anticommute with g, and then
+    # x ^ g does too, so no step reaches a central omega: it is in the closure only
+    # when it is a generator.  classify expects the split where the type has two summands
+    centers = []
+    for n in range(3, 129):
+        central, minus, generator = omega_facts(n)
+        assert drops_top_blade(n) == (central and minus and not generator), n
+        assert (closure_type(n).center_dim() > 0) == (central and minus and generator), n
+        assert (closure_type(n).summands == 2) == (central and not minus), n
+        if central and minus and generator:
+            centers.append(n)
+    assert centers == [3]
 
 
 def test_generator_blades():
@@ -98,19 +193,19 @@ def test_relation_report_serialization():
 def relations_reference(n: int) -> tuple[dict, dict, bool]:
     """The presentation checked with multivector products and brackets, as exact rationals."""
     mvs = multivectors(spinrep.spin_generators(n))
-    diagram = en_adjacency(n)
+    cartan = cartan_matrix(n)
     squares = {i: mv_product(a, a) == Multivector.scalar(-1, n) for i, a in enumerate(mvs, 1)}
     pairs = {}
     for i, a in enumerate(mvs, 1):
         for j, b in enumerate(mvs, 1):
             if i != j:
                 br = bracket(a, b)
-                pairs[(i, j)] = (bracket(a, br) == b.scale(-4) if diagram.adjacent(i, j)
+                pairs[(i, j)] = (bracket(a, br) == b.scale(-4) if adjacent(cartan, i, j)
                                  else br.is_zero())
     ys = [m.scale(Fraction(1, 2)) for m in mvs]
     scaled = all(mv_product(y, y) == Multivector.scalar(Fraction(-1, 4), n) for y in ys) and all(
         bracket(ys[i - 1], bracket(ys[i - 1], ys[j - 1])) == -ys[j - 1]
-        for (i, j) in pairs if diagram.adjacent(i, j))
+        for (i, j) in pairs if adjacent(cartan, i, j))
     return squares, pairs, scaled
 
 
