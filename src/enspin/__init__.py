@@ -57,13 +57,11 @@ def _forwarding_getattr(namespace: dict, module_of: dict[str, str]):
     It reads name from the enspin submodule module_of[name], importing
     that on first use, and caches it in namespace.
 
-    Outside enspin.cli, deferred imports follow one rule: a function that
-    alone needs a layer imports it in its body, and a module forwards a
-    name here only when a frozen file (the acceptance gate or the
-    benchmark tracer) reaches that name through the module.  Such a table
-    is called _FORWARDED, and a test ties it to exactly those readers.
-    The CLI's _LAYER_OF forwards every name its handlers read, so that
-    ``--help`` loads no layer and a rebound name is the one that runs.
+    Deferred imports follow one rule: a function that alone needs a layer
+    imports it in its body, and a module forwards a name here only when a
+    frozen file (the acceptance gate or the benchmark tracer) reaches that
+    name through the module.  Such a table is called _FORWARDED, and a
+    test ties it to exactly those readers.
     """
     def __getattr__(name: str):
         try:

@@ -10,17 +10,18 @@ and locale modules it loads it was the largest start-up cost of enspin's
 own choosing.
 
 Importing this module imports no enspin layer.  Each handler imports the
-layers it runs when it first reads one of their names, so no command
-compiles a layer it never calls: ``report`` loads table, closure, bott,
-spinrep and clifford, but not the verify pipeline (report), analysis,
-roots or deltas; ``verify`` loads roots only when its range reaches
-n <= 8, and table only for Markdown or CSV; ``closure`` and ``classify``
-load no deltas; ``delta`` loads deltas alone; and ``--help`` and the
-parser's usage errors load no layer at all.  Handlers read those names
-through this module (``_layers.<name>``), never as bare globals: a PEP
-562 ``__getattr__`` serves the attribute read but not a global lookup,
-and a name that a test or the benchmark tracer has rebound here is then
-the one that runs.
+layers it runs in its own body, so no command compiles a layer it never
+calls: ``report`` loads table, closure, bott, spinrep and clifford, but
+not the verify pipeline (report), analysis, roots or deltas; ``verify``
+loads roots only when its range reaches n <= 8, and table only for
+Markdown or CSV; ``closure`` and ``classify`` load no deltas; ``delta``
+loads deltas alone; and ``--help`` and the parser's usage errors load no
+layer at all.  The benchmark tracer rebinds four names here:
+run_verification, reports_to_json, algebra_table and table_to_json.
+_FORWARDED serves them by a PEP 562 ``__getattr__``, and handlers read
+them as ``_layers.<name>``, never as bare globals: the hook serves an
+attribute read but not a global lookup, and a rebound name is then the
+one that runs.
 ``python -m enspin.cli`` runs through the same entry as ``python -m
 enspin``, ``enspin.__main__.run``.
 """
@@ -34,23 +35,11 @@ from typing import NamedTuple
 
 from . import _forwarding_getattr
 
-# name -> the enspin layer it comes from, for every name a handler reads
-# from another module; the first read imports the layer and caches the name
-_LAYER_OF = {
-    "classify": "analysis",
-    "Blade": "clifford",
-    **dict.fromkeys(("blade_closure", "check_ambient"), "closure"),
-    **dict.fromkeys(("MAX_DELTA_N", "delta_closed", "delta_identities", "delta_sum"), "deltas"),
-    **dict.fromkeys(
-        ("run_verification", "reports_to_csv", "reports_to_json", "reports_to_markdown"),
-        "report",
-    ),
-    **dict.fromkeys(("algebra_table", "table_to_csv", "table_to_json", "table_to_markdown"),
-                    "table"),
-    "positive_roots": "roots",
-    "spin_generators": "spinrep",
-}
-__getattr__ = _forwarding_getattr(globals(), _LAYER_OF)
+# name -> defining module, for exactly the names that the benchmark tracer
+# binds here; the first read imports the layer and caches the name
+_FORWARDED = {**dict.fromkeys(("run_verification", "reports_to_json"), "report"),
+              **dict.fromkeys(("algebra_table", "table_to_json"), "table")}
+__getattr__ = _forwarding_getattr(globals(), _FORWARDED)
 _layers = sys.modules[__name__]
 
 
@@ -59,24 +48,30 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-#: closure writes its masks this many at a time
-_CHUNK = 1 << 16
+#: closure writes the masks of one 2^16-bit tile, this many bytes, at a time
+_TILE = 1 << 13
 
 
 def cmd_closure(args: SimpleNamespace) -> int:
-    """Print n, dim and the closure's masks, ascending, _CHUNK lines per write.
+    """Print n, dim and the closure's masks, ascending, one 2^16-bit tile per write.
 
-    JSON is the bytes of json.dumps(indent=2) on {"n", "dim", "masks"},
-    the masks as hex strings, and a newline.  A text line names its blade
-    by two tables of str(Blade(x)), "" at 0: one over the low h = n // 2
-    bits and one over the high bits.  The indices ascend, so the name of
-    mask m is low[m & (2^h - 1)] + high[m >> h], and 2^h + 2^(n - h)
-    blades are built, not one per mask.
+    The bitset is read once as bytes, and closure._set_bits lists each
+    tile's masks, so no tuple of d ints is built.  JSON is the bytes of
+    json.dumps(indent=2) on {"n", "dim", "masks"}, the masks as hex
+    strings, and a newline.  A text line names its blade by two tables
+    of str(Blade(x)), "" at 0: one over the low h = n // 2 bits and one
+    over the high bits.  The indices ascend, so the name of mask m is
+    low[m & (2^h - 1)] + high[m >> h], and 2^h + 2^(n - h) blades are
+    built, not one per mask.
     """
-    _layers.check_ambient(args.n)
-    basis = _layers.blade_closure(args.n, _layers.spin_generators(args.n).masks)
-    masks, write = basis.masks, sys.stdout.write
-    chunks = (masks[k:k + _CHUNK] for k in range(0, len(masks), _CHUNK))
+    from . import clifford, closure, spinrep
+
+    closure.check_ambient(args.n)
+    basis = closure.blade_closure(args.n, spinrep.spin_generators(args.n).masks)
+    data, write = basis.bits.to_bytes(1 << (args.n - 3), "little"), sys.stdout.write
+    # the masks of each tile that holds any: an empty one would leave a JSON separator alone
+    chunks = filter(None, (closure._set_bits(int.from_bytes(data[k:k + _TILE], "little"), 8 * k)
+                           for k in range(0, len(data), _TILE)))
     if args.format == "json":
         write(f'{{\n  "n": {basis.n},\n  "dim": {basis.dim},\n  "masks": [\n    "')
         sep = '",\n    "'
@@ -86,8 +81,8 @@ def cmd_closure(args: SimpleNamespace) -> int:
     else:
         h = args.n // 2
         bottom = (1 << h) - 1
-        low = [str(_layers.Blade(x)) if x else "" for x in range(1 << h)]
-        high = [str(_layers.Blade(x << h)) if x else "" for x in range(1 << (args.n - h))]
+        low = [str(clifford.Blade(x)) if x else "" for x in range(1 << h)]
+        high = [str(clifford.Blade(x << h)) if x else "" for x in range(1 << (args.n - h))]
         write(f"n {basis.n}\ndim {basis.dim}\n")
         for chunk in chunks:
             write("".join(f"{m:#x} {low[m & bottom]}{high[m >> h]}\n" for m in chunk))
@@ -95,14 +90,16 @@ def cmd_closure(args: SimpleNamespace) -> int:
 
 
 def cmd_delta(args: SimpleNamespace) -> int:
-    if args.n > _layers.MAX_DELTA_N:
-        return _usage_error(f"delta needs --n <= {_layers.MAX_DELTA_N}, got {args.n}")
-    values = {f"d{k}": _layers.delta_closed(k, args.n) for k in range(4)}
-    sums = {f"d{k}": _layers.delta_sum(k, args.n) for k in range(4)}
+    from . import deltas
+
+    if args.n > deltas.MAX_DELTA_N:
+        return _usage_error(f"delta needs --n <= {deltas.MAX_DELTA_N}, got {args.n}")
+    values = {f"d{k}": deltas.delta_closed(k, args.n) for k in range(4)}
+    sums = {f"d{k}": deltas.delta_sum(k, args.n) for k in range(4)}
     if values != sums:
         print(f"FAIL closed forms {values} disagree with direct sums {sums}", file=sys.stderr)
         return 1
-    identities = _layers.delta_identities(args.n)
+    identities = deltas.delta_identities(args.n)
     out = {"n": args.n, "delta": values, "total": sum(values.values()), "identities": identities}
     if args.format == "json":
         print(json.dumps(out, indent=2))
@@ -117,7 +114,9 @@ def cmd_delta(args: SimpleNamespace) -> int:
 
 
 def cmd_classify(args: SimpleNamespace) -> int:
-    result = _layers.classify(args.n)
+    from . import analysis
+
+    result = analysis.classify(args.n)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))
     else:
@@ -130,11 +129,15 @@ def cmd_classify(args: SimpleNamespace) -> int:
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
+    from . import closure
+
     lo, hi = args.from_n, args.to_n
     if hi < lo:
         return _usage_error(f"--to {hi} is below --from {lo}")
     ns = range(lo, hi + 1)
-    _layers.check_ambient(hi)
+    closure.check_ambient(hi)
+    from . import report
+
     if args.jobs > 1 and len(ns) > 1:
         # imported only here: concurrent.futures.process pulls in
         # multiprocessing, which a serial run never uses
@@ -146,25 +149,31 @@ def cmd_verify(args: SimpleNamespace) -> int:
         reports = [_layers.run_verification(n) for n in ns]
     if args.no_timings:
         reports = [r._replace(timings_ms=dict.fromkeys(r.timings_ms, 0.0)) for r in reports]
-    sys.stdout.write(getattr(_layers, f"reports_to_{args.format}")(reports))
+    # the JSON writers are read through _layers, where the benchmark tracer
+    # rebinds them; the Markdown and CSV writers come from their layer
+    writers = _layers if args.format == "json" else report
+    sys.stdout.write(getattr(writers, f"reports_to_{args.format}")(reports))
     return 0 if all(r.verdict for r in reports) else 1
 
 
 def cmd_roots(args: SimpleNamespace) -> int:
-    rs = _layers.positive_roots(args.n)
+    from . import roots
+
+    rs = roots.positive_roots(args.n)
     if args.format == "json":
         print(json.dumps(rs.to_json(), indent=2))
     else:
-        print(f"n {rs.n}")
-        print(f"count {rs.count}")
+        print(f"n {rs.n}\ncount {rs.count}")
         for r in rs.roots:
             print(" ".join(str(x) for x in r))
     return 0
 
 
 def cmd_report(args: SimpleNamespace) -> int:
-    rows = _layers.algebra_table(args.to_n)
-    sys.stdout.write(getattr(_layers, f"table_to_{args.format}")(rows))
+    from . import table
+
+    writers = _layers if args.format == "json" else table
+    sys.stdout.write(getattr(writers, f"table_to_{args.format}")(_layers.algebra_table(args.to_n)))
     return 0
 
 

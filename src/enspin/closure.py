@@ -38,18 +38,19 @@ _TILE_LOG = 16
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _set_bits(bits: int) -> tuple[int, ...]:
-    """The positions of the set bits of a non-negative int, ascending.
+def _set_bits(bits: int, start: int = 0) -> tuple[int, ...]:
+    """The positions of the set bits of a non-negative int, ascending, plus start.
 
     bin() spells the int out, which is linear for a power-of-two base;
     reversed, its digits are the bits from position 0 up, translate
     turns them into 0/1 selector bytes, and compress picks the positions
     in C.  No Python loop runs per bit.  It spends one byte per bit up to
-    the highest set one, whatever the density, which suits its one
-    reader, the dense ClosureBasis.masks.
+    the highest set one, whatever the density, which suits its dense
+    readers: ClosureBasis.masks, and the closure command, which lists
+    one tile of the bitset at a time, each offset by its first position.
     """
     selectors = bin(bits)[:1:-1].encode().translate(_BIT_SELECTORS)
-    return tuple(compress(range(len(selectors)), selectors))
+    return tuple(compress(range(start, start + len(selectors)), selectors))
 
 
 class ClosureBasis:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .clifford import Blade, reorder_swaps
+from .clifford import reorder_swaps
 
 Coeff = Union[int, Fraction]
 
@@ -43,10 +43,6 @@ class Multivector:
     @classmethod
     def scalar(cls, value: Coeff, dim: int) -> "Multivector":
         return cls({0: value}, dim)
-
-    @classmethod
-    def from_blade(cls, blade: Blade, dim: int, coeff: Coeff = 1) -> "Multivector":
-        return cls({blade.mask: blade.sign * Fraction(coeff)}, dim)
 
     def is_zero(self) -> bool:
         return not self.terms

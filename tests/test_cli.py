@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,6 +19,11 @@ from pathlib import Path
 import pytest
 
 import enspin
+import enspin.analysis
+import enspin.cli
+import enspin.report
+import enspin.roots
+import enspin.table
 from enspin import deltas
 from enspin.cli import main
 from enspin.clifford import Blade
@@ -48,15 +54,17 @@ def test_verify_rejects_bad_range(capsys):
 def record_work(monkeypatch) -> list:
     """Replace every entry into the pipeline by a recorder and return its calls."""
     calls = []
-    # first, so that enspin.analysis, imported here, binds the true blade_closure:
-    # a later test that runs the analysis then runs the real one
+    # each name is patched where the handler or layer that calls it reads it.
+    # The layers that bind a patched name at import are imported at the top of
+    # this file: one first imported under a patch would keep the fake for good
     monkeypatch.setattr("enspin.analysis.spin_generators", lambda *a, **k: calls.append(a))
     monkeypatch.setattr("enspin.cli.run_verification", lambda *a, **k: calls.append(a))
     monkeypatch.setattr("enspin.closure.blade_closure", lambda *a, **k: calls.append(a))
     # the spin generators alone are O(n^2) bits, so the refusal must come first
-    monkeypatch.setattr("enspin.cli.spin_generators", lambda *a, **k: calls.append(a))
-    for name in ("positive_roots", "delta_closed", "delta_sum", "delta_identities"):
-        monkeypatch.setattr(f"enspin.cli.{name}", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("enspin.spinrep.spin_generators", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("enspin.roots.positive_roots", lambda *a, **k: calls.append(a))
+    for name in ("delta_closed", "delta_sum", "delta_identities"):
+        monkeypatch.setattr(f"enspin.deltas.{name}", lambda *a, **k: calls.append(a))
     return calls
 
 
@@ -141,6 +149,19 @@ def test_help_names_every_command_and_flag(capsys):
         assert word in out, word
 
 
+@pytest.mark.parametrize("command", list(enspin.cli._COMMANDS))
+def test_each_command_help_names_its_flags(capsys, command):
+    code, out, err = run_cli(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    flags = enspin.cli._COMMANDS[command].flags
+    assert out.startswith(f"usage: enspin {command} ")
+    for flag in flags:
+        assert f"  {flag}" in out, flag
+    if "--n" in flags:  # the one required flag: bare in the usage line, "required" in its row
+        assert " --n INT [" in out.splitlines()[0]
+        assert re.search(rf"^  --n INT +required, at least {flags['--n'].floor}$", out, re.M)
+
+
 @pytest.mark.parametrize("argv", [
     ("closure", "--n", "17"),
     ("classify", "--n", "17"),
@@ -183,30 +204,43 @@ def test_closure_eight_dimension(capsys):
     assert json.loads(out)["dim"] == 120
 
 
-# Runs argv under os.wait4 and prints its exit code, stdout's "dim" and its
-# peak RSS in MiB.  Linux carries the spawning process's peak RSS into the
-# child's ru_maxrss across exec, so the child is started from this small
-# python -S process, not from the test process, whose own peak would show.
+# Runs argv under os.wait4 and prints its exit code, the "dim" its stdout
+# names (JSON or text) and its peak RSS in MiB.  Linux carries the spawning
+# process's peak RSS into the child's ru_maxrss across exec, so the child is
+# started from this small python -S process, not from the test process, whose
+# own peak would show.
 PEAK_RSS = """
-import json, os, subprocess, sys
+import json, os, re, subprocess, sys
 child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
 out = child.stdout.read()
 _, status, usage = os.wait4(child.pid, 0)
 child.returncode = os.waitstatus_to_exitcode(status)
-print(json.dumps([child.returncode, json.loads(out)["dim"], usage.ru_maxrss / 1024]))
+dim = int(re.search(rb'dim"?:? (\\d+)', out)[1])
+print(json.dumps([child.returncode, dim, usage.ru_maxrss / 1024]))
 """
 
 
-def test_closure_json_at_twenty_stays_small():
-    # the masks are written 2^16 at a time, with no list of d hex strings and no
-    # json.dumps over it: the child read 113 MiB when they were, about 40 now
-    argv = [sys.executable, "-S", "-m", "enspin", "closure", "--n", "20"]
+def closure_at_twenty(fmt: str) -> float:
+    """The peak RSS in MiB of closure --n 20 in fmt, checked for exit 0 and its dim."""
+    argv = [sys.executable, "-S", "-m", "enspin", "closure", "--n", "20", "--format", fmt]
     proc = subprocess.run([sys.executable, "-S", "-c", PEAK_RSS, *argv], env=site_free_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, dim, peak_mib = json.loads(proc.stdout)
     assert (code, dim) == (0, deltas.lower_bound_dim(20))
-    assert peak_mib <= 64
+    return peak_mib
+
+
+# The masks are listed one 2^16-bit tile of the bitset at a time, with no
+# tuple of d ints, no list of d hex strings and no json.dumps over either.
+# The child read 113 MiB in JSON with all three, 39 MiB with the tuple alone,
+# and about 17 MiB in JSON and 19 MiB as text with none.
+def test_closure_json_at_twenty_stays_small():
+    assert closure_at_twenty("json") <= 32
+
+
+def test_closure_text_at_twenty_stays_small():
+    assert closure_at_twenty("text") <= 32
 
 
 # -- delta -------------------------------------------------------------------
@@ -240,14 +274,14 @@ def test_delta_past_its_ceiling_exits_two_before_any_sum(capsys, monkeypatch):
         raise AssertionError("summed past the ceiling")
 
     for name in ("delta_closed", "delta_sum", "delta_identities"):
-        monkeypatch.setattr(f"enspin.cli.{name}", fail)
+        monkeypatch.setattr(f"enspin.deltas.{name}", fail)
     code, out, err = run_cli(capsys, "delta", "--n", str(MAX_DELTA_N + 1))
     assert (code, out) == (2, "")
     assert err == f"error: delta needs --n <= {MAX_DELTA_N}, got {MAX_DELTA_N + 1}\n"
 
 
 def test_delta_failed_identity_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr("enspin.cli.delta_identities", lambda n: {"sum": True, "broken": False})
+    monkeypatch.setattr("enspin.deltas.delta_identities", lambda n: {"sum": True, "broken": False})
     code, out, _ = run_cli(capsys, "delta", "--n", "8", "--format", "text")
     assert code == 1
     assert "broken FAIL" in out
@@ -273,7 +307,7 @@ def test_delta_sums_each_binomial_once(capsys, monkeypatch):
 
 
 def test_delta_closed_form_mismatch_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr("enspin.cli.delta_sum", lambda k, n: -1)
+    monkeypatch.setattr("enspin.deltas.delta_sum", lambda k, n: -1)
     code, _, err = run_cli(capsys, "delta", "--n", "8")
     assert code == 1
     assert "disagree" in err
@@ -463,7 +497,8 @@ def test_tables_match_golden_bytes(capsys, golden):
 
 
 # the sha256 of each command's stdout, keyed by its argv; "ci" holds the
-# runs that the CI facts step makes and hashes: verify 3..24 and closure at 22
+# runs that the CI facts step makes and hashes: verify 3..24, closure at 22
+# in both formats and closure at 24 in JSON
 DIGESTS = json.loads((DATA / "digests.json").read_text("utf-8"))
 
 
@@ -757,40 +792,25 @@ def test_usage_error_loads_no_layer():
     assert enspin_modules(loaded) == {"enspin", "enspin.cli"}
 
 
-def test_cli_layer_table_has_no_dead_entry():
-    # every name of the table is read by a handler, as _layers.<name> or as
-    # getattr(_layers, f"<prefix>{args.format}") for each table format, and
-    # every name read so has an entry
-    import enspin.cli as cli
-
-    def is_layers(node):
-        return isinstance(node, ast.Name) and node.id == "_layers"
-
-    reads = set()
-    for node in ast.walk(ast.parse(Path(cli.__file__).read_text("utf-8"))):
-        if isinstance(node, ast.Attribute) and is_layers(node.value):
-            reads.add(node.attr)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "getattr" and is_layers(node.args[0])):
-            prefix = node.args[1].values[0].value
-            reads.update(prefix + f for f in cli._TABLES)
-    assert set(cli._LAYER_OF) == reads
-
-
 def test_a_rebound_name_is_what_runs():
-    # rebound before the layer each comes from is loaded, as the benchmark
-    # tracer rebinds them: the CLI and run_verification read these names
-    # through their own module, so the rebound function is what runs
-    code = ("import sys, types, enspin.cli\n"
-            "enspin.cli.algebra_table = lambda to_n: [{'rebound': to_n}]\n"
-            "assert enspin.cli.main(['report', '--to', '3']) == 0\n"
+    # each name the benchmark tracer binds on enspin.cli, and report's
+    # positive_roots, rebound before the layer it comes from is loaded: the
+    # CLI and run_verification read these names through their own module, so
+    # each rebound function is what runs, and a handler reads every one
+    code = ("import sys, types, enspin.cli as cli\n"
+            "assert 'enspin.table' not in sys.modules\n"
+            "cli.algebra_table = lambda to_n: [to_n]\n"
+            "cli.table_to_json = lambda rows: f'table {rows}\\n'\n"
+            "assert cli.main(['report', '--to', '3']) == 0\n"
+            "assert 'enspin.report' not in sys.modules\n"
+            "cli.run_verification = lambda n: types.SimpleNamespace(n=-n, verdict=True)\n"
+            "cli.reports_to_json = lambda reports: f'verify {[r.n for r in reports]}\\n'\n"
+            "assert cli.main(['verify', '--from', '3', '--to', '4']) == 0\n"
             "import enspin.report\n"
             "assert 'enspin.roots' not in sys.modules\n"
             "enspin.report.positive_roots = lambda n: types.SimpleNamespace(count=0)\n"
             "print(enspin.report.run_verification(5).checks['roots'].status)\n")
-    out = run_python(code, child_env()).splitlines()
-    assert json.loads("\n".join(out[:-1])) == [{"rebound": 3}]
-    assert out[-1] == "fail"
+    assert run_python(code, child_env()).splitlines() == ["table [3]", "verify [-3, -4]", "fail"]
 
 
 def site_free_env() -> dict[str, str]:
@@ -892,7 +912,7 @@ def top_level_names(path: Path) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", ["analysis", "spinrep", "report"])
+@pytest.mark.parametrize("module", ["analysis", "spinrep", "report", "cli"])
 def test_forwarded_names_are_exactly_what_frozen_files_reach(module):
     # the gate and the tracer are frozen, so each forwarding table holds the
     # names they reach through the module and nothing more: it is no second API

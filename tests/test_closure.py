@@ -300,6 +300,7 @@ def test_set_bits_lists_every_set_bit(x, y):
     bits = x & y  # sparse as well as dense sets
     for b in (x, bits):
         assert _set_bits(b) == tuple(i for i in range(b.bit_length()) if b >> i & 1)
+        assert _set_bits(b, 1 << 16) == tuple((1 << 16) + i for i in _set_bits(b))
 
 
 @given(n=st.integers(1, 7), data=st.data())
@@ -448,7 +449,7 @@ def test_mask_array_is_built_once_and_read_only():
     assert isinstance(masks, tuple)
 
 
-def test_computing_paths_never_build_the_mask_tuple(monkeypatch):
+def test_computing_paths_never_build_the_mask_tuple(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("a computing path read ClosureBasis.masks")
 
@@ -458,6 +459,11 @@ def test_computing_paths_never_build_the_mask_tuple(monkeypatch):
         assert run_verification(n).verdict, n
     assert classify(6).verdict
     assert algebra_table(12)[-1]["closure_dim"] == lower_bound_dim(12)
+    # the closure command lists the bitset's four 2^16-bit tiles at n = 18
+    assert main(["closure", "--n", "18"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["masks"]) == lower_bound_dim(18)
+    assert main(["closure", "--n", "18", "--format", "text"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == lower_bound_dim(18) + 2
 
 
 def test_scalar_never_appears():
