@@ -33,5 +33,5 @@ print("\ncomputed basis == predicted grade-(2,3 mod 4) set for n = 3..12")
 for n in range(3, 13):
     basis = blade_closure(n, spin_generators(n).masks)
     full = (1 << n) - 1
-    tag = "in" if full in basis.masks else "out"
+    tag = "in" if full in basis else "out"
     print(f"  n={n:<3} top blade {tag}")

@@ -13,12 +13,13 @@ derived algebra (central_blades); the generators' grades decide
 compactness (is_compact_basis) and with it the Killing sign; a torus of
 commuting blades that is its own centralizer gives the rank
 (greedy_torus); and the central idempotents (1 +- omega)/2 give the
-split, whose complement flip is the bitset read backwards: its bytes
-reversed, each through a 256-entry bit-reversal table.  The stages
-read the closure's 2^n bits (2 MiB at n = 24) but build nothing of that
-size beyond one byte view for the torus and the split's mirror.  All of
-it is Python ints and bytes, so no verify path imports numpy.  Each
-docstring holds a proof.
+split, whose certificate is the closure equal to its complement flip.
+The stages ask the closure (ClosureBasis) for membership, mask by mask
+(``x in basis``) or in a batch (held), and for its flip (flipped); how
+its 2^n bits (2 MiB at n = 24) are stored and read is enspin.closure's
+alone, and no stage here reads them as bytes or shifts into them.  All
+of it is Python ints, so no verify path imports numpy.  Each docstring
+holds a proof.
 
 The dense structure table, the mod-p rank probe and the leading-minor
 Killing test are independent test oracles in enspin.oracles, and the
@@ -176,7 +177,7 @@ def central_blades(basis: ClosureBasis) -> int:
     and every blade squares to -1, which is_compact_basis reads off the
     generators' grades.
     """
-    return sum(1 << x for x in _q_perp(basis.provenance, basis.n) if x and basis.bits >> x & 1)
+    return sum(1 << x for x in _q_perp(basis.provenance, basis.n) if x and x in basis)
 
 
 def is_compact_basis(basis: ClosureBasis) -> bool:
@@ -201,28 +202,28 @@ def is_compact_basis(basis: ClosureBasis) -> bool:
     return all(map(squares_to_minus_one, basis.provenance))
 
 
-def greedy_torus(bits: int, n: int) -> tuple[int, ...]:
-    """A maximal abelian set T of the masks of the bitset, ascending; the rank is len(T).
+def greedy_torus(basis: ClosureBasis) -> tuple[int, ...]:
+    """A maximal abelian set T of the masks of basis, ascending; the rank is len(T).
 
-    Picks: the commuting pairs v1v2, v3v4, ... that lie in the bitset,
-    then, while the bitset holds a mask of K^perp outside K = span(picks),
-    the least such mask.  T is the bitset's part of K^perp when that
-    stops.  K^perp is _q_perp(picks, n), probed through one byte view of
-    the bitset.  Since q is bilinear (_commutation_vector), a mask
+    Picks: the commuting pairs v1v2, v3v4, ... that lie in the basis,
+    then, while the basis holds a mask of K^perp outside K = span(picks),
+    the least such mask.  T is the basis's part of K^perp when that
+    stops.  K^perp is _q_perp(picks, n), filtered by basis.held in one
+    pass.  Since q is bilinear (_commutation_vector), a mask
     commutes with every pick iff it lies in K^perp.  On any set of masks:
 
     (a) T is abelian: the picks commute pairwise, so K is isotropic for
         the alternating form q, and the loop stops only when T lies in
         K.  Each pick lies in the bitset and in K, inside K^perp, so it
         lies in T.
-    (b) Every mask of the bitset outside T lies outside K^perp, so it
+    (b) Every mask of the basis outside T lies outside K^perp, so it
         anticommutes with some pick.  If x = sum x_i b_i commutes with
         span(T), then for each pick t the terms of
         [x, b_t] = sum x_i [b_i, b_t] over the b_i anticommuting with t
         land on distinct blades b_{i ^ t} (the injectivity argument of
         central_blades), so all those x_i are 0.  Hence the centralizer
         of span(T) is span(T) itself, and T is maximal abelian.
-    (c) When the bitset is a closure whose generators pass
+    (c) When the basis is a closure whose generators pass
         is_compact_basis, the algebra is compact, and a maximal abelian
         subalgebra of a compact algebra is a Cartan subalgebra (Knapp,
         Lie Groups Beyond an Introduction, ch. IV), so the rank is |T|.
@@ -235,21 +236,12 @@ def greedy_torus(bits: int, n: int) -> tuple[int, ...]:
     lists K and K^perp, of 2^k and at most 2^(n - k + 1) masks for k
     picks.
     """
-    view = bits.to_bytes(1 << n >> 3 or 1, "little")
-
-    def held(masks: Iterable[int]) -> list[int]:
-        return [x for x in masks if view[x >> 3] >> (x & 7) & 1]
-
-    picks = held(3 << b for b in range(0, n - 1, 2))
+    picks = basis.held(3 << b for b in range(0, basis.n - 1, 2))
     while True:
-        found, span = held(_q_perp(picks, n)), set(_f2_span(picks))
+        found, span = basis.held(_q_perp(picks, basis.n)), set(_f2_span(picks))
         if not (outside := [x for x in found if x not in span]):
             return tuple(sorted(found))
         picks.append(min(outside))
-
-
-#: byte i bit-reversed, for the mirror of a bitset in split_check
-_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
@@ -272,12 +264,10 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     top blade lying in G^perp = _q_perp(basis.provenance, n), O(n^3),
     since ad(omega) is a derivation that then kills every bracket of
     generators (the rule of central_blades); and closure under
-    complement, O(2^n): the complement flip equals the bitset.  For
-    m <= full, m ^ full = full - m, so the flip {m ^ full : m in bits}
-    is the mirror of the bitset: its 2^n bits read backwards, which is
-    its bytes in reverse order, each byte bit-reversed by one table
-    lookup (_BIT_REVERSED), in place of n delta swaps.  When it differs,
-    the largest mask y in just one of the two names the hole: y itself
+    complement, O(2^n): the complement flip {m ^ full : m in basis}
+    (basis.flipped, the bitset's mirror, in place of n delta swaps)
+    equals the bitset.  When they differ, the largest mask y in just
+    one of the two names the hole: y itself
     when y is in the basis, and full ^ y otherwise, since then y is the
     complement of a mask of the basis.  That is the first difference of
     the complements and the masks, both in descending order.  When the
@@ -296,14 +286,10 @@ def split_check(basis: ClosureBasis, *, seed: int = 0) -> SplitResult:
     if full not in _q_perp(basis.provenance, n):
         return SplitResult(n=n, applicable=True, omega_central=False, omega_square=omega_sq,
                            reason="top blade failed centrality or square check")
-    bits = basis.bits
-    mirror = bits.to_bytes(1 << n >> 3 or 1, "little")[::-1].translate(_BIT_REVERSED)
-    flipped = int.from_bytes(mirror, "little")
-    if n < 3:  # the one byte held 2^n bits at its bottom, now at its top
-        flipped >>= 8 - (1 << n)
-    if flipped != bits:
-        y = (flipped ^ bits).bit_length() - 1
-        m = y if bits >> y & 1 else y ^ full
+    flipped = basis.flipped()
+    if flipped != basis.bits:
+        y = (flipped ^ basis.bits).bit_length() - 1
+        m = y if y in basis else y ^ full
         return SplitResult(n=n, applicable=True, omega_central=True, omega_square=1,
                            reason=f"complement of {m:#x} missing from basis")
     half = basis.dim // 2
@@ -373,7 +359,7 @@ def analyze(n: int, *, seed: int = 0, exact_killing: bool | None = None) -> Anal
     with stage(timings, "killing"):
         compact = is_compact_basis(basis)
     with stage(timings, "rank"):
-        torus = greedy_torus(basis.bits, n)
+        torus = greedy_torus(basis)
     with stage(timings, "split"):
         split = split_check(basis)
 

@@ -21,7 +21,9 @@ run_verification, reports_to_json, algebra_table and table_to_json.
 _FORWARDED serves them by a PEP 562 ``__getattr__``, and handlers read
 them as ``_layers.<name>``, never as bare globals: the hook serves an
 attribute read but not a global lookup, and a rebound name is then the
-one that runs.
+one that runs.  ``closure`` reads the basis through its public methods
+(ClosureBasis.tile_masks) and no underscore name of enspin.closure, so
+how the bitset is stored stays that module's alone.
 ``python -m enspin.cli`` runs through the same entry as ``python -m
 enspin``, ``enspin.__main__.run``.
 """
@@ -48,15 +50,11 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-#: closure writes the masks of one 2^16-bit tile, this many bytes, at a time
-_TILE = 1 << 13
-
-
 def cmd_closure(args: SimpleNamespace) -> int:
     """Print n, dim and the closure's masks, ascending, one 2^16-bit tile per write.
 
-    The bitset is read once as bytes, and closure._set_bits lists each
-    tile's masks, so no tuple of d ints is built.  JSON is the bytes of
+    The basis lists its masks tile by tile (ClosureBasis.tile_masks),
+    so no tuple of d ints is built.  JSON is the bytes of
     json.dumps(indent=2) on {"n", "dim", "masks"}, the masks as hex
     strings, and a newline.  A text line names its blade by two tables
     of str(Blade(x)), "" at 0: one over the low h = n // 2 bits and one
@@ -68,10 +66,7 @@ def cmd_closure(args: SimpleNamespace) -> int:
 
     closure.check_ambient(args.n)
     basis = closure.blade_closure(args.n, spinrep.spin_generators(args.n).masks)
-    data, write = basis.bits.to_bytes(1 << (args.n - 3), "little"), sys.stdout.write
-    # the masks of each tile that holds any: an empty one would leave a JSON separator alone
-    chunks = filter(None, (closure._set_bits(int.from_bytes(data[k:k + _TILE], "little"), 8 * k)
-                           for k in range(0, len(data), _TILE)))
+    chunks, write = basis.tile_masks(), sys.stdout.write
     if args.format == "json":
         write(f'{{\n  "n": {basis.n},\n  "dim": {basis.dim},\n  "masks": [\n    "')
         sep = '",\n    "'

@@ -8,7 +8,10 @@ bit x set iff mask x is in it, and relaxes it one generator step at a
 time, in tiles that stay in cache.  CPython works on an int word by
 word, so each step is a few passes over 2^n/8 bytes (2 MiB at n = 24),
 with no Python object per blade and no numpy.  Its proof certifies that
-the result is bracket-closed.  _parity_pattern is the one pattern
+the result is bracket-closed.  How that set is stored is decided here
+alone: ClosureBasis answers membership, one mask or a batch, the
+complement flip and the masks tile by tile, and no other module reads
+the int as bytes or shifts into it.  _parity_pattern is the one pattern
 builder: it gives the anticommute patterns, the delta-swap masks of
 _xor_translate and, doubled once more by _negative_square_pattern, the
 lemma check's predicted set, the blades that square to -1.  The rules
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .clifford import _commutation_vector, squares_to_minus_one
 
@@ -46,7 +49,7 @@ def _set_bits(bits: int, start: int = 0) -> tuple[int, ...]:
     turns them into 0/1 selector bytes, and compress picks the positions
     in C.  No Python loop runs per bit.  It spends one byte per bit up to
     the highest set one, whatever the density, which suits its dense
-    readers: ClosureBasis.masks, and the closure command, which lists
+    readers: ClosureBasis.masks, and ClosureBasis.tile_masks, which lists
     one tile of the bitset at a time, each offset by its first position.
     """
     selectors = bin(bits)[:1:-1].encode().translate(_BIT_SELECTORS)
@@ -56,9 +59,14 @@ def _set_bits(bits: int, start: int = 0) -> tuple[int, ...]:
 class ClosureBasis:
     """Blade masks of a bracket-closed subalgebra, as a bitset.
 
-    bits has bit x set iff mask x is in the closure; every stage reads
-    it.  masks, the ascending tuple, is built on first read.  Bases
-    compare by identity."""
+    bits has bit x set iff mask x is in the closure.  The bitset's
+    layout is this class's alone: a stage asks ``mask in basis``, held
+    for a batch, flipped for the complement flip and tile_masks for the
+    masks tile by tile, and none reads bits as bytes or shifts into it.
+    held, flipped and tile_masks read the bitset through one byte view
+    of 2^n/8 bytes, built afresh on each call and never kept, so it
+    holds memory only while it is read.  masks, the ascending tuple, is
+    built on first read.  Bases compare by identity."""
 
     def __init__(self, n: int, bits: int, provenance: tuple[int, ...]) -> None:
         self.n = n
@@ -72,6 +80,45 @@ class ClosureBasis:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return _set_bits(self.bits)
+
+    def __contains__(self, mask: int) -> bool:
+        """One probe: a shift of the bitset, short when mask is high, as the top blade is."""
+        return self.bits >> mask & 1 == 1
+
+    def _view(self) -> bytes:
+        """The bitset as 2^n/8 bytes, or one, little-endian: mask x is bit x & 7 of byte x >> 3."""
+        return self.bits.to_bytes(1 << self.n >> 3 or 1, "little")
+
+    def held(self, masks: Iterable[int]) -> list[int]:
+        """The masks that lie in the bitset, in their order: one byte view, one lookup each."""
+        view = self._view()
+        return [x for x in masks if view[x >> 3] >> (x & 7) & 1]
+
+    def flipped(self) -> int:
+        """The complement flip {m ^ full : m in bits}, full = 2^n - 1, as a bitset.
+
+        For m <= full, m ^ full = full - m, so the flip is the mirror of
+        the bitset: its 2^n bits read backwards, which is its bytes in
+        reverse order, each bit-reversed by one lookup in a 256-entry
+        table, built here so that importing this module builds none.
+        Below n = 3 the one byte held its 2^n bits at its bottom, and
+        the mirror leaves them at its top, so they are shifted down.
+        """
+        table = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+        flipped = int.from_bytes(self._view()[::-1].translate(table), "little")
+        return flipped >> 8 - (1 << self.n) if self.n < 3 else flipped
+
+    def tile_masks(self) -> Iterator[tuple[int, ...]]:
+        """The ascending masks of each 2^_TILE_LOG-bit tile that holds any, tile by tile.
+
+        Each tile is 2^_TILE_LOG/8 bytes of the byte view, listed by
+        _set_bits from its first position, so no tuple of dim ints is
+        built.  An empty tile is skipped: a writer that joins the
+        tuples would leave a separator alone.
+        """
+        view, step = self._view(), 1 << _TILE_LOG >> 3
+        return filter(None, (_set_bits(int.from_bytes(view[k:k + step], "little"), 8 * k)
+                             for k in range(0, len(view), step)))
 
 
 def check_ambient(n: int) -> None:
@@ -221,6 +268,8 @@ class LemmaContainment(NamedTuple):
     missing_masks: int
     extra_masks: int
     exactly_predicted: bool
+    least_missing: int | None = None  # on failure, the least predicted mask not in the closure
+    least_extra: int | None = None  # and the least mask of the closure not predicted
 
     @property
     def passed(self) -> bool:
@@ -242,7 +291,11 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
     not dropped.
     The predicted set has lower_bound_dim(n) elements, so missing =
     lower_bound_dim(n) - hits and extra = d - hits; a mask beyond n bits
-    is never a hit, so it counts as extra.
+    is never a hit, so it counts as extra.  Only when a count is not 0
+    is the predicted set built, with the full mask taken out where it is
+    dropped, to name the least mask on each side, as the split names its
+    hole: the lowest set bit of want & ~bits and of bits & ~want, for the
+    predicted set want.
     """
     from .deltas import drops_top_blade, lower_bound_dim
 
@@ -250,17 +303,15 @@ def lemma_containment_check(n: int, basis: ClosureBasis) -> LemmaContainment:
         raise ValueError(f"n must be >= 3, got {n}")
     full = (1 << n) - 1
     drop_full = drops_top_blade(n)
-    have = basis.bits
-    full_present = have >> full & 1
+    have, full_present = basis.bits, full in basis
     hits = (have & _negative_square_pattern(n)).bit_count() - (full_present if drop_full else 0)
-    missing = lower_bound_dim(n) - hits
-    extra = basis.dim - hits
+    missing, extra = lower_bound_dim(n) - hits, basis.dim - hits
+    least = [None, None]
+    if missing or extra:
+        want = _negative_square_pattern(n) & ~(drop_full << full)
+        least = [(x & -x).bit_length() - 1 if x else None for x in (want & ~have, have & ~want)]
     return LemmaContainment(
-        n=n,
-        all_expected_present=missing == 0,
-        full_mask_present=bool(full_present),
+        n=n, all_expected_present=missing == 0, full_mask_present=full_present,
         full_mask_expected=squares_to_minus_one(full) and not drop_full,
-        missing_masks=missing,
-        extra_masks=extra,
-        exactly_predicted=missing == 0 and extra == 0,
-    )
+        missing_masks=missing, extra_masks=extra, exactly_predicted=missing == 0 and extra == 0,
+        least_missing=least[0], least_extra=least[1])

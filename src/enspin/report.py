@@ -88,8 +88,7 @@ def _killing_outcome(bundle: AnalysisBundle) -> CheckOutcome:
     """
     d = bundle.basis.dim
     full = (1 << bundle.n) - 1
-    top = bundle.basis.bits >> full & 1
-    radical = top << full if closure_type(bundle.n).center_dim() > 0 else 0
+    radical = 1 << full if full in bundle.basis and closure_type(bundle.n).center_dim() > 0 else 0
     if not bundle.compact:
         return _outcome(False, "a blade squares to +1, so the algebra is not compact")
     if bundle.central != radical:
@@ -131,6 +130,9 @@ def run_verification(n: int) -> VerificationReport:
         f"full mask present={lemma.full_mask_present} (expected {lemma.full_mask_expected}), "
         f"missing={lemma.missing_masks}, extra={lemma.extra_masks}"
     )
+    # a failing lemma names its least hole on each side; a passing one has none
+    holes = {"missing": lemma.least_missing, "extra": lemma.least_extra}
+    detail += "".join(f"; least {side} {m:#x}" for side, m in holes.items() if m is not None)
     if n == 3:
         detail += (
             "; the scalar unit is not bracket-generated, so the computed basis is "

@@ -497,8 +497,8 @@ def test_tables_match_golden_bytes(capsys, golden):
 
 
 # the sha256 of each command's stdout, keyed by its argv; "ci" holds the
-# runs that the CI facts step makes and hashes: verify 3..24, closure at 22
-# in both formats and closure at 24 in JSON
+# runs that the CI facts step makes and hashes: verify 3..24 and closure at
+# 22 and at 24, each in both formats
 DIGESTS = json.loads((DATA / "digests.json").read_text("utf-8"))
 
 

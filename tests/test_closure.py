@@ -1,10 +1,12 @@
+import ast
 import json
 import random
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enspin.analysis import central_blades, classify, greedy_torus
@@ -222,6 +224,8 @@ def lemma_reference(n, basis):
         missing_masks=len(want - have),
         extra_masks=len(have - want),
         exactly_predicted=have == want,
+        least_missing=min(want - have, default=None),
+        least_extra=min(have - want, default=None),
     )
 
 
@@ -322,6 +326,50 @@ def test_bitset_kernels_match_their_definitions(n, data):
         x for x in range(1 << n) if x.bit_count() % 4 in (2, 3))
 
 
+@given(n=st.integers(1, 18), data=st.data())
+@example(n=18, data=None)  # four tiles, the middle two empty
+def test_basis_storage_answers_match_brute_force(n, data):
+    # below n = 3 the bitset is one byte, which the flip mirrors; from n = 17
+    # on it spans several 2^16-bit tiles, and a few masks leave some empty
+    full = (1 << n) - 1
+    if data is None:
+        masks, queries = [3, 0xffff, 3 << 16, full], [full, 1 << 16, 2 << 16, 0, 3]
+    else:
+        masks = sorted(data.draw(st.sets(st.integers(0, full), max_size=64)))
+        queries = data.draw(st.lists(st.integers(0, full), max_size=64))
+    basis, members = ClosureBasis(n, bits_of(masks), ()), set(masks)
+    probes = range(1 << n) if n <= 10 else [*queries, *masks, 0, full]
+    assert [x in basis for x in probes] == [x in members for x in probes]
+    assert basis.held(queries + masks) == [x for x in queries + masks if x in members]
+    assert basis.flipped() == bits_of([m ^ full for m in masks])
+    tiles = list(basis.tile_masks())
+    assert all(tiles) and [m for tile in tiles for m in tile] == masks
+    assert [len({m >> 16 for m in tile}) for tile in tiles] == [1] * len(tiles)
+
+
+def test_only_closure_reads_the_bitset_layout():
+    # the bitset's layout is ClosureBasis's: no other module serializes an int,
+    # right-shifts a .bits attribute, whatever the object it belongs to, or
+    # reads an underscore name of enspin.closure
+    offenders = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "enspin").glob("*.py")):
+        if path.name == "closure.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes"):
+                offenders.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift)
+                  and isinstance(node.left, ast.Attribute) and node.left.attr == "bits"):
+                offenders.append(f"{path.name}:{node.lineno} .bits >>")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "closure" and node.attr.startswith("_")):
+                offenders.append(f"{path.name}:{node.lineno} closure.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "closure":
+                offenders += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                              if a.name.startswith("_")]
+    assert offenders == []
+
+
 @settings(max_examples=60)
 @given(generator_sets(10), st.integers(3, 5))
 def test_tiled_closure_matches_set_worklist_oracle(case, tile_log):
@@ -356,7 +404,7 @@ def test_spin_closure_matches_fixpoint_oracle(n):
 def test_large_spin_closure_dimension(n):
     basis = blade_closure(n, spin_generators(n).masks)
     assert basis.dim == lower_bound_dim(n)
-    assert len(greedy_torus(basis.bits, n)) == max_compact(n).rank()
+    assert len(greedy_torus(basis)) == max_compact(n).rank()
     # no center, so the derived algebra is all of it, and the Killing form is negative definite
     partners = partner_sweep(basis)
     assert np.all(partners > 0)

@@ -236,7 +236,7 @@ def test_mask_core_matches_table_oracles(n):
     assert central.bit_count() == center_dim(sc)
     assert np.array_equal(central_blades_reference(basis), killing_diagonal(sc) == 0)
     assert central == bits_of(mask_array(basis)[killing_diagonal(sc) == 0].tolist())
-    torus = greedy_torus(basis.bits, n)
+    torus = greedy_torus(basis)
     assert torus_is_cartan(basis.masks, torus)
     assert len(torus) == rank_estimate(sc, trials=5, seed=0)
 
@@ -392,7 +392,7 @@ def assert_torus_is_self_centralizing(masks, torus):
 @pytest.mark.parametrize("n", range(3, 17))
 def test_greedy_torus_matches_reference(n):
     basis = blade_closure(n, spin_generators(n).masks)
-    torus = greedy_torus(basis.bits, n)
+    torus = greedy_torus(basis)
     assert_torus_is_self_centralizing(basis.masks, torus)
     assert len(torus) == len(greedy_torus_reference(basis.masks)) == closure_type(n).rank()
 
@@ -402,7 +402,7 @@ def test_greedy_torus_matches_reference_on_any_set(n, data):
     # maximal abelian, as the reference is; on an arbitrary set a maximal
     # abelian set need not be a largest one, so the sizes may differ
     masks = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=256)))
-    assert_torus_is_self_centralizing(masks, greedy_torus(bits_of(masks), n))
+    assert_torus_is_self_centralizing(masks, greedy_torus(ClosureBasis(n, bits_of(masks), ())))
 
 
 def test_greedy_torus_takes_ceil_half_n_picks(monkeypatch):
@@ -418,7 +418,7 @@ def test_greedy_torus_takes_ceil_half_n_picks(monkeypatch):
     for n in range(3, 17):
         rounds.clear()
         basis = blade_closure(n, spin_generators(n).masks)
-        assert len(greedy_torus(basis.bits, n)) == closure_type(n).rank()
+        assert len(greedy_torus(basis)) == closure_type(n).rank()
         assert rounds[-1] == (n + 1) // 2, n
     assert closure_type(16).rank() > 16
     rnd = random.Random(0)
@@ -426,7 +426,7 @@ def test_greedy_torus_takes_ceil_half_n_picks(monkeypatch):
         for _ in range(20):
             rounds.clear()
             masks = sorted(rnd.sample(range(1 << n), rnd.randint(0, 1 << n)))
-            assert_torus_is_self_centralizing(masks, greedy_torus(bits_of(masks), n))
+            assert_torus_is_self_centralizing(masks, greedy_torus(ClosureBasis(n, bits_of(masks), ())))
             assert rounds[-1] <= (n + 1) // 2, n
 
 
@@ -438,7 +438,7 @@ def test_center_and_torus_hold_a_few_bitsets_at_n_20():
     # where it is dropped (n = 19); the Killing check reads one bit and
     # builds nothing of 2^n bits
     at20, at19 = analyze(20), analyze(19)
-    _, peak = traced_peak(lambda: (central_blades(at20.basis), greedy_torus(at20.basis.bits, 20)))
+    _, peak = traced_peak(lambda: (central_blades(at20.basis), greedy_torus(at20.basis)))
     assert peak < 3 * (1 << 20) // 8
     for bundle in (at20, at19):
         n = bundle.n
@@ -456,7 +456,7 @@ def test_torus_is_maximal_in_any_order(n, data, rnd):
     # the greedy rule in any order yields a maximal abelian set
     torus = greedy_torus_reference(masks)
     assert_torus_is_self_centralizing(masks, torus)
-    assert len(torus) == len(greedy_torus(CLOSURES[n].bits, n)) == closure_type(n).rank()
+    assert len(torus) == len(greedy_torus(CLOSURES[n])) == closure_type(n).rank()
     arbitrary = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=256))
     rnd.shuffle(arbitrary)
     assert_torus_is_self_centralizing(arbitrary, greedy_torus_reference(arbitrary))
@@ -464,7 +464,7 @@ def test_torus_is_maximal_in_any_order(n, data, rnd):
 
 def test_certificates_reject_what_they_must():
     basis = CLOSURES[8]
-    torus = greedy_torus(basis.bits, 8)
+    torus = greedy_torus(basis)
     assert not torus_is_cartan(basis.masks, torus[:-1])
     assert is_compact_basis(basis)
     assert not is_compact_basis(blade_closure(8, basis.provenance + (0b1,)))

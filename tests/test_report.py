@@ -106,6 +106,19 @@ def test_failing_split_names_its_hole(monkeypatch):
     assert split == ("fail", "complement of 0x3 missing from basis")
 
 
+def test_failing_lemma_names_its_least_holes(monkeypatch):
+    # the n = 5 closure without v3v4v5 misses one predicted mask; with v1 added
+    # it also holds one the lemma does not predict, and the detail names both
+    real = blade_closure(5, spinrep.spin_generators(5).masks)
+    head = ("all expected masks present=False, full mask present=False (expected False), "
+            "missing=1, extra=")
+    for bits, tail in ((real.bits & ~(1 << 0x1c), "0; least missing 0x1c"),
+                       (real.bits & ~(1 << 0x1c) | 1 << 0x1, "1; least missing 0x1c; least extra 0x1")):
+        holed = ClosureBasis(5, bits, real.provenance)
+        monkeypatch.setattr("enspin.analysis.blade_closure", lambda n, gens, **kwargs: holed)
+        assert run_verification(5).checks["lemma"] == ("fail", head + tail)
+
+
 def test_report_split_skipped_off_the_residues():
     # split testimony only applies when the top blade is central and squares
     # to +1, which needs n == 1 mod 4
